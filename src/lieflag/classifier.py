@@ -88,25 +88,29 @@ def group_spec(family: str, parameter: int = 0) -> GroupSpec:
 
 
 @lru_cache(maxsize=None)
-def _load_db(path: str | None) -> tuple[RecordSchema, ...]:
-    if path is None:
-        text = (
-            resources.files("lieflag").joinpath("data/classification.db").read_text()
-        )
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise DatabaseFormatError(f"cannot read database {path!r}: {exc}") from None
+def _load_shipped() -> tuple[RecordSchema, ...]:
+    text = resources.files("lieflag").joinpath("data/classification.db").read_text()
     return parse_records(text)
+
+
+@lru_cache(maxsize=8)
+def _load_file(path: str, mtime_ns: int, size: int) -> tuple[RecordSchema, ...]:
+    """Parsed file; the stat fields in the key make an edited file re-read."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse_records(handle.read())
 
 
 def load_database(path: str | None = None) -> tuple[RecordSchema, ...]:
     """Shipped records, or the file named by the argument / environment."""
     if path is None:
         path = os.environ.get(DB_ENV_VAR) or None
-    return _load_db(path)
+    if path is None:
+        return _load_shipped()
+    try:
+        st = os.stat(path)
+        return _load_file(path, st.st_mtime_ns, st.st_size)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatabaseFormatError(f"cannot read database {path!r}: {exc}") from None
 
 
 _IDENT_RE = re.compile(r"^([PQ])\^\{?([0-9n+\- ]+)\}?$")
@@ -376,12 +380,6 @@ class Violation:
 
 
 _PROBE_NS = {"SL": (2, 3, 4, 5, 6, 7, 8), "Sp": (4, 6, 8), "Spin": (6, 7, 8), "SL3Q": (4,)}
-_PROBE_PARAMS = {
-    (): ({},),
-    ("m",): ({"m": 1}, {"m": 2}),
-    ("a",): ({"a": -1}, {"a": 0}, {"a": 1}),
-    ("p", "q"): ({"p": 0, "q": 1}, {"p": 1, "q": 0}, {"p": 1, "q": 1}),
-}
 
 
 def validate_database(db_path: str | None = None) -> list[Violation]:

@@ -9,6 +9,7 @@ definition used throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ArityMismatch, EmptyMarking, NodeOutOfRange, NotMaximalParabolic
@@ -64,6 +65,7 @@ class RMin(NamedTuple):
     nodes: tuple[int, ...]
 
 
+@lru_cache(maxsize=None)
 def r_min(dtype: DynkinType) -> RMin:
     """Minimal codimension of a proper parabolic, with every attaining node.
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import ast
 import shlex
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from types import CodeType
 from typing import Mapping, Sequence
 
 from .errors import DatabaseFormatError
@@ -48,11 +50,51 @@ _ALLOWED_NODES = (
 )
 
 
-def eval_expr(text: str, env: Mapping[str, int]):
-    """Evaluate a small integer/boolean expression over named integers."""
+def _scalar(node: ast.expr, text: str) -> str:
+    kind = _kind(node, text)
+    if kind == "tuple":
+        raise DatabaseFormatError(f"tuple outside == or != in {text!r}")
+    return kind
+
+
+def _kind(node: ast.expr, text: str) -> str:
+    """Value kind of a whitelisted node: "int", "bool" or "tuple".
+
+    Tuples are legal only as operands of == and != and hold only scalars,
+    so an expression that passes cannot fail once its names are bound.
+    """
+    if isinstance(node, ast.Constant):
+        return "bool" if isinstance(node.value, bool) else "int"
+    if isinstance(node, ast.Name):
+        return "int"
+    if isinstance(node, ast.Tuple):
+        for elt in node.elts:
+            _scalar(elt, text)
+        return "tuple"
+    if isinstance(node, ast.UnaryOp):
+        _scalar(node.operand, text)
+        return "bool" if isinstance(node.op, ast.Not) else "int"
+    if isinstance(node, ast.BinOp):
+        _scalar(node.left, text)
+        _scalar(node.right, text)
+        return "int"
+    if isinstance(node, ast.BoolOp):
+        for value in node.values:
+            _scalar(value, text)
+        return "bool"
+    kinds = [_kind(o, text) for o in (node.left, *node.comparators)]
+    for op, left, right in zip(node.ops, kinds, kinds[1:]):
+        if "tuple" in (left, right) and not isinstance(op, (ast.Eq, ast.NotEq)):
+            raise DatabaseFormatError(f"tuple outside == or != in {text!r}")
+    return "bool"
+
+
+@lru_cache(maxsize=1024)
+def _compile(text: str) -> tuple[CodeType, str]:
+    """Checked code object of an expression, plus the kind of its value."""
     try:
         tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
+    except (SyntaxError, ValueError, RecursionError) as exc:
         raise DatabaseFormatError(f"bad expression {text!r}: {exc}") from None
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
@@ -61,9 +103,41 @@ def eval_expr(text: str, env: Mapping[str, int]):
             )
         if isinstance(node, ast.Constant) and not isinstance(node.value, int):
             raise DatabaseFormatError(f"non-integer constant in {text!r}")
-        if isinstance(node, ast.Name) and node.id not in env:
-            raise DatabaseFormatError(f"unknown name {node.id!r} in {text!r}")
-    return eval(compile(tree, "<record>", "eval"), {"__builtins__": {}}, dict(env))
+    try:
+        kind = _kind(tree.body, text)
+        code = compile(tree, "<record>", "eval")
+    except RecursionError:
+        raise DatabaseFormatError(f"expression nested too deeply: {text!r}") from None
+    return code, kind
+
+
+def eval_expr(text: str, env: Mapping[str, int]):
+    """Evaluate a small integer/boolean expression over named integers."""
+    code, _ = _compile(text)
+    for name in code.co_names:
+        if name not in env:
+            raise DatabaseFormatError(f"unknown name {name!r} in {text!r}")
+    return eval(code, {"__builtins__": {}}, dict(env))
+
+
+def _check_expr(text: str, kind: str, names: Sequence[str], where: str) -> None:
+    """Compile a record expression at load time; check its names and kind."""
+    try:
+        code, got = _compile(text)
+    except DatabaseFormatError as exc:
+        raise DatabaseFormatError(f"{where}: {exc}") from None
+    for name in code.co_names:
+        if name not in names:
+            raise DatabaseFormatError(f"{where}: unknown name {name!r} in {text!r}")
+    if got != kind:
+        raise DatabaseFormatError(f"{where}: {kind} expected, got {got} in {text!r}")
+
+
+def _int(value: str, key: str, where: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise DatabaseFormatError(f"{where}: {key} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -130,11 +204,15 @@ def _parse_orbit(value: str, where: str) -> OrbitSchema:
         fields[k] = v
     if not fields["dim"]:
         raise DatabaseFormatError(f"{where}: orbit needs a dim")
+    _check_expr(fields["dim"], "int", ("n",), where)
     return OrbitSchema(kind, fields["dim"], fields["ident"], fields["note"])
 
 
 def _parse_relation(value: str, where: str) -> RelationEdge:
-    tokens = shlex.split(value)
+    try:
+        tokens = shlex.split(value)
+    except ValueError as exc:
+        raise DatabaseFormatError(f"{where}: bad relation line: {exc}") from None
     fields = {"op": "", "to": "", "label": ""}
     for tok in tokens:
         if "=" not in tok:
@@ -173,14 +251,14 @@ def parse_records(text: str) -> tuple[RecordSchema, ...]:
                 name=current["name"],
                 case=current["case"],
                 source=current["source"],
-                item=int(current["item"]),
+                item=_int(current["item"], "item", where),
                 dim=current["dim"],
-                picard=int(current["picard"]),
+                picard=_int(current["picard"], "picard", where),
                 requires=current.get("requires", ""),
                 param_names=tuple(current.get("param_names", ())),
                 param_constraint=current.get("param_constraint", ""),
                 allows_fixed_point=current.get("allows_fixed_point", "no") == "yes",
-                actions=int(current.get("actions", 1)),
+                actions=_int(current.get("actions", "1"), "actions", where),
                 note=current.get("note", ""),
                 orbits=tuple(orbits),
                 relations=tuple(relations),
@@ -210,10 +288,12 @@ def parse_records(text: str) -> tuple[RecordSchema, ...]:
             relations.append(_parse_relation(value, where))
         elif key == "params":
             names, _, constraint = value.partition(";")
-            current["param_names"] = tuple(
-                t.strip() for t in names.split(",") if t.strip()
-            )
-            current["param_constraint"] = constraint.strip()
+            param_names = tuple(t.strip() for t in names.split(",") if t.strip())
+            constraint = constraint.strip()
+            if constraint:
+                _check_expr(constraint, "bool", param_names, where)
+            current["param_names"] = param_names
+            current["param_constraint"] = constraint
         elif key in (
             "case",
             "source",
@@ -225,6 +305,10 @@ def parse_records(text: str) -> tuple[RecordSchema, ...]:
             "actions",
             "note",
         ):
+            if key == "dim":
+                _check_expr(value, "int", ("n",), where)
+            elif key == "requires" and value:
+                _check_expr(value, "bool", ("n",), where)
             current[key] = value
         else:
             raise DatabaseFormatError(f"line {lineno}: unknown key {key!r}")

@@ -1,5 +1,6 @@
 import pytest
 
+from lieflag import parabolic, records
 from lieflag.classifier import (
     GroupSpec,
     classify,
@@ -303,3 +304,18 @@ def test_database_override_by_path(tmp_path):
     )
     result = classify(GroupSpec("SL", 4), 4, db_path=str(db))
     assert [d.name for d in result.entries] == ["P^n"]
+
+
+def test_repeated_classify_compiles_nothing_and_reuses_r():
+    group = GroupSpec("SL", 4)
+    for n in (4, 5):
+        classify(group, n)
+    compiled = records._compile.cache_info()
+    rmin = parabolic.r_min.cache_info()
+    for _ in range(100):
+        for n in (4, 5):
+            classify(group, n)
+    assert records._compile.cache_info().misses == compiled.misses
+    assert records._compile.cache_info().hits > compiled.hits
+    assert parabolic.r_min.cache_info().misses == rmin.misses
+    assert parabolic.r_min.cache_info().hits >= rmin.hits + 200

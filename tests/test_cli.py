@@ -122,12 +122,38 @@ def test_validate_db_exit_reflects_violations(capsys, tmp_path):
     assert "rule=R2" in out
 
 
+_GOOD_RECORD = (
+    "record = OnlyOne\ncase = SL\nsource = Thm4.1\nitem = 1\n"
+    "requires = n >= 2\ndim = n\npicard = 1\norbit = open dim=n\n"
+)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("item = 1", "item = x"),
+        ("orbit = open dim=n", 'orbit = open dim=n\nrelation = op="blow-down" to="Q^4'),
+        ("dim = n", "dim = (1,2)"),
+    ],
+    ids=["item_word", "relation_quote", "dim_tuple"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["validate-db"], ["classify", "--group", "SL", "--param", "4", "--dim", "4"]],
+    ids=["validate-db", "classify"],
+)
+def test_malformed_db_is_a_domain_error(capsys, tmp_path, old, new, command):
+    bad = tmp_path / "bad.db"
+    bad.write_text(_GOOD_RECORD.replace(old, new))
+    code, out, err = _run(capsys, ["--db", str(bad), *command])
+    assert code == 1 and out == ""
+    assert err.startswith("error: DatabaseFormatError")
+    assert "Traceback" not in err
+
+
 def test_db_env_var_and_flag_precedence(capsys, tmp_path, monkeypatch):
     tiny = tmp_path / "tiny.db"
-    tiny.write_text(
-        "record = OnlyOne\ncase = SL\nsource = Thm4.1\nitem = 1\n"
-        "requires = n >= 2\ndim = n\npicard = 1\norbit = open dim=n\n"
-    )
+    tiny.write_text(_GOOD_RECORD)
     monkeypatch.setenv("LIEFLAG_DB", str(tiny))
     code, out, err = _run(capsys, ["classify", "--group", "SL", "--param", "4", "--dim", "4"])
     assert code == 0 and "OnlyOne" in out

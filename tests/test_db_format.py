@@ -1,8 +1,15 @@
+import os
+from importlib import resources
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieflag.classifier import load_database
 from lieflag.errors import DatabaseFormatError
-from lieflag.records import eval_expr, parse_records, serialize_records
+from lieflag.records import _compile, eval_expr, parse_records, serialize_records
+
+SHIPPED = resources.files("lieflag").joinpath("data/classification.db").read_text()
 
 MINIMAL = """
 # a comment
@@ -53,6 +60,27 @@ def test_record_predicates():
         ("orbit = open dim=n", "orbit = open"),
         ("orbit = open dim=n", "orbit = sideways dim=n"),
         ("note = hello world", "oops = hello"),
+        # non-integer item, picard or actions
+        ("item = 1", "item = x"),
+        ("picard = 1", "picard = one"),
+        ("actions = 2", "actions = 2.5"),
+        # unterminated quote on a relation line
+        ('label="W^{(1)}"', 'label="W^{(1)}'),
+        # expressions of the wrong kind, or over undeclared names
+        ("dim = n", "dim = (1,2)"),
+        ("dim = n", "dim = n > 2"),
+        ("dim = n", "dim = (1, 2) + (3,)"),
+        ("dim = n", "dim = k + 1"),
+        ("dim = n", "dim = n +"),
+        ("dim = n", "dim = " + "-" * 600 + "n"),
+        ("dim = n", "dim = " + "-" * 3000 + "n"),
+        ("requires = n >= 2", "requires = n"),
+        ("requires = n >= 2", "requires = (n, 1) < 2"),
+        ("requires = n >= 2", "requires = m > 0"),
+        ("m ; m > 0", "m ; m"),
+        ("m ; m > 0", "m ; n > 0"),
+        ("open dim=n", "open dim=n==2"),
+        ("open dim=n", "open dim=k"),
     ],
 )
 def test_parse_rejects_malformed_records(mutation):
@@ -89,3 +117,82 @@ def test_eval_expr():
 def test_eval_expr_rejects_unsafe_or_unknown(expr):
     with pytest.raises(DatabaseFormatError):
         eval_expr(expr, {"n": 4})
+
+
+_OPERATORS = (" + ", " - ", " * ", " < ", " >= ", " == ", " != ", " and ", " or ")
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(["n", "0", "2", "True", "(n, 1)", "()"]),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from(_OPERATORS), sub).map(lambda t: f"({''.join(t)})"),
+        sub.map(lambda e: f"(not {e})"),
+        sub.map(lambda e: f"(-{e})"),
+        st.lists(sub, max_size=3).map(lambda es: "(" + "".join(e + ", " for e in es) + ")"),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_EXPRESSIONS, n=st.integers(-5, 5))
+def test_accepted_expressions_never_fail_when_evaluated(text, n):
+    try:
+        _, kind = _compile(text)
+    except DatabaseFormatError:
+        return
+    value = eval_expr(text, {"n": n})
+    assert isinstance(value, tuple if kind == "tuple" else int)
+
+def test_expressions_validated_at_load_not_at_query():
+    # no query is needed to reach the bad dim of a record that never applies
+    text = MINIMAL.replace("requires = n >= 2", "requires = n > 99")
+    parse_records(text)
+    with pytest.raises(DatabaseFormatError):
+        parse_records(text.replace("dim = n", "dim = (1,2)"))
+
+
+def test_tuples_stay_legal_under_equality():
+    (rec,) = parse_records(MINIMAL.replace("m ; m > 0", "p, q ; (p, q) != (0, 0)"))
+    assert rec.check_params({"p": 0, "q": 1}) and not rec.check_params({"p": 0, "q": 0})
+
+
+@settings(max_examples=300, deadline=None)
+@given(index=st.integers(min_value=0), junk=st.text(max_size=60))
+def test_shipped_db_with_one_line_replaced_fails_only_cleanly(index, junk):
+    lines = SHIPPED.splitlines()
+    lines[index % len(lines)] = junk
+    try:
+        parse_records("\n".join(lines))
+    except DatabaseFormatError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(index=st.integers(min_value=0), value=st.text(max_size=40))
+def test_shipped_db_with_one_value_replaced_fails_only_cleanly(index, value):
+    lines = SHIPPED.splitlines()
+    fields = [i for i, line in enumerate(lines) if " = " in line]
+    at = fields[index % len(fields)]
+    lines[at] = lines[at].split(" = ", 1)[0] + " = " + value
+    try:
+        parse_records("\n".join(lines))
+    except DatabaseFormatError:
+        pass
+
+
+def test_edited_database_file_is_reread(tmp_path):
+    db = tmp_path / "edit.db"
+    db.write_text(MINIMAL)
+    assert [r.name for r in load_database(str(db))] == ["W^n"]
+    db.write_text(MINIMAL.replace("record = W^n", "record = V^n"))
+    stamp = db.stat().st_mtime_ns + 10**9
+    os.utime(db, ns=(stamp, stamp))
+    assert [r.name for r in load_database(str(db))] == ["V^n"]
+
+
+def test_unreadable_database_file_is_a_format_error(tmp_path):
+    db = tmp_path / "binary.db"
+    db.write_bytes(b"record = \xff\xfe\n")
+    with pytest.raises(DatabaseFormatError):
+        load_database(str(db))
+    with pytest.raises(DatabaseFormatError):
+        load_database(str(tmp_path))
