@@ -10,7 +10,6 @@ database covers exactly the quasihomogeneous fourfolds of SL(3).
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -29,7 +28,7 @@ from .parabolic import (
     minimal_homogeneous_varieties,
     r_min,
 )
-from .records import RecordSchema, eval_expr, parse_records
+from .records import IDENT_RE, RecordSchema, eval_expr, parse_records
 from .roots import DynkinType
 
 DB_ENV_VAR = "LIEFLAG_DB"
@@ -113,22 +112,19 @@ def load_database(path: str | None = None) -> tuple[RecordSchema, ...]:
         raise DatabaseFormatError(f"cannot read database {path!r}: {exc}") from None
 
 
-_IDENT_RE = re.compile(r"^([PQ])\^\{?([0-9n+\- ]+)\}?$")
-
-
 def _ident_dim(ident: str, n: int) -> int | None:
     if ident == "FlagSL3":
         return 3
     if ident == "Gr(2,4)":
         return 4
-    match = _IDENT_RE.match(ident)
+    match = IDENT_RE.match(ident)
     if match is None:
         return None
     return int(eval_expr(match.group(2), {"n": n}))
 
 
 def _ident_label(ident: str, n: int) -> str:
-    match = _IDENT_RE.match(ident)
+    match = IDENT_RE.match(ident)
     if match is None:
         return ident
     return f"{match.group(1)}^{_ident_dim(ident, n)}"

@@ -8,6 +8,7 @@ definition used throughout.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -50,12 +51,20 @@ def marking(dtype: DynkinType, nodes: Iterable[int]) -> ParabolicMarking:
     return ParabolicMarking(dtype, frozenset(int(i) for i in nodes))
 
 
+@lru_cache(maxsize=None)
+def _supports(dtype: DynkinType) -> tuple[tuple[int, int], ...]:
+    """Distinct positive-root supports as node bitmasks (bit i - 1 for
+    node i), each with the number of positive roots that have it."""
+    masks = Counter(
+        sum(1 << i for i, c in enumerate(alpha) if c) for alpha in positive_roots(dtype)
+    )
+    return tuple(masks.items())
+
+
 def codim_parabolic(mk: ParabolicMarking) -> int:
     """dim G/P: positive roots supported on at least one marked node."""
-    idx = [i - 1 for i in mk.marked]
-    count = sum(
-        1 for alpha in positive_roots(mk.dynkin) if any(alpha[i] for i in idx)
-    )
+    mask = sum(1 << (i - 1) for i in mk.marked)
+    count = sum([k for support, k in _supports(mk.dynkin) if support & mask])
     assert count >= len(mk.marked)
     return count
 
@@ -157,6 +166,7 @@ def homogeneous_variety(mk: ParabolicMarking) -> HomogeneousVariety:
     )
 
 
+@lru_cache(maxsize=None)
 def minimal_homogeneous_varieties(dtype: DynkinType) -> tuple[HomogeneousVariety, ...]:
     """One variety per single node attaining the minimal codimension."""
     best = r_min(dtype)

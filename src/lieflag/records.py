@@ -12,6 +12,7 @@ the identity on the record list.
 from __future__ import annotations
 
 import ast
+import re
 import shlex
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -23,6 +24,9 @@ from .errors import DatabaseFormatError
 _SOURCES = ("Prop3.1", "Thm4.1", "Thm5.4")
 _CASES = ("SL", "Sp", "Spin", "SL3Q")
 _ORBIT_KINDS = ("open", "closed", "intermediate", "fixed")
+
+# Orbit identifications P^k / Q^k, with k an integer expression in n.
+IDENT_RE = re.compile(r"^([PQ])\^\{?([0-9n+\- ]+)\}?$")
 
 _ALLOWED_NODES = (
     ast.Expression,
@@ -205,6 +209,9 @@ def _parse_orbit(value: str, where: str) -> OrbitSchema:
     if not fields["dim"]:
         raise DatabaseFormatError(f"{where}: orbit needs a dim")
     _check_expr(fields["dim"], "int", ("n",), where)
+    ident = IDENT_RE.match(fields["ident"])
+    if ident is not None:
+        _check_expr(ident.group(2), "int", ("n",), where)
     return OrbitSchema(kind, fields["dim"], fields["ident"], fields["note"])
 
 

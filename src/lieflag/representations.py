@@ -2,13 +2,18 @@
 
 The dimension of the irreducible with highest weight w is the product
 over positive roots of <w + rho, a^v> / <rho, a^v>, evaluated as one big
-integer quotient; coroot pairings come straight from the Cartan matrix
-data, so no rounding can occur.
+integer quotient.  Every positive coroot of height > 1 is a smaller
+positive coroot plus one simple coroot, so, visited in coroot-height
+order, each numerator factor is an earlier factor plus <w + rho, a_j^v> =
+w_j + 1: one addition per positive root.  The chain of (earlier coroot,
+simple node) steps and the constant denominator are built once per type
+from the coroots of ``root_system``; no rounding can occur.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from typing import NamedTuple
 
 from .errors import NonDominantWeight, UnsupportedWeight
@@ -17,23 +22,40 @@ from .roots import DynkinType, Weight, fundamental_weight, root_system
 
 
 @lru_cache(maxsize=None)
-def _weyl_dim(dtype: DynkinType, coords: tuple[int, ...]) -> int:
-    rs = root_system(dtype)
-    num = 1
-    den = 1
-    for cv in rs.coroots:
-        num *= sum((c + 1) * v for c, v in zip(coords, cv))
-        den *= sum(cv)
-    q, r = divmod(num, den)
-    assert r == 0, "Weyl product must clear to an integer"
-    return q
+def _coroot_chain(dtype: DynkinType) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(parent, node) steps for the non-simple coroots, and prod <rho, a^v>.
+
+    Coroot k >= rank is coroot ``parent`` plus simple coroot ``node``;
+    coroots 0..rank-1 are the simple coroots in node order.
+    """
+    rank = dtype.rank
+    coroots = root_system(dtype).coroots
+    chain = [tuple(1 if i == k else 0 for i in range(rank)) for k in range(rank)]
+    chain += sorted((cv for cv in coroots if sum(cv) > 1), key=sum)
+    index = {cv: k for k, cv in enumerate(chain)}
+    steps = []
+    for cv in chain[rank:]:
+        for node, c in enumerate(cv):
+            parent = index.get(cv[:node] + (c - 1,) + cv[node + 1 :]) if c else None
+            if parent is not None:
+                steps.append((parent, node))
+                break
+        else:
+            raise AssertionError(f"coroot {cv} has no parent coroot")
+    return tuple(steps), prod(sum(cv) for cv in coroots)
 
 
 def weyl_dim(w: Weight) -> int:
     """Dimension of the irreducible with highest weight w."""
     if not w.is_dominant:
         raise NonDominantWeight(f"weight {w} has a negative coordinate")
-    return _weyl_dim(w.dynkin, w.coords)
+    steps, den = _coroot_chain(w.dynkin)
+    factors = [c + 1 for c in w.coords]
+    for parent, node in steps:
+        factors.append(factors[parent] + factors[node])
+    q, r = divmod(prod(factors), den)
+    assert r == 0, "Weyl product must clear to an integer"
+    return q
 
 
 class MinimalIrrep(NamedTuple):

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import InvalidRank
@@ -172,70 +172,71 @@ def simple_root_length_sq(dtype: DynkinType) -> tuple[int, ...]:
     return (1, 3)  # G2
 
 
-def _pairing(alpha: Sequence[int], cartan: Sequence[Sequence[int]], j: int) -> int:
-    return sum(alpha[i] * cartan[i][j] for i in range(len(alpha)))
-
-
 def _enumerate_positive_roots(
     cartan: Sequence[Sequence[int]], node_order: Sequence[int] | None = None
-) -> tuple[RootVector, ...]:
+) -> dict[RootVector, RootVector]:
     """Close the simple roots under root strings, level by level.
 
-    A candidate ``alpha + a_j`` is a root iff the alpha_j-string through
-    alpha continues upward, i.e. ``p - <alpha, a_j^v> > 0`` where p counts
-    how far the string extends downward inside the set built so far.
+    Returns every positive root, sorted by height, mapped to its pairing
+    vector ``(<alpha, a_1^v>, ..., <alpha, a_r^v>)``.  A candidate
+    ``alpha + a_j`` is a root iff the alpha_j-string through alpha
+    continues upward, i.e. ``p - <alpha, a_j^v> > 0`` where p counts how
+    far the string extends downward inside the set built so far.
     Processing by height makes the downward part always already known.
+    The pairing vector of ``alpha + a_j`` is that of alpha plus row j of
+    the Cartan matrix, so no pairing is ever summed from scratch.
     """
     rank = len(cartan)
     order = list(node_order) if node_order is not None else list(range(rank))
-    simple = [tuple(1 if i == k else 0 for i in range(rank)) for k in range(rank)]
-    known: set[RootVector] = set(simple)
-    level = list(simple)
+    rows = [tuple(row) for row in cartan]
+    known: dict[RootVector, RootVector] = {
+        tuple(1 if i == k else 0 for i in range(rank)): rows[k] for k in range(rank)
+    }
+    level = list(known)
     while level:
         nxt: list[RootVector] = []
         for alpha in level:
+            pairing = known[alpha]
             for j in order:
                 p = 0
-                lower = list(alpha)
-                while True:
-                    lower[j] -= 1
-                    if tuple(lower) in known:
-                        p += 1
-                    else:
-                        break
-                if p - _pairing(alpha, cartan, j) > 0:
-                    cand = tuple(
-                        c + 1 if i == j else c for i, c in enumerate(alpha)
-                    )
+                if alpha[j]:
+                    lower = list(alpha)
+                    while True:
+                        lower[j] -= 1
+                        if tuple(lower) in known:
+                            p += 1
+                        else:
+                            break
+                if p > pairing[j]:
+                    cand = alpha[:j] + (alpha[j] + 1,) + alpha[j + 1 :]
                     if cand not in known:
-                        known.add(cand)
+                        known[cand] = tuple(map(add, pairing, rows[j]))
                         nxt.append(cand)
         level = nxt
-    return tuple(sorted(known, key=lambda r: (sum(r), r)))
+    return {r: known[r] for r in sorted(known, key=lambda r: (sum(r), r))}
 
 
 @lru_cache(maxsize=None)
 def positive_roots(dtype: DynkinType) -> tuple[RootVector, ...]:
     """All positive roots as coefficient vectors, sorted by height."""
-    return _enumerate_positive_roots(cartan_matrix(dtype))
+    return root_system(dtype).positive_roots
 
 
 def _coroot_vector(
-    alpha: Sequence[int],
-    cartan: Sequence[Sequence[int]],
-    len2: Sequence[int],
+    alpha: Sequence[int], pairing: Sequence[int], len2: Sequence[int]
 ) -> RootVector:
-    """Coefficients of alpha's coroot over the simple coroots."""
-    rank = len(alpha)
-    len2_alpha = Fraction(0)
-    for j in range(rank):
-        len2_alpha += Fraction(_pairing(alpha, cartan, j) * alpha[j] * len2[j], 2)
+    """Coefficients of alpha's coroot over the simple coroots.
+
+    With (a_j, a_j) = len2[j], ``norm = sum(alpha[j] * pairing[j] * len2[j])``
+    is 2(alpha, alpha), and coefficient j is 2 alpha[j] len2[j] / norm.
+    """
+    norm = sum(a * p * ell for a, p, ell in zip(alpha, pairing, len2))
     out = []
-    for j in range(rank):
-        c = Fraction(alpha[j] * len2[j]) / len2_alpha
-        if c.denominator != 1:
+    for a, ell in zip(alpha, len2):
+        c, r = divmod(2 * a * ell, norm)
+        if r:
             raise AssertionError(f"non-integral coroot coefficient for {alpha}")
-        out.append(int(c))
+        out.append(c)
     return tuple(out)
 
 
@@ -257,9 +258,10 @@ class RootSystem:
 @lru_cache(maxsize=None)
 def root_system(dtype: DynkinType) -> RootSystem:
     cartan = cartan_matrix(dtype)
-    roots = positive_roots(dtype)
+    pairings = _enumerate_positive_roots(cartan)
     len2 = simple_root_length_sq(dtype)
-    coroots = tuple(_coroot_vector(a, cartan, len2) for a in roots)
+    roots = tuple(pairings)
+    coroots = tuple(_coroot_vector(a, pairings[a], len2) for a in roots)
     return RootSystem(
         dynkin=dtype,
         cartan=cartan,

@@ -12,6 +12,7 @@ compared with the package directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 Vec = tuple[int, ...]
 
@@ -134,6 +135,24 @@ EUCLIDEAN = {
 }
 
 
+# Types the Euclidean oracles cover, up to rank 16 (above the default
+# classical rank cap, which the tests using them raise).
+ORACLE_MAX_RANK = 16
+ORACLE_TYPES = tuple(
+    f"{series}{n}"
+    for series, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+    for n in range(lo, ORACLE_MAX_RANK + 1)
+) + ("G2",)
+
+
+@lru_cache(maxsize=None)
+def euclidean_type(series: str, n: int) -> EuclideanType:
+    """Epsilon-coordinate data of A_n, B_n, C_n, D_n (any rank) or G2."""
+    if series == "G":
+        return type_G2()
+    return {"A": type_A, "B": type_B, "C": type_C, "D": type_D}[series](n)
+
+
 def _to_vector(etype: EuclideanType, coords) -> Vec:
     dim = len(etype.simple_roots[0])
     out = (0,) * dim
@@ -177,6 +196,28 @@ def _weight_system(etype: EuclideanType, lam: Vec) -> list[list[Vec]]:
         levels.append(nxt)
         level += 1
     return levels[:-1]
+
+
+def weyl_product_dim(etype: EuclideanType, coords) -> int:
+    """prod (lam + rho, a) / (rho, a) over the Euclidean positive roots."""
+    lam = _to_vector(etype, coords)
+    rho = _to_vector(etype, (1,) * len(coords))
+    num = den = 1
+    for alpha in etype.positive_roots:
+        num *= dot(add(lam, rho), alpha)
+        den *= dot(rho, alpha)
+    q, r = divmod(num, den)
+    assert r == 0, "Weyl product must be integral"
+    return q
+
+
+def coroot_coefficients(etype: EuclideanType, root) -> Vec:
+    """Simple-coroot coefficients 2 (w_i, a) / (a, a) of the coroot of a
+    root given by its simple-root coefficients."""
+    alpha = (0,) * len(etype.simple_roots[0])
+    for c, simple in zip(root, etype.simple_roots):
+        alpha = add(alpha, scale(simple, c))
+    return tuple(_coroot_pairing(w, alpha) for w in etype.fundamental_weights)
 
 
 def freudenthal_dim(name: str, coords) -> int:

@@ -81,6 +81,9 @@ def test_record_predicates():
         ("m ; m > 0", "m ; n > 0"),
         ("open dim=n", "open dim=n==2"),
         ("open dim=n", "open dim=k"),
+        # orbit identification exponents are expressions in n too
+        ("ident=P^{n-1}", "ident=P^{n-}"),
+        ("ident=P^{n-1}", "ident=Q^{n+}"),
     ],
 )
 def test_parse_rejects_malformed_records(mutation):

@@ -2,6 +2,8 @@ import warnings
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lieflag.errors import (
     ArityMismatch,
@@ -22,7 +24,23 @@ from lieflag.parabolic import (
 )
 from lieflag.roots import DynkinType, dynkin_type, positive_roots
 
-from oracles import roots_in_simple_coords
+from oracles import ORACLE_TYPES, roots_in_simple_coords
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_codim_is_roots_minus_levi_roots(oracle_rank_cap, name, data):
+    t = dynkin_type(name)
+    nodes = data.draw(st.sets(st.integers(1, t.rank), min_size=1))
+    roots = roots_in_simple_coords(t.series, t.rank)
+    levi = [a for a in roots if not any(a[i - 1] for i in nodes)]
+    mk = marking(t, nodes)
+    assert codim_parabolic(mk) == len(roots) - len(levi)
 
 
 def test_codim_projective_space_series():

@@ -4,6 +4,8 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lieflag.errors import NonDominantWeight, UnsupportedWeight
 from lieflag.parabolic import marking, r_min
@@ -13,9 +15,16 @@ from lieflag.representations import (
     min_nontrivial_irrep,
     weyl_dim,
 )
-from lieflag.roots import DynkinType, Weight, dynkin_type, root_system, weight
+from lieflag.roots import (
+    DynkinType,
+    Weight,
+    dynkin_type,
+    fundamental_weight,
+    root_system,
+    weight,
+)
 
-from oracles import freudenthal_dim
+from oracles import ORACLE_TYPES, euclidean_type, freudenthal_dim, weyl_product_dim
 
 
 def test_weyl_dim_examples():
@@ -42,6 +51,36 @@ def test_weyl_dim_trivial_and_rho():
     for t in small:
         rs = root_system(t)
         assert weyl_dim(rs.rho) == 2 ** len(rs.positive_roots)
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_weyl_dim_matches_euclidean_product(oracle_rank_cap, name, data):
+    t = dynkin_type(name)
+    coords = data.draw(st.tuples(*[st.integers(0, 3)] * t.rank))
+    expected = weyl_product_dim(euclidean_type(t.series, t.rank), coords)
+    assert weyl_dim(Weight(t, coords)) == expected
+
+
+# Bourbaki numbering; the standard tables of fundamental representations.
+EXCEPTIONAL_FUNDAMENTAL_DIMS = {
+    "E6": (27, 78, 351, 2925, 351, 27),
+    "E7": (133, 912, 8645, 365750, 27664, 1539, 56),
+    "E8": (3875, 147250, 6696000, 6899079264, 146325270, 2450240, 30380, 248),
+    "F4": (52, 1274, 273, 26),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXCEPTIONAL_FUNDAMENTAL_DIMS))
+def test_exceptional_fundamental_dims(name):
+    t = dynkin_type(name)
+    dims = tuple(weyl_dim(fundamental_weight(t, i)) for i in range(1, t.rank + 1))
+    assert dims == EXCEPTIONAL_FUNDAMENTAL_DIMS[name]
 
 
 def test_weyl_dim_rejects_nondominant():

@@ -18,7 +18,12 @@ from lieflag.roots import (
 )
 import lieflag.roots as rs_mod
 
-from oracles import roots_in_simple_coords
+from oracles import (
+    ORACLE_TYPES,
+    coroot_coefficients,
+    euclidean_type,
+    roots_in_simple_coords,
+)
 
 CLOSED_FORM = {
     "A": lambda n: n * (n + 1) // 2,
@@ -106,6 +111,15 @@ def test_root_support_connected(dtype):
 def test_matches_independent_series_construction(series, rank):
     dtype = DynkinType(series, rank)
     assert set(positive_roots(dtype)) == roots_in_simple_coords(series, rank)
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_coroots_match_euclidean_formula(oracle_rank_cap, name):
+    t = dynkin_type(name)
+    rs = root_system(t)
+    etype = euclidean_type(t.series, t.rank)
+    for alpha, coroot in zip(rs.positive_roots, rs.coroots):
+        assert coroot == coroot_coefficients(etype, alpha), alpha
 
 
 @given(st.permutations(list(range(4))))
