@@ -298,17 +298,6 @@ def classify(
     )
 
 
-def _acting_type(case: str, n: int) -> DynkinType:
-    if case == "SL":
-        return DynkinType("A", n - 1)
-    if case == "Sp":
-        return DynkinType("C", n // 2)
-    if case == "SL3Q":
-        return DynkinType("A", 2)
-    m = n + 1
-    return DynkinType("B", m // 2) if m % 2 else DynkinType("D", m // 2)
-
-
 def orbit_structure(
     name: str,
     params: Mapping[str, int],
@@ -375,7 +364,13 @@ class Violation:
     message: str
 
 
-_PROBE_NS = {"SL": (2, 3, 4, 5, 6, 7, 8), "Sp": (4, 6, 8), "Spin": (6, 7, 8), "SL3Q": (4,)}
+# Probe dimensions n of each case, each with the type of the group acting there.
+_PROBES = {
+    "SL": [(n, GroupSpec("SL", n).dynkin()) for n in range(2, 9)],
+    "Sp": [(n, GroupSpec("Sp", n).dynkin()) for n in (4, 6, 8)],
+    "Spin": [(n, GroupSpec("Spin", n + 1).dynkin()) for n in (6, 7, 8)],
+    "SL3Q": [(4, GroupSpec("SL", 3).dynkin())],
+}
 
 
 def validate_database(db_path: str | None = None) -> list[Violation]:
@@ -400,10 +395,9 @@ def validate_records(records: Sequence[RecordSchema]) -> list[Violation]:
         seen.setdefault((rule, rec.name, rec.case, message), v)
 
     for rec in records:
-        for n in _PROBE_NS.get(rec.case, ()):
+        for n, acting in _PROBES.get(rec.case, ()):
             if not rec.applies(n):
                 continue
-            acting = _acting_type(rec.case, n)
             r = r_min(acting).value
             dim = int(eval_expr(rec.dim, {"n": n}))
             open_count = 0

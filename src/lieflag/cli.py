@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Every subcommand prints either a stable line-oriented text form or, with
---json, a single JSON document carrying the same numeric content.  Exit
-codes: 0 success, 1 domain errors (named on stderr), 2 usage errors.
+Every subcommand builds one JSON payload.  With --json it is printed as a
+single JSON document; otherwise its stable line-oriented text form is
+rendered from that payload through the per-command layout in _LAYOUT, so
+the two modes cannot disagree.  Exit codes: 0 success, 1 domain errors
+(named on stderr), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from . import classifier, cone, parabolic, representations
@@ -52,235 +55,97 @@ def _parse_weight(text: str, dtype: DynkinType, flag: str) -> Weight:
     return Weight(dtype, coords)
 
 
-def _fmt_list(values) -> str:
-    return "[" + ",".join(str(v) for v in values) + "]"
+def _cmd_roots(args) -> dict:
+    roots = positive_roots(args.type)
+    return {"type": str(args.type), "count": len(roots), "roots": [list(r) for r in roots]}
 
 
-def _fmt_vec(values) -> str:
-    return "(" + ",".join(str(v) for v in values) + ")"
+def _cmd_dim_group(args) -> dict:
+    return {"type": str(args.type), "dim": group_dimension(args.type)}
 
 
-def _fmt_orbit(orbit: classifier.Orbit) -> str:
-    parts = [orbit.kind, str(orbit.dim)]
-    if orbit.identification:
-        parts.append(orbit.identification)
-    return ":".join(parts)
-
-
-def _orbit_dict(orbit: classifier.Orbit) -> dict:
-    return {
-        "kind": orbit.kind,
-        "dim": orbit.dim,
-        "identification": orbit.identification,
-        "note": orbit.note,
-    }
-
-
-def _descriptor_line(d: classifier.VarietyDescriptor) -> str:
-    params = ",".join(d.param_names) if d.param_names else "-"
-    orbits = "[" + "|".join(_fmt_orbit(o) for o in d.orbits) + "]"
-    line = (
-        f"name={d.name} source={d.source} item={d.item} n={d.n} dim={d.dim} "
-        f"picard={d.picard} params={params} actions={d.actions} orbits={orbits}"
-    )
-    if d.param_constraint:
-        line += f' constraint="{d.param_constraint}"'
-    if d.note:
-        line += f' note="{d.note}"'
-    return line
-
-
-def _descriptor_dict(d: classifier.VarietyDescriptor) -> dict:
-    return {
-        "name": d.name,
-        "case": d.case,
-        "source": d.source,
-        "item": d.item,
-        "n": d.n,
-        "dim": d.dim,
-        "picard": d.picard,
-        "param_names": list(d.param_names),
-        "param_constraint": d.param_constraint,
-        "actions": d.actions,
-        "orbits": [_orbit_dict(o) for o in d.orbits],
-        "note": d.note,
-    }
-
-
-def _cmd_roots(args) -> tuple[dict, list[str]]:
-    dtype = _parse_type(args.type)
-    roots = positive_roots(dtype)
-    text = [f"type={dtype} count={len(roots)}"]
-    text += [f"root={_fmt_vec(r)}" for r in roots]
-    return {"type": str(dtype), "count": len(roots), "roots": [list(r) for r in roots]}, text
-
-
-def _cmd_dim_group(args) -> tuple[dict, list[str]]:
-    dtype = _parse_type(args.type)
-    dim = group_dimension(dtype)
-    return {"type": str(dtype), "dim": dim}, [f"type={dtype} dim={dim}"]
-
-
-def _cmd_parabolic(args) -> tuple[dict, list[str]]:
-    dtype = _parse_type(args.type)
-    nodes = _parse_nodes(args.nodes, dtype, "--nodes")
-    mk = parabolic.marking(dtype, nodes)
+def _cmd_parabolic(args) -> dict:
+    mk = parabolic.marking(args.type, _parse_nodes(args.nodes, args.type, "--nodes"))
     hv = parabolic.homogeneous_variety(mk)
     ident = hv.identification.label() if hv.identification else None
-    text = (
-        f"type={dtype} nodes={_fmt_list(mk.nodes)} dim={hv.dim} "
-        f"picard={hv.picard_rank} identification={ident or '-'}"
-    )
-    return {
-        "type": str(dtype),
-        "nodes": list(mk.nodes),
-        "dim": hv.dim,
-        "picard": hv.picard_rank,
-        "identification": ident,
-    }, [text]
+    return {"type": str(args.type), "nodes": list(mk.nodes), "dim": hv.dim,
+            "picard": hv.picard_rank, "identification": ident}
 
 
-def _cmd_rmin(args) -> tuple[dict, list[str]]:
-    dtype = _parse_type(args.type)
-    best = parabolic.r_min(dtype)
-    text = f"type={dtype} r={best.value} nodes={_fmt_list(best.nodes)}"
-    return {"type": str(dtype), "r": best.value, "nodes": list(best.nodes)}, [text]
+def _cmd_rmin(args) -> dict:
+    best = parabolic.r_min(args.type)
+    return {"type": str(args.type), "r": best.value, "nodes": list(best.nodes)}
 
 
-def _cmd_minimal_homogeneous(args) -> tuple[dict, list[str]]:
-    dtype = _parse_type(args.type)
-    best = parabolic.r_min(dtype)
-    varieties = parabolic.minimal_homogeneous_varieties(dtype)
-    text = [f"type={dtype} r={best.value} count={len(varieties)}"]
-    entries = []
-    for hv in varieties:
-        (node,) = hv.marking.nodes
-        ident = hv.identification.label() if hv.identification else None
-        text.append(
-            f"node={node} dim={hv.dim} picard={hv.picard_rank} "
-            f"identification={ident or '-'}"
-        )
-        entries.append(
-            {"node": node, "dim": hv.dim, "picard": hv.picard_rank, "identification": ident}
-        )
-    return {
-        "type": str(dtype),
-        "r": best.value,
-        "count": len(varieties),
-        "varieties": entries,
-    }, text
+def _cmd_minimal_homogeneous(args) -> dict:
+    varieties = [
+        {"node": hv.marking.nodes[0], "dim": hv.dim, "picard": hv.picard_rank,
+         "identification": hv.identification.label() if hv.identification else None}
+        for hv in parabolic.minimal_homogeneous_varieties(args.type)
+    ]
+    return {"type": str(args.type), "r": parabolic.r_min(args.type).value,
+            "count": len(varieties), "varieties": varieties}
 
 
-def _cmd_fano_index(args) -> tuple[dict, list[str]]:
-    dtype = _parse_type(args.type)
-    (node,) = _parse_nodes(str(args.node), dtype, "--node")
-    mk = parabolic.marking(dtype, (node,))
-    index = parabolic.fano_index(mk)
-    lo, hi = parabolic.admissible_conormal_range(mk)
-    text = f"type={dtype} node={node} index={index} conormal_range=[{lo},{hi}]"
-    return {
-        "type": str(dtype),
-        "node": node,
-        "index": index,
-        "conormal_range": [lo, hi],
-    }, [text]
+def _cmd_fano_index(args) -> dict:
+    (node,) = _parse_nodes(str(args.node), args.type, "--node")
+    mk = parabolic.marking(args.type, (node,))
+    return {"type": str(args.type), "node": node, "index": parabolic.fano_index(mk),
+            "conormal_range": list(parabolic.admissible_conormal_range(mk))}
 
 
-def _cmd_weyl_dim(args) -> tuple[dict, list[str]]:
-    dtype = _parse_type(args.type)
-    w = _parse_weight(args.weight, dtype, "--weight")
-    dim = representations.weyl_dim(w)
-    text = f"type={dtype} weight={_fmt_vec(w.coords)} dim={dim}"
-    return {"type": str(dtype), "weight": list(w.coords), "dim": dim}, [text]
+def _cmd_weyl_dim(args) -> dict:
+    w = _parse_weight(args.weight, args.type, "--weight")
+    return {"type": str(args.type), "weight": list(w.coords), "dim": representations.weyl_dim(w)}
 
 
-def _cmd_min_irrep(args) -> tuple[dict, list[str]]:
-    dtype = _parse_type(args.type)
-    best = representations.min_nontrivial_irrep(dtype)
-    text = (
-        f"type={dtype} dim={best.dim} nodes={_fmt_list(best.nodes)} "
-        f"weight={_fmt_vec(best.weight.coords)}"
-    )
-    return {
-        "type": str(dtype),
-        "dim": best.dim,
-        "nodes": list(best.nodes),
-        "weight": list(best.weight.coords),
-    }, [text]
+def _cmd_min_irrep(args) -> dict:
+    best = representations.min_nontrivial_irrep(args.type)
+    return {"type": str(args.type), "dim": best.dim, "nodes": list(best.nodes),
+            "weight": list(best.weight.coords)}
 
 
-def _cmd_bwb(args) -> tuple[dict, list[str]]:
-    dtype = _parse_type(args.type)
-    nodes = _parse_nodes(args.nodes, dtype, "--nodes")
-    w = _parse_weight(args.weight, dtype, "--weight")
+def _cmd_bwb(args) -> dict:
+    nodes = _parse_nodes(args.nodes, args.type, "--nodes")
+    w = _parse_weight(args.weight, args.type, "--weight")
     if args.power < 1:
         raise UsageError("--power", "power must be >= 1")
-    mk = parabolic.marking(dtype, nodes)
-    dim = representations.bwb_section_dim(mk, w, args.power)
-    text = (
-        f"type={dtype} nodes={_fmt_list(mk.nodes)} weight={_fmt_vec(w.coords)} "
-        f"power={args.power} dim={dim}"
-    )
-    return {
-        "type": str(dtype),
-        "nodes": list(mk.nodes),
-        "weight": list(w.coords),
-        "power": args.power,
-        "dim": dim,
-    }, [text]
+    mk = parabolic.marking(args.type, nodes)
+    return {"type": str(args.type), "nodes": list(mk.nodes), "weight": list(w.coords),
+            "power": args.power, "dim": representations.bwb_section_dim(mk, w, args.power)}
 
 
-def _cmd_cone_cover(args) -> tuple[dict, list[str]]:
+def _cmd_cone_cover(args) -> dict:
     c1 = _parse_ints(args.c1, "--c1")
-    order = cone.cone_cover_order(c1)
-    text = f"c1={_fmt_vec(c1)} order={order}"
-    return {"c1": list(c1), "order": order}, [text]
+    return {"c1": list(c1), "order": cone.cone_cover_order(c1)}
 
 
-def _cmd_hilbert(args) -> tuple[dict, list[str]]:
-    dtype = _parse_type(args.type)
-    nodes = _parse_nodes(args.nodes, dtype, "--nodes")
-    w = _parse_weight(args.weight, dtype, "--weight")
+def _cmd_hilbert(args) -> dict:
+    nodes = _parse_nodes(args.nodes, args.type, "--nodes")
+    w = _parse_weight(args.weight, args.type, "--weight")
     if args.kmax < 1:
         raise UsageError("--kmax", "kmax must be >= 1")
-    mk = parabolic.marking(dtype, nodes)
-    values = cone.cone_hilbert_function(mk, w, args.kmax)
-    text = (
-        f"type={dtype} nodes={_fmt_list(mk.nodes)} weight={_fmt_vec(w.coords)} "
-        f"kmax={args.kmax} values={_fmt_list(values)}"
-    )
-    return {
-        "type": str(dtype),
-        "nodes": list(mk.nodes),
-        "weight": list(w.coords),
-        "kmax": args.kmax,
-        "values": values,
-    }, [text]
+    mk = parabolic.marking(args.type, nodes)
+    return {"type": str(args.type), "nodes": list(mk.nodes), "weight": list(w.coords),
+            "kmax": args.kmax, "values": cone.cone_hilbert_function(mk, w, args.kmax)}
 
 
-def _cmd_classify(args) -> tuple[dict, list[str]]:
+_DESCRIPTOR_KEYS = ("name", "case", "source", "item", "n", "dim", "picard", "param_names",
+                    "param_constraint", "actions", "orbits", "note")
+
+
+def _cmd_classify(args) -> dict:
     group = classifier.GroupSpec(args.group, args.param)
     result = classifier.classify(
         group, args.dim, quasihomogeneous_only=args.quasihomogeneous, db_path=args.db
     )
-    head = f"group={group.label()} n={result.n} verdict={result.verdict}"
-    if result.verdict in ("full_list", "homogeneous"):
-        head += f" count={len(result.entries)}"
-    text = [head]
-    if result.reason:
-        text.append(f'reason="{result.reason}"')
-    text += [_descriptor_line(d) for d in result.entries]
-    return {
-        "group": group.label(),
-        "n": result.n,
-        "verdict": result.verdict,
-        "reason": result.reason,
-        "count": len(result.entries),
-        "entries": [_descriptor_dict(d) for d in result.entries],
-    }, text
+    entries = [asdict(d) for d in result.entries]
+    return {"group": group.label(), "n": result.n, "verdict": result.verdict,
+            "reason": result.reason, "count": len(entries),
+            "entries": [{key: e[key] for key in _DESCRIPTOR_KEYS} for e in entries]}
 
 
-def _cmd_orbits(args) -> tuple[dict, list[str]]:
+def _cmd_orbits(args) -> dict:
     params: dict[str, int] = {}
     if args.params:
         for item in args.params.split(","):
@@ -291,49 +156,97 @@ def _cmd_orbits(args) -> tuple[dict, list[str]]:
                 params[key.strip()] = int(value)
             except ValueError:
                 raise UsageError("--params", f"non-integer value in {item!r}") from None
-    orbits = classifier.orbit_structure(
-        args.variety, params, case=args.case, db_path=args.db
-    )
-    text = [f"variety={args.variety} count={len(orbits)}"]
-    for o in orbits:
-        line = f"orbit kind={o.kind} dim={o.dim}"
-        if o.identification:
-            line += f" identification={o.identification}"
-        if o.note:
-            line += f' note="{o.note}"'
-        text.append(line)
-    return {
-        "variety": args.variety,
-        "params": params,
-        "count": len(orbits),
-        "orbits": [_orbit_dict(o) for o in orbits],
-    }, text
+    orbits = classifier.orbit_structure(args.variety, params, case=args.case, db_path=args.db)
+    return {"variety": args.variety, "params": params, "count": len(orbits),
+            "orbits": [asdict(o) for o in orbits]}
 
 
-def _cmd_relations(args) -> tuple[dict, list[str]]:
+def _cmd_relations(args) -> dict:
     edges = classifier.relations(args.variety, db_path=args.db)
-    text = [f"variety={args.variety} count={len(edges)}"]
-    text += [f'relation op="{op}" to={to}' for op, to in edges]
-    return {
-        "variety": args.variety,
-        "count": len(edges),
-        "relations": [{"op": op, "to": to} for op, to in edges],
-    }, text
+    return {"variety": args.variety, "count": len(edges),
+            "relations": [{"op": op, "to": to} for op, to in edges]}
 
 
-def _cmd_validate_db(args) -> tuple[dict, list[str]]:
+def _cmd_validate_db(args) -> dict:
     violations = classifier.validate_database(db_path=args.db)
-    text = [f"violations={len(violations)}"]
-    for v in violations:
-        text.append(f'violation rule={v.rule} record={v.record} case={v.case} message="{v.message}"')
-    payload = {
-        "count": len(violations),
-        "violations": [
-            {"rule": v.rule, "record": v.record, "case": v.case, "message": v.message}
-            for v in violations
-        ]
-    }
-    return payload, text
+    return {"count": len(violations), "violations": [asdict(v) for v in violations]}
+
+
+# The text form of each command, one entry per output line.  A string lists
+# the fields of one line read from the payload; a (list key, prefix, fields)
+# triple gives one line per item of that payload list.  A field is "key", or
+# "key=payload_key" where the text name differs from the JSON one.
+_LAYOUT = {
+    "roots": ["type count", ("roots", "", "root")],
+    "dim-group": ["type dim"],
+    "parabolic": ["type nodes dim picard identification"],
+    "rmin": ["type r nodes"],
+    "minimal-homogeneous": ["type r count", ("varieties", "", "node dim picard identification")],
+    "fano-index": ["type node index conormal_range"],
+    "weyl-dim": ["type weight dim"],
+    "min-irrep": ["type dim nodes weight"],
+    "bwb": ["type nodes weight power dim"],
+    "cone-cover": ["c1 order"],
+    "hilbert": ["type nodes weight kmax values"],
+    "classify": [
+        "group n verdict count",
+        "reason",
+        ("entries", "", "name source item n dim picard params=param_names actions orbits "
+                        "constraint=param_constraint note"),
+    ],
+    "orbits": ["variety count", ("orbits", "orbit ", "kind dim identification note")],
+    "relations": ["variety count", ("relations", "relation ", "op to")],
+    "validate-db": ["violations=count", ("violations", "violation ", "rule record case message")],
+}
+_TUPLE_KEYS = {"weight", "c1", "root"}
+_QUOTED_KEYS = {"note", "constraint", "reason", "message", "op"}
+_OMITTED_WHEN_EMPTY = {"identification", "note", "constraint", "reason"}
+# Verdicts that list no varieties; their text head line carries no count.
+_UNLISTED_VERDICTS = {"only_trivial_action", "out_of_covered_range"}
+
+
+def _format(key: str, value) -> str:
+    if value is None:
+        return "-"
+    if key == "params":
+        return ",".join(value) or "-"
+    if key == "orbits":
+        return "[" + "|".join(
+            ":".join(str(o[k]) for k in ("kind", "dim", "identification") if o[k] != "")
+            for o in value
+        ) + "]"
+    if isinstance(value, (list, tuple)):
+        inner = ",".join(str(v) for v in value)
+        return f"({inner})" if key in _TUPLE_KEYS else f"[{inner}]"
+    return f'"{value}"' if key in _QUOTED_KEYS else str(value)
+
+
+def _line(fields: str, item: dict) -> str:
+    parts = []
+    for field in fields.split():
+        key, _, source = field.partition("=")
+        value = item[source or key]
+        if not (value == "" and key in _OMITTED_WHEN_EMPTY):
+            parts.append(f"{key}={_format(key, value)}")
+    return " ".join(parts)
+
+
+def _render_text(command: str, payload: dict) -> list[str]:
+    """The line-oriented text form of a command's JSON payload."""
+    lines = []
+    for spec in _LAYOUT[command]:
+        if isinstance(spec, tuple):
+            key, prefix, fields = spec
+            for row in payload[key]:
+                # a row that is not a dict (a root) is the value of its one field
+                item = row if isinstance(row, dict) else {fields: row}
+                lines.append(prefix + _line(fields, item))
+        else:
+            if payload.get("verdict") in _UNLISTED_VERDICTS:
+                spec = spec.replace(" count", "")
+            if line := _line(spec, payload):
+                lines.append(line)
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,7 +327,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     args.json = getattr(args, "json", False)
     args.db = getattr(args, "db", None)
     try:
-        payload, text = args.handler(args)
+        if "type" in args:  # the TYPE positional, parsed here for every command that has one
+            args.type = _parse_type(args.type)
+        payload = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc.flag}: {exc}", file=sys.stderr)
         return 2
@@ -424,8 +339,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        for line in text:
-            print(line)
+        print("\n".join(_render_text(args.command, payload)))
     if args.command == "validate-db" and payload["violations"]:
         return 1
     return 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ArityMismatch, EmptyMarking, NodeOutOfRange, NotMaximalParabolic
@@ -48,7 +49,11 @@ class ParabolicMarking:
 
 
 def marking(dtype: DynkinType, nodes: Iterable[int]) -> ParabolicMarking:
-    return ParabolicMarking(dtype, frozenset(int(i) for i in nodes))
+    try:
+        marked = frozenset(map(index, nodes))
+    except TypeError:
+        raise NodeOutOfRange(f"marked nodes must be integers, got {nodes!r}") from None
+    return ParabolicMarking(dtype, marked)
 
 
 @lru_cache(maxsize=None)
@@ -214,5 +219,5 @@ def character_weight(mk: ParabolicMarking, coefficients: Sequence[int]) -> Weigh
         )
     coords = [0] * mk.dynkin.rank
     for node, c in zip(nodes, coefficients):
-        coords[node - 1] = int(c)
+        coords[node - 1] = c
     return Weight(mk.dynkin, tuple(coords))

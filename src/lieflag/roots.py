@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, index
 from typing import Iterable, Sequence
 
 from .errors import InvalidRank
@@ -87,7 +87,13 @@ class Weight:
                 f"weight needs {self.dynkin.rank} coordinates, "
                 f"got {len(self.coords)}"
             )
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        try:
+            coords = tuple(map(index, self.coords))
+        except TypeError:
+            raise InvalidRank(
+                f"weight coordinates must be integers, got {self.coords!r}"
+            ) from None
+        object.__setattr__(self, "coords", coords)
 
     @property
     def is_dominant(self) -> bool:

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,22 +113,115 @@ def test_domain_errors_exit_1_with_error_name(capsys, argv, error):
     assert error in err
 
 
+_R2_RECORD = (
+    "record = P^n\ncase = Spin\nsource = Thm4.1\nitem = 1\n"
+    "requires = n >= 6\ndim = n\npicard = 1\n"
+    "orbit = fixed dim=0\norbit = open dim=n\n"
+)
+_GOOD_RECORD = (
+    "record = OnlyOne\ncase = SL\nsource = Thm4.1\nitem = 1\n"
+    "requires = n >= 2\ndim = n\npicard = 1\norbit = open dim=n\n"
+)
+
+
 def test_validate_db_exit_reflects_violations(capsys, tmp_path):
     bad = tmp_path / "bad.db"
-    bad.write_text(
-        "record = P^n\ncase = Spin\nsource = Thm4.1\nitem = 1\n"
-        "requires = n >= 6\ndim = n\npicard = 1\n"
-        "orbit = fixed dim=0\norbit = open dim=n\n"
-    )
+    bad.write_text(_R2_RECORD)
     code, out, err = _run(capsys, ["--db", str(bad), "validate-db"])
     assert code == 1
     assert "rule=R2" in out
 
 
-_GOOD_RECORD = (
-    "record = OnlyOne\ncase = SL\nsource = Thm4.1\nitem = 1\n"
-    "requires = n >= 2\ndim = n\npicard = 1\norbit = open dim=n\n"
+_NO_LIST = {"reason": "", "count": 0, "entries": []}
+_R2_VIOLATION = {
+    "rule": "R2", "record": "P^n", "case": "Spin", "message": "fixed point in an unflagged record"
+}
+
+
+# Text forms no golden file covers: a count of 0 on a full list but none on
+# the verdicts that list nothing, reason lines, and violation rows.
+@pytest.mark.parametrize(
+    "db,argv,text,payload,exit_code",
+    [
+        (
+            None,
+            ["classify", "--group", "SL", "--param", "4", "--dim", "2"],
+            "group=SL(4) n=2 verdict=only_trivial_action\n",
+            {"group": "SL(4)", "n": 2, "verdict": "only_trivial_action", **_NO_LIST},
+            0,
+        ),
+        (
+            None,
+            ["classify", "--group", "G2", "--dim", "6"],
+            "group=G2 n=6 verdict=out_of_covered_range\n"
+            'reason="exceptional groups are covered only through the minimal flag-variety '
+            'dimension"\n',
+            {
+                "group": "G2", "n": 6, "verdict": "out_of_covered_range",
+                "reason": "exceptional groups are covered only through the minimal "
+                "flag-variety dimension",
+                "count": 0, "entries": [],
+            },
+            0,
+        ),
+        (
+            None,
+            ["classify", "--group", "SL", "--param", "3", "--dim", "4"],
+            "group=SL(3) n=4 verdict=out_of_covered_range\n"
+            'reason="dimension r+2 is covered only under a dense-orbit hypothesis; '
+            'rerun with quasihomogeneous_only"\n',
+            {
+                "group": "SL(3)", "n": 4, "verdict": "out_of_covered_range",
+                "reason": "dimension r+2 is covered only under a dense-orbit hypothesis; "
+                "rerun with quasihomogeneous_only",
+                "count": 0, "entries": [],
+            },
+            0,
+        ),
+        (
+            _GOOD_RECORD,
+            ["classify", "--group", "Sp", "--param", "4", "--dim", "4"],
+            "group=Sp(4) n=4 verdict=full_list count=0\n",
+            {"group": "Sp(4)", "n": 4, "verdict": "full_list", **_NO_LIST},
+            0,
+        ),
+        (
+            _R2_RECORD,
+            ["validate-db"],
+            'violations=1\nviolation rule=R2 record=P^n case=Spin '
+            'message="fixed point in an unflagged record"\n',
+            {"count": 1, "violations": [_R2_VIOLATION]},
+            1,
+        ),
+    ],
+    ids=["only_trivial", "g2_beyond_r", "sl3_r_plus_2", "empty_full_list", "violation_rows"],
 )
+def test_text_forms_without_golden(capsys, tmp_path, db, argv, text, payload, exit_code):
+    if db is not None:
+        path = tmp_path / "case.db"
+        path.write_text(db)
+        argv = ["--db", str(path), *argv]
+    assert _run(capsys, argv) == (exit_code, text, "")
+    assert _run(capsys, argv + ["--json"]) == (exit_code, json.dumps(payload, indent=2) + "\n", "")
+
+
+def test_module_entry_point(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "LIEFLAG_DB"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def lieflag(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "lieflag", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    done = lieflag("rmin", "G2")
+    assert done.returncode == 0
+    assert done.stdout == (GOLDEN / "rmin_G2.txt").read_text()
+    bad = tmp_path / "bad.db"
+    bad.write_text(_R2_RECORD)
+    assert lieflag("--db", str(bad), "validate-db").returncode == 1
 
 
 @pytest.mark.parametrize(

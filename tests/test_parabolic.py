@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lieflag.errors import (
     ArityMismatch,
     EmptyMarking,
+    InvalidRank,
     NodeOutOfRange,
     NotMaximalParabolic,
 )
@@ -67,6 +68,8 @@ def test_marking_validation():
         marking(dynkin_type("A2"), (3,))
     with pytest.raises(NodeOutOfRange):
         marking(dynkin_type("A2"), (0,))
+    with pytest.raises(NodeOutOfRange):
+        marking(dynkin_type("A2"), (1.7,))
 
 
 def test_r_min_values_and_argmins():
@@ -197,3 +200,8 @@ def test_character_weight_examples():
 def test_character_weight_arity():
     with pytest.raises(ArityMismatch):
         character_weight(marking(dynkin_type("A2"), (1, 2)), (1,))
+
+
+def test_character_weight_refuses_fractions():
+    with pytest.raises(InvalidRank):
+        character_weight(marking(dynkin_type("A2"), (1,)), (2.9,))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lieflag.errors import NonDominantWeight, UnsupportedWeight
+from lieflag.errors import InvalidRank, NonDominantWeight, UnsupportedWeight
 from lieflag.parabolic import marking, r_min
 from lieflag.representations import (
     bwb_section_dim,
@@ -35,6 +35,9 @@ def test_weyl_dim_examples():
         list(combinations(range(4), 2))
     )
     assert weyl_dim(weight(dynkin_type("G2"), (1, 0))) == freudenthal_dim("G2", (1, 0))
+    # a fractional weight is an error, not the dimension of its truncation (1, 0)
+    with pytest.raises(InvalidRank):
+        weyl_dim(weight(dynkin_type("A2"), (1.5, 0)))
 
 
 def test_weyl_dim_trivial_and_rho():

@@ -186,6 +186,10 @@ def test_weight_validation_and_flags():
     t = dynkin_type("A2")
     with pytest.raises(InvalidRank):
         Weight(t, (1,))
+    # fractional coordinates are refused, not truncated
+    for coords in [(1.5, 0), (0, 2.0), ("1", 0)]:
+        with pytest.raises(InvalidRank):
+            Weight(t, coords)
     assert Weight(t, (0, 0)).is_zero
     assert Weight(t, (1, 0)).is_dominant
     assert not Weight(t, (-1, 2)).is_dominant
