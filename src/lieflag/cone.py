@@ -11,9 +11,10 @@ function directly.
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 from typing import Iterable
 
-from .errors import ZeroClass
+from .errors import InvalidDimension, UnsupportedWeight, ZeroClass
 from .parabolic import ParabolicMarking
 from .representations import bwb_section_dim
 from .roots import Weight
@@ -21,7 +22,10 @@ from .roots import Weight
 
 def cone_cover_order(c1: Iterable[int]) -> int:
     """Order of the cyclic fundamental group of L* from c1's divisibility."""
-    coeffs = tuple(int(x) for x in c1)
+    try:
+        coeffs = tuple(map(index, c1))
+    except TypeError:
+        raise UnsupportedWeight(f"c1 entries must be integers, got {c1!r}") from None
     if not coeffs or not any(coeffs):
         raise ZeroClass("c1 must have a nonzero entry")
     return gcd(*(abs(c) for c in coeffs))
@@ -31,6 +35,6 @@ def cone_hilbert_function(
     mk: ParabolicMarking, w: Weight, k_max: int
 ) -> list[int]:
     """Hilbert function of the cone ring, entries k = 0..k_max."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    if not isinstance(k_max, int) or k_max < 1:
+        raise InvalidDimension(f"k_max must be an integer >= 1, got {k_max!r}")
     return [1] + [bwb_section_dim(mk, w, k) for k in range(1, k_max + 1)]

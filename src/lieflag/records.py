@@ -1,4 +1,4 @@
-"""Line-oriented record format for the classification database.
+r"""Line-oriented record format for the classification database.
 
 A database file is a sequence of records.  A record starts at a
 ``record = NAME`` line and collects the following ``key = value`` lines
@@ -7,13 +7,19 @@ ignored.  Dimensions may be closed integer expressions in ``n`` (the
 ambient dimension); parameter constraints are boolean expressions over
 the declared parameter names.  Parsing then serializing then parsing is
 the identity on the record list.
+
+An ``orbit`` or ``relation`` value is a list of ``key=value`` POSIX
+shell words: ``"..."`` with ``\"`` and ``\\`` as its only escapes,
+``'...'`` taken literally, and a backslash outside quotes escaping the
+next character.  Serialization always quotes notes, ops, targets and
+labels, and quotes an orbit ``dim`` or ``ident`` only when it contains
+whitespace, a quote or a backslash.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-import shlex
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import CodeType
@@ -190,44 +196,83 @@ class RecordSchema:
         return bool(eval_expr(self.param_constraint, env))
 
 
+# Orbit and relation values are POSIX shell words, with no comments:
+# only space, tab, CR and LF separate words; outside quotes a
+# backslash escapes any character; '...' is literal; inside "..." only
+# \" and \\ are escapes.  Word pieces are disjoint by their first
+# character and a matched word is never given back, so the scan is
+# linear in the line on any input; a fullmatch of the whole line against
+# a repeated word pattern would backtrack exponentially instead.
+_DQ_BODY = r'[^"\\]*(?:\\[\s\S][^"\\]*)*'
+# Groups: 1 a word, 2 a trailing escape (inside or outside "..."),
+# 3 a quote that is never closed; a separator run matches no group.
+_SCAN = re.compile(
+    rf"""[ \t\r\n]+|((?:[^ \t\r\n'"\\]+|\\[\s\S]|'[^']*'|"{_DQ_BODY}")+)"""
+    rf"""|((?:"{_DQ_BODY})?\\\Z)|([\s\S])"""
+)
+_QUOTED = re.compile(r"""['"\\]""").search
+_PIECE = re.compile(rf"""\\([\s\S])|'([^']*)'|"({_DQ_BODY})"|([^'"\\]+)""")
+_DQ_ESCAPE = re.compile(r'\\(["\\])')
+
+
+def _split(value: str) -> list[str]:
+    """The shell words of value; ValueError on an open quote or escape."""
+    words: list[str] = []
+    for match in _SCAN.finditer(value):
+        kind = match.lastindex
+        if kind == 1:
+            word = match[1]
+            if _QUOTED(word):
+                word = "".join(
+                    esc + single + _DQ_ESCAPE.sub(r"\1", double) + plain
+                    for esc, single, double, plain in _PIECE.findall(word)
+                )
+            words.append(word)
+        elif kind == 2:
+            raise ValueError("No escaped character")
+        elif kind == 3:
+            raise ValueError("No closing quotation")
+    return words
+
+
+def _fields(
+    tokens: Sequence[str], allowed: Sequence[str], where: str, what: str
+) -> dict[str, str]:
+    """The key=value tokens of an orbit or relation line, by key."""
+    fields = dict.fromkeys(allowed, "")
+    for tok in tokens:
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise DatabaseFormatError(f"{where}: bad {what} token {tok!r}")
+        if key not in fields:
+            raise DatabaseFormatError(f"{where}: unknown {what} field {key!r}")
+        fields[key] = value
+    return fields
+
+
 def _parse_orbit(value: str, where: str) -> OrbitSchema:
     try:
-        tokens = shlex.split(value)
+        tokens = _split(value)
     except ValueError as exc:
         raise DatabaseFormatError(f"{where}: bad orbit line: {exc}") from None
     if not tokens or tokens[0] not in _ORBIT_KINDS:
         raise DatabaseFormatError(f"{where}: orbit kind missing in {value!r}")
-    kind = tokens[0]
-    fields = {"dim": "", "ident": "", "note": ""}
-    for tok in tokens[1:]:
-        if "=" not in tok:
-            raise DatabaseFormatError(f"{where}: bad orbit token {tok!r}")
-        k, v = tok.split("=", 1)
-        if k not in fields:
-            raise DatabaseFormatError(f"{where}: unknown orbit field {k!r}")
-        fields[k] = v
+    fields = _fields(tokens[1:], ("dim", "ident", "note"), where, "orbit")
     if not fields["dim"]:
         raise DatabaseFormatError(f"{where}: orbit needs a dim")
     _check_expr(fields["dim"], "int", ("n",), where)
     ident = IDENT_RE.match(fields["ident"])
     if ident is not None:
         _check_expr(ident.group(2), "int", ("n",), where)
-    return OrbitSchema(kind, fields["dim"], fields["ident"], fields["note"])
+    return OrbitSchema(tokens[0], fields["dim"], fields["ident"], fields["note"])
 
 
 def _parse_relation(value: str, where: str) -> RelationEdge:
     try:
-        tokens = shlex.split(value)
+        tokens = _split(value)
     except ValueError as exc:
         raise DatabaseFormatError(f"{where}: bad relation line: {exc}") from None
-    fields = {"op": "", "to": "", "label": ""}
-    for tok in tokens:
-        if "=" not in tok:
-            raise DatabaseFormatError(f"{where}: bad relation token {tok!r}")
-        k, v = tok.split("=", 1)
-        if k not in fields:
-            raise DatabaseFormatError(f"{where}: unknown relation field {k!r}")
-        fields[k] = v
+    fields = _fields(tokens, ("op", "to", "label"), where, "relation")
     if not fields["op"] or not fields["to"]:
         raise DatabaseFormatError(f"{where}: relation needs op and to")
     return RelationEdge(fields["op"], fields["to"], fields["label"])
@@ -279,9 +324,11 @@ def parse_records(text: str) -> tuple[RecordSchema, ...]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise DatabaseFormatError(f"line {lineno}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.strip()
+        value = value.strip()
         if key == "record":
             close()
             current = {"name": value}
@@ -326,7 +373,16 @@ def parse_records(text: str) -> tuple[RecordSchema, ...]:
 
 
 def _quote(text: str) -> str:
-    return '"' + text.replace('"', r"\"") + '"'
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+# A bare orbit dim or ident must not split into words or lose an edge
+# to the line strip, so any whitespace, quote or backslash quotes it.
+_NEEDS_QUOTES = re.compile(r"""[\s'"\\]""").search
+
+
+def _word(text: str) -> str:
+    return _quote(text) if _NEEDS_QUOTES(text) else text
 
 
 def serialize_records(records: Sequence[RecordSchema]) -> str:
@@ -350,9 +406,9 @@ def serialize_records(records: Sequence[RecordSchema]) -> str:
         if rec.note:
             lines.append(f"note = {rec.note}")
         for orb in rec.orbits:
-            parts = [orb.kind, f"dim={orb.dim}"]
+            parts = [orb.kind, f"dim={_word(orb.dim)}"]
             if orb.ident:
-                parts.append(f"ident={orb.ident}")
+                parts.append(f"ident={_word(orb.ident)}")
             if orb.note:
                 parts.append(f"note={_quote(orb.note)}")
             lines.append("orbit = " + " ".join(parts))

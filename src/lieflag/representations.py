@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import prod
 from typing import NamedTuple
 
-from .errors import NonDominantWeight, UnsupportedWeight
+from .errors import InvalidDimension, NonDominantWeight, UnsupportedWeight
 from .parabolic import ParabolicMarking, r_min
 from .roots import DynkinType, Weight, fundamental_weight, root_system
 
@@ -95,6 +95,6 @@ def bwb_section_dim(mk: ParabolicMarking, w: Weight, power: int) -> int:
     off = [i + 1 for i, c in enumerate(w.coords) if c and (i + 1) not in mk.marked]
     if off:
         raise UnsupportedWeight(f"weight {w} has mass at unmarked node {off[0]}")
-    if power < 1:
-        raise ValueError("power must be >= 1")
+    if not isinstance(power, int) or power < 1:
+        raise InvalidDimension(f"power must be an integer >= 1, got {power!r}")
     return weyl_dim(w.scaled(power))

@@ -116,6 +116,10 @@ def weight(dtype: DynkinType, coords: Iterable[int]) -> Weight:
 
 def fundamental_weight(dtype: DynkinType, node: int) -> Weight:
     """Fundamental weight at a 1-based node."""
+    try:
+        node = index(node)
+    except TypeError:
+        raise InvalidRank(f"node must be an integer, got {node!r}") from None
     if not 1 <= node <= dtype.rank:
         raise InvalidRank(f"node {node} out of range for {dtype}")
     return Weight(dtype, tuple(1 if i == node - 1 else 0 for i in range(dtype.rank)))

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lieflag.cone import cone_cover_order, cone_hilbert_function
-from lieflag.errors import ZeroClass
+from lieflag.errors import InvalidDimension, UnsupportedWeight, ZeroClass
 from lieflag.parabolic import marking
 from lieflag.roots import DynkinType, dynkin_type, weight
 
@@ -27,6 +27,13 @@ def test_cover_order_rejects_zero_class():
         cone_cover_order((0, 0))
     with pytest.raises(ZeroClass):
         cone_cover_order(())
+
+
+def test_cover_order_refuses_fractional_class():
+    # c1 is a coefficient vector: 2.5 is refused, not truncated to 2
+    for c1 in [(2.5, 4), (2, 4.0), ("2", 4)]:
+        with pytest.raises(UnsupportedWeight):
+            cone_cover_order(c1)
 
 
 @given(nonzero_vectors)
@@ -92,5 +99,6 @@ def test_hilbert_strictly_increasing_small_rank():
 
 def test_hilbert_rejects_bad_kmax():
     a1 = dynkin_type("A1")
-    with pytest.raises(ValueError):
-        cone_hilbert_function(marking(a1, (1,)), weight(a1, (1,)), 0)
+    for k_max in [0, 2.5, 2.0, "2"]:
+        with pytest.raises(InvalidDimension):
+            cone_hilbert_function(marking(a1, (1,)), weight(a1, (1,)), k_max)

@@ -1,4 +1,7 @@
 import os
+import shlex
+import signal
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -7,7 +10,16 @@ from hypothesis import strategies as st
 
 from lieflag.classifier import load_database
 from lieflag.errors import DatabaseFormatError
-from lieflag.records import _compile, eval_expr, parse_records, serialize_records
+from lieflag.records import (
+    IDENT_RE,
+    OrbitSchema,
+    RelationEdge,
+    _compile,
+    _split,
+    eval_expr,
+    parse_records,
+    serialize_records,
+)
 
 SHIPPED = resources.files("lieflag").joinpath("data/classification.db").read_text()
 
@@ -199,3 +211,125 @@ def test_unreadable_database_file_is_a_format_error(tmp_path):
         load_database(str(db))
     with pytest.raises(DatabaseFormatError):
         load_database(str(tmp_path))
+
+
+# shlex.split is the independent oracle for the orbit/relation tokenizer.
+_SHELL_TEXT = st.text(
+    st.one_of(st.sampled_from(list("ab=\"'\\ \t\r\n\xa0\x0b#n-{}")), st.characters()),
+    max_size=40,
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(text=_SHELL_TEXT)
+def test_split_agrees_with_shlex(text):
+    try:
+        expected = shlex.split(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _split(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert _split(text) == expected
+
+
+def _too_slow(signum, frame):
+    raise TimeoutError("tokenizer did not finish in linear time")
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("a" * 99_999 + '"', "No closing quotation"),
+        ('"' + "a" * 99_999, "No closing quotation"),
+        ('a"' * 50_000 + '"', "No closing quotation"),
+        ("'" + "a" * 99_999, "No closing quotation"),
+        ("\\" * 99_999, "No escaped character"),
+        ('"' + "\\" * 99_999, "No escaped character"),
+    ],
+    ids=[
+        "word-quote",
+        "quote-word",
+        "pieces-quote",
+        "single-quote",
+        "escapes",
+        "quoted-escapes",
+    ],
+)
+def test_split_rejects_long_adversarial_lines_in_linear_time(line, error):
+    # exponential backtracking would run for hours; the alarm turns it into a failure
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with pytest.raises(ValueError, match=error):
+            _split(line)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "old, new, error",
+    [
+        ('"W^{(1)}"', '"W^{(1)}', "bad relation line: No closing quotation"),
+        ('"zero section"', '"zero section\\', "bad orbit line: No escaped character"),
+        ("open dim=n", "open dim=n note", "bad orbit token 'note'"),
+        ('label="W^{(1)}"', 'lbl="W^{(1)}"', "unknown relation field 'lbl'"),
+    ],
+)
+def test_tokenizer_errors_keep_their_text(old, new, error):
+    with pytest.raises(DatabaseFormatError, match=error):
+        parse_records(MINIMAL.replace(old, new))
+
+
+_HEAD = "record = X\ncase = SL\nsource = Thm4.1\nitem = 1\ndim = n\npicard = 1\n"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        'orbit = open dim=n note="a\\\\"',
+        'relation = op="a\\\\" to="P^n"',
+        'orbit = open dim="n - 0"',
+        'orbit = open dim=n ident="Gr(2, 4)"',
+    ],
+)
+def test_serialize_round_trips_values_that_need_quoting(line):
+    records = parse_records(_HEAD + line)
+    assert parse_records(serialize_records(records)) == records
+
+
+_ONE_LINE = st.text().filter(lambda t: t.splitlines() in ([], [t]))
+_DIMS = st.recursive(
+    st.sampled_from(["n", "0", "2"]),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from([" + ", " - ", "-", " * "]), sub).map("".join),
+        sub.map(lambda e: f"({e})"),
+    ),
+    max_leaves=5,
+)
+_IDENTS = st.one_of(
+    st.sampled_from(["", "P^{n - 1}", "Q^{n-2}", "Gr(2, 4)"]),
+    _ONE_LINE.filter(lambda t: IDENT_RE.match(t) is None),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["open", "closed", "intermediate", "fixed"]),
+    dim=_DIMS,
+    ident=_IDENTS,
+    note=_ONE_LINE,
+    op=_ONE_LINE.filter(bool),
+    to=_ONE_LINE.filter(bool),
+    label=_ONE_LINE,
+)
+def test_serialize_round_trips_arbitrary_values(kind, dim, ident, note, op, to, label):
+    (base,) = parse_records(MINIMAL)
+    rec = replace(
+        base,
+        orbits=(OrbitSchema(kind, dim, ident, note),),
+        relations=(RelationEdge(op, to, label),),
+    )
+    assert parse_records(serialize_records([rec])) == (rec,)

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lieflag.errors import InvalidRank, NonDominantWeight, UnsupportedWeight
+from lieflag.errors import (
+    InvalidDimension,
+    InvalidRank,
+    NonDominantWeight,
+    UnsupportedWeight,
+)
 from lieflag.parabolic import marking, r_min
 from lieflag.representations import (
     bwb_section_dim,
@@ -182,8 +187,9 @@ def test_bwb_rejects_off_marking_weight():
         bwb_section_dim(marking(a2, (1,)), weight(a2, (0, 1)), 2)
     with pytest.raises(UnsupportedWeight):
         bwb_section_dim(marking(a2, (1,)), weight(dynkin_type("A3"), (1, 0, 0)), 2)
-    with pytest.raises(ValueError):
-        bwb_section_dim(marking(a2, (1,)), weight(a2, (1, 0)), 0)
+    for power in [0, 1.5, 2.0, "2"]:
+        with pytest.raises(InvalidDimension):
+            bwb_section_dim(marking(a2, (1,)), weight(a2, (1, 0)), power)
 
 
 def test_weyl_dim_threadsafe_memo():

@@ -11,6 +11,7 @@ from lieflag.roots import (
     cartan_matrix,
     dynkin_adjacency,
     dynkin_type,
+    fundamental_weight,
     group_dimension,
     positive_roots,
     root_system,
@@ -194,6 +195,15 @@ def test_weight_validation_and_flags():
     assert Weight(t, (1, 0)).is_dominant
     assert not Weight(t, (-1, 2)).is_dominant
     assert Weight(t, (1, 2)).scaled(3).coords == (3, 6)
+
+
+def test_fundamental_weight_validates_node():
+    t = dynkin_type("A2")
+    assert fundamental_weight(t, 2).coords == (0, 1)
+    # a fractional node is refused, not read as the zero weight
+    for node in [0, 3, 1.5, 2.0, "1"]:
+        with pytest.raises(InvalidRank):
+            fundamental_weight(t, node)
 
 
 def test_root_system_bundle():
