@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
+from operator import index
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -43,6 +43,10 @@ class GroupSpec:
 
     def __post_init__(self) -> None:
         f, p = self.family, self.parameter
+        try:
+            index(p)
+        except TypeError:
+            raise InvalidGroup(f"group parameter must be an integer, got {p!r}") from None
         if f == "SL":
             if p < 2:
                 raise InvalidGroup(f"SL needs parameter >= 2, got {p}")
@@ -88,8 +92,8 @@ def group_spec(family: str, parameter: int = 0) -> GroupSpec:
 
 @lru_cache(maxsize=None)
 def _load_shipped() -> tuple[RecordSchema, ...]:
-    text = resources.files("lieflag").joinpath("data/classification.db").read_text()
-    return parse_records(text)
+    path = os.path.join(os.path.dirname(__file__), "data", "classification.db")
+    return parse_records(__spec__.loader.get_data(path).decode("utf-8"))
 
 
 @lru_cache(maxsize=8)
@@ -247,6 +251,10 @@ def classify(
     db_path: str | None = None,
 ) -> ClassificationResult:
     """Full variety list for a group acting in dimension n, where covered."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise InvalidDimension(f"dimension must be an integer, got {n!r}") from None
     if n <= 0:
         raise InvalidDimension(f"dimension must be positive, got {n}")
     case, effective = group.resolve()
@@ -364,13 +372,15 @@ class Violation:
     message: str
 
 
-# Probe dimensions n of each case, each with the type of the group acting there.
-_PROBES = {
-    "SL": [(n, GroupSpec("SL", n).dynkin()) for n in range(2, 9)],
-    "Sp": [(n, GroupSpec("Sp", n).dynkin()) for n in (4, 6, 8)],
-    "Spin": [(n, GroupSpec("Spin", n + 1).dynkin()) for n in (6, 7, 8)],
-    "SL3Q": [(4, GroupSpec("SL", 3).dynkin())],
-}
+@lru_cache(maxsize=None)
+def _probes() -> dict[str, list[tuple[int, DynkinType]]]:
+    """Probe dimensions n of each case, each with the type of the group acting there."""
+    return {
+        "SL": [(n, GroupSpec("SL", n).dynkin()) for n in range(2, 9)],
+        "Sp": [(n, GroupSpec("Sp", n).dynkin()) for n in (4, 6, 8)],
+        "Spin": [(n, GroupSpec("Spin", n + 1).dynkin()) for n in (6, 7, 8)],
+        "SL3Q": [(4, GroupSpec("SL", 3).dynkin())],
+    }
 
 
 def validate_database(db_path: str | None = None) -> list[Violation]:
@@ -395,7 +405,7 @@ def validate_records(records: Sequence[RecordSchema]) -> list[Violation]:
         seen.setdefault((rule, rec.name, rec.case, message), v)
 
     for rec in records:
-        for n, acting in _PROBES.get(rec.case, ()):
+        for n, acting in _probes().get(rec.case, ()):
             if not rec.applies(n):
                 continue
             r = r_min(acting).value

@@ -1,36 +1,30 @@
 """Command-line front end.
 
-Every subcommand builds one JSON payload.  With --json it is printed as a
-single JSON document; otherwise its stable line-oriented text form is
-rendered from that payload through the per-command layout in _LAYOUT, so
-the two modes cannot disagree.  Exit codes: 0 success, 1 domain errors
-(named on stderr), 2 usage errors.
+Every subcommand is one entry of the COMMANDS table: help text,
+arguments, handler and text layout.  The handler builds one JSON payload.
+With --json it is printed as a single JSON document; otherwise its stable
+line-oriented text form is rendered from that payload through the
+command's layout, so the two modes cannot disagree.  run() builds the
+argparse subparser of the chosen command only, and the handlers reach the
+library through the package's lazy re-exports, so a command loads only the
+modules it uses.  Exit codes: 0 success, 1 domain errors (named on stderr),
+2 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import asdict
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from . import classifier, cone, parabolic, representations
+import lieflag
+
 from .errors import DomainError
-from .roots import DynkinType, Weight, dynkin_type, group_dimension, positive_roots
+from .roots import DynkinType, Weight, dynkin_type  # on every command's path
 
 
 class UsageError(Exception):
-    def __init__(self, flag: str, message: str) -> None:
-        super().__init__(message)
-        self.flag = flag
-
-
-def _parse_type(text: str) -> DynkinType:
-    try:
-        return dynkin_type(text)
-    except DomainError as exc:
-        raise UsageError("TYPE", str(exc)) from None
+    """A bad argument value; args are (flag, message)."""
 
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
@@ -55,54 +49,62 @@ def _parse_weight(text: str, dtype: DynkinType, flag: str) -> Weight:
     return Weight(dtype, coords)
 
 
+# Every argument a command can take; a command names the ones it takes, in order.
+_ARGUMENTS = {
+    "type": {},
+    **dict.fromkeys(("--nodes", "--weight", "--c1", "--variety"), {"required": True}),
+    **dict.fromkeys(("--node", "--power", "--kmax", "--dim"), {"required": True, "type": int}),
+    "--group": {"required": True, "choices": ("SL", "Sp", "Spin", "G2")},
+    "--param": {"type": int, "default": 0},
+    "--quasihomogeneous": {"action": "store_true"},
+    "--case": {"choices": ("SL", "Sp", "Spin", "SL3Q"), "default": None},
+    "--params": {"default": ""},
+}
+
+
 def _cmd_roots(args) -> dict:
-    roots = positive_roots(args.type)
-    return {"type": str(args.type), "count": len(roots), "roots": [list(r) for r in roots]}
+    roots = lieflag.positive_roots(args.type)
+    return {"count": len(roots), "roots": [list(r) for r in roots]}
 
 
 def _cmd_dim_group(args) -> dict:
-    return {"type": str(args.type), "dim": group_dimension(args.type)}
+    return {"dim": lieflag.group_dimension(args.type)}
 
 
 def _cmd_parabolic(args) -> dict:
-    mk = parabolic.marking(args.type, _parse_nodes(args.nodes, args.type, "--nodes"))
-    hv = parabolic.homogeneous_variety(mk)
-    ident = hv.identification.label() if hv.identification else None
-    return {"type": str(args.type), "nodes": list(mk.nodes), "dim": hv.dim,
-            "picard": hv.picard_rank, "identification": ident}
+    mk = lieflag.marking(args.type, _parse_nodes(args.nodes, args.type, "--nodes"))
+    hv = lieflag.parabolic.homogeneous_variety(mk)
+    return {"nodes": list(mk.nodes), "dim": hv.dim, "picard": hv.picard_rank,
+            "identification": hv.identification.label() if hv.identification else None}
 
 
 def _cmd_rmin(args) -> dict:
-    best = parabolic.r_min(args.type)
-    return {"type": str(args.type), "r": best.value, "nodes": list(best.nodes)}
+    best = lieflag.r_min(args.type)
+    return {"r": best.value, "nodes": list(best.nodes)}
 
 
 def _cmd_minimal_homogeneous(args) -> dict:
-    varieties = [
-        {"node": hv.marking.nodes[0], "dim": hv.dim, "picard": hv.picard_rank,
-         "identification": hv.identification.label() if hv.identification else None}
-        for hv in parabolic.minimal_homogeneous_varieties(args.type)
-    ]
-    return {"type": str(args.type), "r": parabolic.r_min(args.type).value,
-            "count": len(varieties), "varieties": varieties}
+    varieties = [{"node": hv.marking.nodes[0], "dim": hv.dim, "picard": hv.picard_rank,
+                  "identification": hv.identification.label() if hv.identification else None}
+                 for hv in lieflag.minimal_homogeneous_varieties(args.type)]
+    return {"r": lieflag.r_min(args.type).value, "count": len(varieties), "varieties": varieties}
 
 
 def _cmd_fano_index(args) -> dict:
     (node,) = _parse_nodes(str(args.node), args.type, "--node")
-    mk = parabolic.marking(args.type, (node,))
-    return {"type": str(args.type), "node": node, "index": parabolic.fano_index(mk),
-            "conormal_range": list(parabolic.admissible_conormal_range(mk))}
+    mk = lieflag.marking(args.type, (node,))
+    return {"node": node, "index": lieflag.fano_index(mk),
+            "conormal_range": list(lieflag.admissible_conormal_range(mk))}
 
 
 def _cmd_weyl_dim(args) -> dict:
     w = _parse_weight(args.weight, args.type, "--weight")
-    return {"type": str(args.type), "weight": list(w.coords), "dim": representations.weyl_dim(w)}
+    return {"weight": list(w.coords), "dim": lieflag.weyl_dim(w)}
 
 
 def _cmd_min_irrep(args) -> dict:
-    best = representations.min_nontrivial_irrep(args.type)
-    return {"type": str(args.type), "dim": best.dim, "nodes": list(best.nodes),
-            "weight": list(best.weight.coords)}
+    best = lieflag.min_nontrivial_irrep(args.type)
+    return {"dim": best.dim, "nodes": list(best.nodes), "weight": list(best.weight.coords)}
 
 
 def _cmd_bwb(args) -> dict:
@@ -110,14 +112,14 @@ def _cmd_bwb(args) -> dict:
     w = _parse_weight(args.weight, args.type, "--weight")
     if args.power < 1:
         raise UsageError("--power", "power must be >= 1")
-    mk = parabolic.marking(args.type, nodes)
-    return {"type": str(args.type), "nodes": list(mk.nodes), "weight": list(w.coords),
-            "power": args.power, "dim": representations.bwb_section_dim(mk, w, args.power)}
+    mk = lieflag.marking(args.type, nodes)
+    return {"nodes": list(mk.nodes), "weight": list(w.coords), "power": args.power,
+            "dim": lieflag.bwb_section_dim(mk, w, args.power)}
 
 
 def _cmd_cone_cover(args) -> dict:
     c1 = _parse_ints(args.c1, "--c1")
-    return {"c1": list(c1), "order": cone.cone_cover_order(c1)}
+    return {"c1": list(c1), "order": lieflag.cone_cover_order(c1)}
 
 
 def _cmd_hilbert(args) -> dict:
@@ -125,9 +127,9 @@ def _cmd_hilbert(args) -> dict:
     w = _parse_weight(args.weight, args.type, "--weight")
     if args.kmax < 1:
         raise UsageError("--kmax", "kmax must be >= 1")
-    mk = parabolic.marking(args.type, nodes)
-    return {"type": str(args.type), "nodes": list(mk.nodes), "weight": list(w.coords),
-            "kmax": args.kmax, "values": cone.cone_hilbert_function(mk, w, args.kmax)}
+    mk = lieflag.marking(args.type, nodes)
+    return {"nodes": list(mk.nodes), "weight": list(w.coords),
+            "kmax": args.kmax, "values": lieflag.cone_hilbert_function(mk, w, args.kmax)}
 
 
 _DESCRIPTOR_KEYS = ("name", "case", "source", "item", "n", "dim", "picard", "param_names",
@@ -135,8 +137,9 @@ _DESCRIPTOR_KEYS = ("name", "case", "source", "item", "n", "dim", "picard", "par
 
 
 def _cmd_classify(args) -> dict:
-    group = classifier.GroupSpec(args.group, args.param)
-    result = classifier.classify(
+    from dataclasses import asdict
+    group = lieflag.GroupSpec(args.group, args.param)
+    result = lieflag.classify(
         group, args.dim, quasihomogeneous_only=args.quasihomogeneous, db_path=args.db
     )
     entries = [asdict(d) for d in result.entries]
@@ -146,6 +149,7 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_orbits(args) -> dict:
+    from dataclasses import asdict
     params: dict[str, int] = {}
     if args.params:
         for item in args.params.split(","):
@@ -156,48 +160,71 @@ def _cmd_orbits(args) -> dict:
                 params[key.strip()] = int(value)
             except ValueError:
                 raise UsageError("--params", f"non-integer value in {item!r}") from None
-    orbits = classifier.orbit_structure(args.variety, params, case=args.case, db_path=args.db)
+    orbits = lieflag.orbit_structure(args.variety, params, case=args.case, db_path=args.db)
     return {"variety": args.variety, "params": params, "count": len(orbits),
             "orbits": [asdict(o) for o in orbits]}
 
 
 def _cmd_relations(args) -> dict:
-    edges = classifier.relations(args.variety, db_path=args.db)
+    edges = lieflag.relations(args.variety, db_path=args.db)
     return {"variety": args.variety, "count": len(edges),
             "relations": [{"op": op, "to": to} for op, to in edges]}
 
 
 def _cmd_validate_db(args) -> dict:
-    violations = classifier.validate_database(db_path=args.db)
+    from dataclasses import asdict
+    violations = lieflag.validate_database(db_path=args.db)
     return {"count": len(violations), "violations": [asdict(v) for v in violations]}
 
 
-# The text form of each command, one entry per output line.  A string lists
-# the fields of one line read from the payload; a (list key, prefix, fields)
-# triple gives one line per item of that payload list.  A field is "key", or
-# "key=payload_key" where the text name differs from the JSON one.
-_LAYOUT = {
-    "roots": ["type count", ("roots", "", "root")],
-    "dim-group": ["type dim"],
-    "parabolic": ["type nodes dim picard identification"],
-    "rmin": ["type r nodes"],
-    "minimal-homogeneous": ["type r count", ("varieties", "", "node dim picard identification")],
-    "fano-index": ["type node index conormal_range"],
-    "weyl-dim": ["type weight dim"],
-    "min-irrep": ["type dim nodes weight"],
-    "bwb": ["type nodes weight power dim"],
-    "cone-cover": ["c1 order"],
-    "hilbert": ["type nodes weight kmax values"],
-    "classify": [
-        "group n verdict count",
-        "reason",
-        ("entries", "", "name source item n dim picard params=param_names actions orbits "
-                        "constraint=param_constraint note"),
-    ],
-    "orbits": ["variety count", ("orbits", "orbit ", "kind dim identification note")],
-    "relations": ["variety count", ("relations", "relation ", "op to")],
-    "validate-db": ["violations=count", ("violations", "violation ", "rule record case message")],
+# One entry per command, in usage-line order.  ``arguments`` are keys of _ARGUMENTS.  ``layout``
+# has one item per text line: the payload fields of one line, or a (list key, prefix, fields)
+# triple for one line per item of that list; "key=payload_key" renames a field for the text.
+class Command(NamedTuple):
+    help: str
+    arguments: str
+    handler: Callable[[argparse.Namespace], dict]
+    layout: list
+
+
+COMMANDS = {
+    "roots": Command("positive roots of a type", "type", _cmd_roots,
+                     ["type count", ("roots", "", "root")]),
+    "dim-group": Command("dimension of the simple group", "type", _cmd_dim_group, ["type dim"]),
+    "parabolic": Command("dimension of G/P for marked nodes", "type --nodes", _cmd_parabolic,
+                         ["type nodes dim picard identification"]),
+    "rmin": Command("minimal flag-variety dimension", "type", _cmd_rmin, ["type r nodes"]),
+    "minimal-homogeneous": Command(
+        "minimal flag varieties", "type", _cmd_minimal_homogeneous,
+        ["type r count", ("varieties", "", "node dim picard identification")]),
+    "fano-index": Command("index of G/P at one node", "type --node", _cmd_fano_index,
+                          ["type node index conormal_range"]),
+    "weyl-dim": Command("irreducible dimension of a weight", "type --weight", _cmd_weyl_dim,
+                        ["type weight dim"]),
+    "min-irrep": Command("smallest nontrivial irreducible", "type", _cmd_min_irrep,
+                         ["type dim nodes weight"]),
+    "bwb": Command("section dimension of a bundle power on G/P", "type --nodes --weight --power",
+                   _cmd_bwb, ["type nodes weight power dim"]),
+    "cone-cover": Command("cyclic cover order of the punctured bundle", "--c1", _cmd_cone_cover,
+                          ["c1 order"]),
+    "hilbert": Command("Hilbert function of the cone ring", "type --nodes --weight --kmax",
+                       _cmd_hilbert, ["type nodes weight kmax values"]),
+    "classify": Command(
+        "variety list for a group and dimension", "--group --param --dim --quasihomogeneous",
+        _cmd_classify,
+        ["group n verdict count", "reason",
+         ("entries", "", "name source item n dim picard params=param_names actions orbits "
+                         "constraint=param_constraint note")]),
+    "orbits": Command("orbit list of a named record", "--variety --case --params", _cmd_orbits,
+                      ["variety count", ("orbits", "orbit ", "kind dim identification note")]),
+    "relations": Command("blow-up and blow-down edges", "--variety", _cmd_relations,
+                         ["variety count", ("relations", "relation ", "op to")]),
+    "validate-db": Command(
+        "structural rules over the database", "", _cmd_validate_db,
+        ["violations=count", ("violations", "violation ", "rule record case message")]),
 }
+
+
 _TUPLE_KEYS = {"weight", "c1", "root"}
 _QUOTED_KEYS = {"note", "constraint", "reason", "message", "op"}
 _OMITTED_WHEN_EMPTY = {"identification", "note", "constraint", "reason"}
@@ -234,7 +261,7 @@ def _line(fields: str, item: dict) -> str:
 def _render_text(command: str, payload: dict) -> list[str]:
     """The line-oriented text form of a command's JSON payload."""
     lines = []
-    for spec in _LAYOUT[command]:
+    for spec in COMMANDS[command].layout:
         if isinstance(spec, tuple):
             key, prefix, fields = spec
             for row in payload[key]:
@@ -249,77 +276,45 @@ def _render_text(command: str, payload: dict) -> list[str]:
     return lines
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparsers of ``names``, of every command by default."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="emit one JSON document",
-    )
-    common.add_argument(
-        "--db", default=argparse.SUPPRESS, help="classification database path"
-    )
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                        help="emit one JSON document")
+    common.add_argument("--db", default=argparse.SUPPRESS, help="classification database path")
 
     # SUPPRESS keeps the subparser from re-stamping a default over a value
     # already parsed from before the subcommand; run() fills the fallback.
     parser = argparse.ArgumentParser(prog="lieflag", parents=[common])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, handler, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = cmd("roots", _cmd_roots, help="positive roots of a type")
-    p.add_argument("type")
-    p = cmd("dim-group", _cmd_dim_group, help="dimension of the simple group")
-    p.add_argument("type")
-    p = cmd("parabolic", _cmd_parabolic, help="dimension of G/P for marked nodes")
-    p.add_argument("type")
-    p.add_argument("--nodes", required=True)
-    p = cmd("rmin", _cmd_rmin, help="minimal flag-variety dimension")
-    p.add_argument("type")
-    p = cmd("minimal-homogeneous", _cmd_minimal_homogeneous, help="minimal flag varieties")
-    p.add_argument("type")
-    p = cmd("fano-index", _cmd_fano_index, help="index of G/P at one node")
-    p.add_argument("type")
-    p.add_argument("--node", required=True, type=int)
-    p = cmd("weyl-dim", _cmd_weyl_dim, help="irreducible dimension of a weight")
-    p.add_argument("type")
-    p.add_argument("--weight", required=True)
-    p = cmd("min-irrep", _cmd_min_irrep, help="smallest nontrivial irreducible")
-    p.add_argument("type")
-    p = cmd("bwb", _cmd_bwb, help="section dimension of a bundle power on G/P")
-    p.add_argument("type")
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--power", required=True, type=int)
-    p = cmd("cone-cover", _cmd_cone_cover, help="cyclic cover order of the punctured bundle")
-    p.add_argument("--c1", required=True)
-    p = cmd("hilbert", _cmd_hilbert, help="Hilbert function of the cone ring")
-    p.add_argument("type")
-    p.add_argument("--nodes", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--kmax", required=True, type=int)
-    p = cmd("classify", _cmd_classify, help="variety list for a group and dimension")
-    p.add_argument("--group", required=True, choices=("SL", "Sp", "Spin", "G2"))
-    p.add_argument("--param", type=int, default=0)
-    p.add_argument("--dim", required=True, type=int)
-    p.add_argument("--quasihomogeneous", action="store_true")
-    p = cmd("orbits", _cmd_orbits, help="orbit list of a named record")
-    p.add_argument("--variety", required=True)
-    p.add_argument("--case", choices=("SL", "Sp", "Spin", "SL3Q"), default=None)
-    p.add_argument("--params", default="")
-    p = cmd("relations", _cmd_relations, help="blow-up and blow-down edges")
-    p.add_argument("--variety", required=True)
-    cmd("validate-db", _cmd_validate_db, help="structural rules over the database")
-
+    # With some commands left out, the metavar keeps them all in the usage
+    # line.  It is not set otherwise: error messages name the argument by it.
+    metavar = None if names is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if names is None else names:
+        entry = COMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=entry.help)
+        for argument in entry.arguments.split():
+            p.add_argument(argument, **_ARGUMENTS[argument])
     return parser
 
 
+def _named_command(argv: Sequence[str]) -> str | None:
+    """The command argv names after exact top-level options only, else None."""
+    words = iter(argv)
+    for word in words:
+        if word == "--db":
+            next(words, None)
+        elif word != "--json" and not word.startswith("--db="):
+            return word if word in COMMANDS else None
+    return None
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = _named_command(argv)
+    # Help, a missing or unknown command and stray options list every command.
+    full = name is None or "-h" in argv or "--help" in argv
+    parser = build_parser(None if full else [name])
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -327,22 +322,26 @@ def run(argv: Sequence[str] | None = None) -> int:
     args.json = getattr(args, "json", False)
     args.db = getattr(args, "db", None)
     try:
-        if "type" in args:  # the TYPE positional, parsed here for every command that has one
-            args.type = _parse_type(args.type)
-        payload = args.handler(args)
+        payload = {}
+        if "type" in args:  # parsed here for every command that has one; its payload opens with it
+            try:
+                args.type = dynkin_type(args.type)
+            except DomainError as exc:
+                raise UsageError("TYPE", str(exc)) from None
+            payload["type"] = str(args.type)
+        payload.update(COMMANDS[args.command].handler(args))
     except UsageError as exc:
-        print(f"usage error: {exc.flag}: {exc}", file=sys.stderr)
+        print("usage error: {}: {}".format(*exc.args), file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if args.json:
+        import json
         print(json.dumps(payload, indent=2))
     else:
         print("\n".join(_render_text(args.command, payload)))
-    if args.command == "validate-db" and payload["violations"]:
-        return 1
-    return 0
+    return 1 if args.command == "validate-db" and payload["violations"] else 0
 
 
 def main() -> None:

@@ -9,7 +9,6 @@ definition used throughout.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
 from typing import Iterable, NamedTuple, Sequence
@@ -23,21 +22,22 @@ from .roots import (
 )
 
 
-@dataclass(frozen=True)
-class ParabolicMarking:
+class ParabolicMarking(
+    NamedTuple("ParabolicMarking", [("dynkin", DynkinType), ("marked", frozenset[int])])
+):
     """Marked-node subset defining a proper parabolic subgroup."""
 
-    dynkin: DynkinType
-    marked: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.marked:
+    def __new__(cls, dynkin: DynkinType, marked: frozenset[int]) -> "ParabolicMarking":
+        if not marked:
             raise EmptyMarking("a parabolic marking needs at least one node")
-        bad = [i for i in self.marked if not 1 <= i <= self.dynkin.rank]
+        bad = [i for i in marked if not 1 <= i <= dynkin.rank]
         if bad:
             raise NodeOutOfRange(
-                f"node {min(bad)} out of range 1..{self.dynkin.rank} for {self.dynkin}"
+                f"node {min(bad)} out of range 1..{dynkin.rank} for {dynkin}"
             )
+        return super().__new__(cls, dynkin, marked)
 
     @property
     def is_maximal(self) -> bool:
@@ -99,8 +99,7 @@ GRASSMANNIAN_2_4 = "grassmannian_2_4"
 FULL_FLAG_SL3 = "full_flag_sl3"
 
 
-@dataclass(frozen=True)
-class VarietyClass:
+class VarietyClass(NamedTuple):
     """Named isomorphism class of a flag variety, with its dimension."""
 
     kind: str
@@ -147,8 +146,7 @@ def identify_marking(mk: ParabolicMarking) -> VarietyClass | None:
     return None
 
 
-@dataclass(frozen=True)
-class HomogeneousVariety:
+class HomogeneousVariety(NamedTuple):
     marking: ParabolicMarking
     dim: int
     picard_rank: int

@@ -13,10 +13,9 @@ vector) with the j-th simple coroot is ``sum(a[i] * cartan[i][j])``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, index
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidRank
 
@@ -29,38 +28,37 @@ _FIXED_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 MAX_CLASSICAL_RANK = 12
 
 
-@dataclass(frozen=True, order=True)
-class DynkinType:
+class DynkinType(NamedTuple("DynkinType", [("series", str), ("rank", int)])):
     """A simple Lie type: series letter A-G plus rank."""
 
-    series: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.series not in _MIN_RANK:
-            raise InvalidRank(f"unknown series {self.series!r}")
-        if self.series in _FIXED_RANKS:
-            if self.rank not in _FIXED_RANKS[self.series]:
-                raise InvalidRank(
-                    f"{self.series}{self.rank} is not a simple type"
-                )
+    def __new__(cls, series: str, rank: int) -> "DynkinType":
+        try:
+            rank = index(rank)
+        except TypeError:
+            raise InvalidRank(f"rank must be an integer, got {rank!r}") from None
+        if series not in _MIN_RANK:
+            raise InvalidRank(f"unknown series {series!r}")
+        if series in _FIXED_RANKS:
+            if rank not in _FIXED_RANKS[series]:
+                raise InvalidRank(f"{series}{rank} is not a simple type")
         else:
-            if self.rank < _MIN_RANK[self.series]:
+            if rank < _MIN_RANK[series]:
+                raise InvalidRank(f"series {series} needs rank >= {_MIN_RANK[series]}")
+            if rank > MAX_CLASSICAL_RANK:
                 raise InvalidRank(
-                    f"series {self.series} needs rank >= {_MIN_RANK[self.series]}"
+                    f"rank {rank} above the configured cap "
+                    f"{MAX_CLASSICAL_RANK} for series {series}"
                 )
-            if self.rank > MAX_CLASSICAL_RANK:
-                raise InvalidRank(
-                    f"rank {self.rank} above the configured cap "
-                    f"{MAX_CLASSICAL_RANK} for series {self.series}"
-                )
-        if self.series == "D" and self.rank == 3:
+        if series == "D" and rank == 3:
             warnings.warn(
                 "D3 has the same diagram as A3 (relabelled nodes); "
                 "results agree with A3 up to the node permutation",
                 UserWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
+        return super().__new__(cls, series, rank)
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
@@ -74,26 +72,22 @@ def dynkin_type(text: str) -> DynkinType:
     return DynkinType(text[0].upper(), int(text[1:]))
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple("Weight", [("dynkin", DynkinType), ("coords", tuple[int, ...])])):
     """Integer coordinates on the fundamental weights of a fixed type."""
 
-    dynkin: DynkinType
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.dynkin.rank:
+    def __new__(cls, dynkin: DynkinType, coords: tuple[int, ...]) -> "Weight":
+        if len(coords) != dynkin.rank:
             raise InvalidRank(
-                f"weight needs {self.dynkin.rank} coordinates, "
-                f"got {len(self.coords)}"
+                f"weight needs {dynkin.rank} coordinates, got {len(coords)}"
             )
         try:
-            coords = tuple(map(index, self.coords))
+            return super().__new__(cls, dynkin, tuple(map(index, coords)))
         except TypeError:
             raise InvalidRank(
-                f"weight coordinates must be integers, got {self.coords!r}"
+                f"weight coordinates must be integers, got {coords!r}"
             ) from None
-        object.__setattr__(self, "coords", coords)
 
     @property
     def is_dominant(self) -> bool:
@@ -250,8 +244,7 @@ def _coroot_vector(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Positive roots, Cartan matrix and coroots of one simple type.
 
     ``coroots[k]`` holds the simple-coroot coefficients of the coroot of

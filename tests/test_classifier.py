@@ -24,6 +24,10 @@ def test_group_spec_validation():
     for family, param in (("SL", 1), ("Sp", 2), ("Sp", 5), ("Spin", 4), ("SU", 3)):
         with pytest.raises(InvalidGroup):
             GroupSpec(family, param)
+    # a non-integer parameter is refused, not carried into the type as A2.0
+    for family, param in (("SL", 3.0), ("SL", 2.5), ("Sp", 4.0), ("Spin", "8"), ("G2", 0.5)):
+        with pytest.raises(InvalidGroup, match="must be an integer"):
+            GroupSpec(family, param)
 
 
 def test_group_spec_resolution_and_aliases():
@@ -39,6 +43,10 @@ def test_group_spec_resolution_and_aliases():
 def test_classify_rejects_bad_dimension():
     with pytest.raises(InvalidDimension):
         classify(GroupSpec("SL", 3), 0)
+    # a string or fractional n is refused, not compared or answered out of range
+    for n in ("4", 2.5, 4.0, None):
+        with pytest.raises(InvalidDimension, match="must be an integer"):
+            classify(GroupSpec("SL", 3), n)
 
 
 def _r_of(group):

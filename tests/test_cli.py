@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from lieflag import cli
 from lieflag.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -86,6 +87,104 @@ def test_usage_errors_exit_2(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
+
+
+_COMMANDS = (
+    "{roots,dim-group,parabolic,rmin,minimal-homogeneous,fano-index,weyl-dim,min-irrep,bwb,"
+    "cone-cover,hilbert,classify,orbits,relations,validate-db}"
+)
+_TOP_USAGE = f"usage: lieflag [-h] [--json] [--db DB]\n               {_COMMANDS}\n               ...\n"
+_CHOICES = ", ".join(repr(name) for name in _COMMANDS.strip("{}").split(","))
+
+
+# Exact argparse texts; they must not depend on which subparsers run() builds.
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        ([], 2, "", _TOP_USAGE + "lieflag: error: the following arguments are required: command\n"),
+        (["bogus"], 2, "",
+         _TOP_USAGE + f"lieflag: error: argument command: invalid choice: 'bogus' "
+         f"(choose from {_CHOICES})\n"),
+        (["--bogus", "rmin", "G2"], 2, "",
+         _TOP_USAGE + "lieflag: error: unrecognized arguments: --bogus\n"),
+        (["rmin", "G2", "--bogus"], 2, "",
+         _TOP_USAGE + "lieflag: error: unrecognized arguments: --bogus\n"),
+        (["rmin"], 2, "",
+         "usage: lieflag rmin [-h] [--json] [--db DB] type\n"
+         "lieflag rmin: error: the following arguments are required: type\n"),
+        (["classify", "--group", "SL", "--param", "4"], 2, "",
+         "usage: lieflag classify [-h] [--json] [--db DB] --group {SL,Sp,Spin,G2}\n"
+         "                        [--param PARAM] --dim DIM [--quasihomogeneous]\n"
+         "lieflag classify: error: the following arguments are required: --dim\n"),
+        (["--help"], 0,
+         _TOP_USAGE + f"""
+positional arguments:
+  {_COMMANDS}
+    roots               positive roots of a type
+    dim-group           dimension of the simple group
+    parabolic           dimension of G/P for marked nodes
+    rmin                minimal flag-variety dimension
+    minimal-homogeneous
+                        minimal flag varieties
+    fano-index          index of G/P at one node
+    weyl-dim            irreducible dimension of a weight
+    min-irrep           smallest nontrivial irreducible
+    bwb                 section dimension of a bundle power on G/P
+    cone-cover          cyclic cover order of the punctured bundle
+    hilbert             Hilbert function of the cone ring
+    classify            variety list for a group and dimension
+    orbits              orbit list of a named record
+    relations           blow-up and blow-down edges
+    validate-db         structural rules over the database
+
+options:
+  -h, --help            show this help message and exit
+  --json                emit one JSON document
+  --db DB               classification database path
+""", ""),
+        (["rmin", "--help"], 0, """usage: lieflag rmin [-h] [--json] [--db DB] type
+
+positional arguments:
+  type
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit one JSON document
+  --db DB     classification database path
+""", ""),
+    ],
+    ids=["no_command", "unknown_command", "bogus_option", "bogus_option_after_command",
+         "rmin_no_type", "classify_no_dim", "help", "rmin_help"],
+)
+def test_usage_texts_exact(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _run(capsys, argv) == (code, out, err)
+
+
+def test_db_value_named_like_a_command(capsys, tmp_path, monkeypatch):
+    # "--db roots" is the database path, not the command
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "roots").write_text(_R2_RECORD)
+    assert _run(capsys, ["--db", "roots", "validate-db"])[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["rmin", "G2"], "rmin"),
+        (["--json", "--db", "roots", "validate-db"], "validate-db"),
+        (["--db=x", "rmin", "--db", "y"], "rmin"),
+        (["--bogus", "rmin"], None),
+        (["--js", "rmin"], None),
+        (["-h", "rmin"], None),
+        (["bogus", "rmin"], None),
+        (["--db"], None),
+        ([], None),
+    ],
+)
+def test_only_a_plainly_named_command_skips_the_full_parser(argv, name):
+    # any other argv may need the full parser: help, or an error listing every command
+    assert cli._named_command(argv) == name
 
 
 @pytest.mark.parametrize(

@@ -152,6 +152,14 @@ def test_rank_bounds_rejected(bad):
         dynkin_type(bad)
 
 
+def test_rank_must_be_an_integer():
+    # refused at construction, so root_system never meets a fractional rank
+    for rank in (2.5, 2.0, "2", None):
+        with pytest.raises(InvalidRank, match="must be an integer"):
+            DynkinType("A", rank)
+    assert type(DynkinType("A", True).rank) is int
+
+
 def test_classical_rank_cap_configurable():
     with pytest.raises(InvalidRank):
         DynkinType("A", 13)
