@@ -24,8 +24,8 @@ from .errors import (
 )
 from .parabolic import (
     codim_parabolic,
-    marking,
     minimal_homogeneous_varieties,
+    named_marking,
     r_min,
 )
 from .records import IDENT_RE, RecordSchema, eval_expr, parse_records
@@ -65,8 +65,6 @@ class GroupSpec:
             return "Sp", GroupSpec("Sp", 4)
         if self.family == "Spin" and self.parameter == 6:
             return "SL", GroupSpec("SL", 4)
-        if self.family == "G2":
-            return "G2", self
         return self.family, self
 
     def dynkin(self) -> DynkinType:
@@ -116,48 +114,12 @@ def load_database(path: str | None = None) -> tuple[RecordSchema, ...]:
         raise DatabaseFormatError(f"cannot read database {path!r}: {exc}") from None
 
 
-def _ident_dim(ident: str, n: int) -> int | None:
-    if ident == "FlagSL3":
-        return 3
-    if ident == "Gr(2,4)":
-        return 4
-    match = IDENT_RE.match(ident)
-    if match is None:
-        return None
-    return int(eval_expr(match.group(2), {"n": n}))
-
-
 def _ident_label(ident: str, n: int) -> str:
+    """An orbit identification with its P^/Q^ exponent evaluated at n."""
     match = IDENT_RE.match(ident)
     if match is None:
         return ident
-    return f"{match.group(1)}^{_ident_dim(ident, n)}"
-
-
-def _ident_marking(ident: str, n: int, acting: DynkinType):
-    """Marking whose flag variety matches an orbit identification."""
-    k = _ident_dim(ident, n)
-    s, r = acting.series, acting.rank
-    if ident == "FlagSL3":
-        return marking(acting, (1, 2)) if (s, r) == ("A", 2) else None
-    if ident == "Gr(2,4)":
-        return marking(acting, (2,)) if (s, r) == ("A", 3) else None
-    kind = ident[0]
-    if kind == "P":
-        if s == "A" and k == r:
-            return marking(acting, (1,))
-        if s == "C" and k == 2 * r - 1:
-            return marking(acting, (1,))
-        return None
-    if s == "B" and k == 2 * r - 1:
-        return marking(acting, (1,))
-    if s == "D" and k == 2 * r - 2:
-        return marking(acting, (1,))
-    if (s, r) == ("C", 2) and k == 3:
-        return marking(acting, (2,))
-    if (s, r) == ("A", 3) and k == 4:
-        return marking(acting, (2,))
-    return None
+    return f"{match.group(1)}^{eval_expr(match.group(2), {'n': n})}"
 
 
 @dataclass(frozen=True)
@@ -244,6 +206,15 @@ def _homogeneous_entries(group: GroupSpec, n: int) -> tuple[VarietyDescriptor, .
     return tuple(sorted(entries, key=lambda d: (d.name, d.note)))
 
 
+def _full_list(
+    records: Sequence[RecordSchema], case: str, group: GroupSpec, n: int
+) -> ClassificationResult:
+    """The records of one case that apply at n, in list order."""
+    entries = [_instantiate(r, n) for r in records if r.case == case and r.applies(n)]
+    entries.sort(key=lambda d: (d.item, d.name))
+    return ClassificationResult("full_list", group, n, tuple(entries))
+
+
 def classify(
     group: GroupSpec,
     n: int,
@@ -267,22 +238,10 @@ def classify(
         )
     records = load_database(db_path)
     if n == r + 1 and case != "G2":
-        entries = tuple(
-            _instantiate(rec, n)
-            for rec in records
-            if rec.case == case and rec.applies(n)
-        )
-        entries = tuple(sorted(entries, key=lambda d: (d.item, d.name)))
-        return ClassificationResult("full_list", group, n, entries)
+        return _full_list(records, case, group, n)
     if case == "SL" and effective.parameter == 3 and n == 4:
         if quasihomogeneous_only:
-            entries = tuple(
-                _instantiate(rec, n)
-                for rec in records
-                if rec.case == "SL3Q" and rec.applies(n)
-            )
-            entries = tuple(sorted(entries, key=lambda d: (d.item, d.name)))
-            return ClassificationResult("full_list", group, n, entries)
+            return _full_list(records, "SL3Q", group, n)
         return ClassificationResult(
             "out_of_covered_range",
             group,
@@ -432,20 +391,21 @@ def validate_records(records: Sequence[RecordSchema]) -> list[Violation]:
                         f"orbit of dim {odim} below r={r} of {acting} at n={n}",
                     )
                 if orb.kind in ("closed", "intermediate") and orb.ident:
-                    mk = _ident_marking(orb.ident, n, acting)
+                    label = _ident_label(orb.ident, n)
+                    mk = named_marking(acting, label)
                     if mk is None:
                         add(
                             "R3",
                             rec,
-                            f"identification {_ident_label(orb.ident, n)} has no "
-                            f"flag variety under {acting} at n={n}",
+                            f"identification {label} has no flag variety "
+                            f"under {acting} at n={n}",
                         )
                     elif codim_parabolic(mk) != odim:
                         add(
                             "R3",
                             rec,
-                            f"identification {_ident_label(orb.ident, n)} has dim "
-                            f"{codim_parabolic(mk)} but orbit recorded at {odim}",
+                            f"identification {label} has dim {codim_parabolic(mk)} "
+                            f"but orbit recorded at {odim}",
                         )
             if open_count > 1:
                 add("shape", rec, "more than one open orbit")

@@ -29,15 +29,19 @@ class ParabolicMarking(
 
     __slots__ = ()
 
-    def __new__(cls, dynkin: DynkinType, marked: frozenset[int]) -> "ParabolicMarking":
-        if not marked:
+    def __new__(cls, dynkin: DynkinType, marked: Iterable[int]) -> "ParabolicMarking":
+        try:
+            nodes = frozenset(map(index, marked))
+        except TypeError:
+            raise NodeOutOfRange(f"marked nodes must be integers, got {marked!r}") from None
+        if not nodes:
             raise EmptyMarking("a parabolic marking needs at least one node")
-        bad = [i for i in marked if not 1 <= i <= dynkin.rank]
+        bad = [i for i in nodes if not 1 <= i <= dynkin.rank]
         if bad:
             raise NodeOutOfRange(
                 f"node {min(bad)} out of range 1..{dynkin.rank} for {dynkin}"
             )
-        return super().__new__(cls, dynkin, marked)
+        return super().__new__(cls, dynkin, nodes)
 
     @property
     def is_maximal(self) -> bool:
@@ -49,11 +53,7 @@ class ParabolicMarking(
 
 
 def marking(dtype: DynkinType, nodes: Iterable[int]) -> ParabolicMarking:
-    try:
-        marked = frozenset(map(index, nodes))
-    except TypeError:
-        raise NodeOutOfRange(f"marked nodes must be integers, got {nodes!r}") from None
-    return ParabolicMarking(dtype, marked)
+    return ParabolicMarking(dtype, nodes)
 
 
 @lru_cache(maxsize=None)
@@ -93,10 +93,32 @@ def r_min(dtype: DynkinType) -> RMin:
     return RMin(best, tuple(i for i, c in sorted(codims.items()) if c == best))
 
 
-PROJECTIVE_SPACE = "projective_space"
-QUADRIC = "quadric"
-GRASSMANNIAN_2_4 = "grassmannian_2_4"
-FULL_FLAG_SL3 = "full_flag_sl3"
+_LABELS = {
+    "projective_space": "P^{}",
+    "quadric": "Q^{}",
+    "grassmannian_2_4": "Gr(2,4)",
+    "full_flag_sl3": "FlagSL3",
+}
+
+# The named flag varieties, in Bourbaki numbering: (series, rank or None
+# for every rank, marked nodes with -1 for the last node, kind).  Their
+# dimension is codim_parabolic of the marking.  The first row that names
+# a marking gives its label; a later row for the same marking is an
+# alias that only the reverse lookup reads.
+_NAMED = (
+    ("A", None, (1,), "projective_space"),
+    ("A", None, (-1,), "projective_space"),
+    ("A", 2, (1, 2), "full_flag_sl3"),
+    ("A", 3, (2,), "grassmannian_2_4"),
+    ("A", 3, (2,), "quadric"),  # Gr(2,4) is the Klein quadric Q^4
+    ("B", None, (1,), "quadric"),
+    ("C", None, (1,), "projective_space"),
+    ("C", 2, (2,), "quadric"),
+    ("D", None, (1,), "quadric"),
+    ("D", 4, (3,), "quadric"),
+    ("D", 4, (4,), "quadric"),
+    ("G", 2, (1,), "quadric"),
+)
 
 
 class VarietyClass(NamedTuple):
@@ -106,44 +128,31 @@ class VarietyClass(NamedTuple):
     dim: int
 
     def label(self) -> str:
-        if self.kind == PROJECTIVE_SPACE:
-            return f"P^{self.dim}"
-        if self.kind == QUADRIC:
-            return f"Q^{self.dim}"
-        if self.kind == GRASSMANNIAN_2_4:
-            return "Gr(2,4)"
-        return "FlagSL3"
+        return _LABELS[self.kind].format(self.dim)
+
+
+@lru_cache(maxsize=None)
+def _named(dtype: DynkinType) -> tuple[dict, dict]:
+    """The table's rows for one type, indexed by marked nodes and by label."""
+    by_nodes: dict[frozenset[int], VarietyClass] = {}
+    by_label: dict[str, ParabolicMarking] = {}
+    for series, rank, nodes, kind in _NAMED:
+        if series == dtype.series and rank in (None, dtype.rank):
+            mk = marking(dtype, (i if i > 0 else dtype.rank + 1 + i for i in nodes))
+            named = VarietyClass(kind, codim_parabolic(mk))
+            by_nodes.setdefault(mk.marked, named)
+            by_label.setdefault(named.label(), mk)
+    return by_nodes, by_label
 
 
 def identify_marking(mk: ParabolicMarking) -> VarietyClass | None:
-    """Look up a marking in the fixed identification table, else None.
+    """The named flag variety of a marking, else None."""
+    return _named(mk.dynkin)[0].get(mk.marked)
 
-    The table covers exactly the named identifications used by the
-    classification records: projective spaces and quadrics at their
-    standard end nodes, Gr(2,4), the two D4 spinor markings and the full
-    flag threefold of A2.  Everything else is left unidentified.
-    """
-    t, nodes = mk.dynkin, mk.nodes
-    s, n = t.series, t.rank
-    if s == "A" and nodes in ((1,), (n,)):
-        return VarietyClass(PROJECTIVE_SPACE, n)
-    if s == "A" and n == 3 and nodes == (2,):
-        return VarietyClass(GRASSMANNIAN_2_4, 4)
-    if s == "A" and n == 2 and nodes == (1, 2):
-        return VarietyClass(FULL_FLAG_SL3, 3)
-    if s == "B" and nodes == (1,):
-        return VarietyClass(QUADRIC, 2 * n - 1)
-    if s == "D" and nodes == (1,):
-        return VarietyClass(QUADRIC, 2 * n - 2)
-    if s == "D" and n == 4 and nodes in ((3,), (4,)):
-        return VarietyClass(QUADRIC, 6)
-    if s == "C" and nodes == (1,):
-        return VarietyClass(PROJECTIVE_SPACE, 2 * n - 1)
-    if s == "C" and n == 2 and nodes == (2,):
-        return VarietyClass(QUADRIC, 3)
-    if s == "G" and nodes == (1,):
-        return VarietyClass(QUADRIC, 5)
-    return None
+
+def named_marking(dtype: DynkinType, label: str) -> ParabolicMarking | None:
+    """The marking of dtype whose flag variety has this label, else None."""
+    return _named(dtype)[1].get(label)
 
 
 class HomogeneousVariety(NamedTuple):
@@ -160,12 +169,8 @@ class HomogeneousVariety(NamedTuple):
 
 
 def homogeneous_variety(mk: ParabolicMarking) -> HomogeneousVariety:
-    ident = identify_marking(mk)
-    dim = codim_parabolic(mk)
-    if ident is not None:
-        assert ident.dim == dim
     return HomogeneousVariety(
-        marking=mk, dim=dim, picard_rank=len(mk.marked), identification=ident
+        mk, codim_parabolic(mk), len(mk.marked), identify_marking(mk)
     )
 
 

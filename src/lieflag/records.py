@@ -6,7 +6,12 @@ until the next record; ``#`` lines are comments and blank lines are
 ignored.  Dimensions may be closed integer expressions in ``n`` (the
 ambient dimension); parameter constraints are boolean expressions over
 the declared parameter names.  Parsing then serializing then parsing is
-the identity on the record list.
+the identity on the record list.  A record built in code round-trips
+too, unless serializing or parsing it raises ``DatabaseFormatError``:
+serializing refuses a record-level value that holds a line break or
+starts or ends with whitespace, which the line split and strip would
+change, a ``params`` name that is empty or holds ``,``, ``;`` or
+whitespace, and an unknown orbit kind.
 
 An ``orbit`` or ``relation`` value is a list of ``key=value`` POSIX
 shell words: ``"..."`` with ``\"`` and ``\\`` as its only escapes,
@@ -20,8 +25,9 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from types import CodeType
 from typing import Mapping, Sequence
 
@@ -385,9 +391,26 @@ def _word(text: str) -> str:
     return _quote(text) if _NEEDS_QUOTES(text) else text
 
 
+# The parser splits a file with str.splitlines and strips each
+# record-level value, so a value must pass both unchanged.
+_RECORD_TEXT = attrgetter(
+    "name", "case", "source", "requires", "dim", "param_constraint", "note"
+)
+_UNSAFE_PARAM = re.compile(r"[\s,;]").search
+
+
 def serialize_records(records: Sequence[RecordSchema]) -> str:
     lines: list[str] = []
     for rec in records:
+        for value in _RECORD_TEXT(rec):
+            one_line = isinstance(value, str) and len(value.splitlines()) < 2
+            if not one_line or value != value.strip():
+                raise DatabaseFormatError(
+                    f"cannot write {value!r}: not one line without edge whitespace"
+                )
+        for name in rec.param_names:
+            if not name or _UNSAFE_PARAM(name):
+                raise DatabaseFormatError(f"cannot write params name {name!r}")
         lines.append(f"record = {rec.name}")
         lines.append(f"case = {rec.case}")
         lines.append(f"source = {rec.source}")
@@ -396,7 +419,7 @@ def serialize_records(records: Sequence[RecordSchema]) -> str:
             lines.append(f"requires = {rec.requires}")
         lines.append(f"dim = {rec.dim}")
         lines.append(f"picard = {rec.picard}")
-        if rec.param_names:
+        if rec.param_names or rec.param_constraint:
             names = ", ".join(rec.param_names)
             lines.append(f"params = {names} ; {rec.param_constraint}".rstrip())
         if rec.allows_fixed_point:
@@ -406,6 +429,8 @@ def serialize_records(records: Sequence[RecordSchema]) -> str:
         if rec.note:
             lines.append(f"note = {rec.note}")
         for orb in rec.orbits:
+            if orb.kind not in _ORBIT_KINDS:
+                raise DatabaseFormatError(f"cannot write orbit kind {orb.kind!r}")
             parts = [orb.kind, f"dim={_word(orb.dim)}"]
             if orb.ident:
                 parts.append(f"ident={_word(orb.ident)}")
@@ -419,8 +444,3 @@ def serialize_records(records: Sequence[RecordSchema]) -> str:
             lines.append("relation = " + " ".join(parts))
         lines.append("")
     return "\n".join(lines)
-
-
-def with_orbits(rec: RecordSchema, orbits: Sequence[OrbitSchema]) -> RecordSchema:
-    """Copy of a record with its orbit list replaced (test fault injection)."""
-    return replace(rec, orbits=tuple(orbits))

@@ -325,3 +325,34 @@ def naive_gcd(values) -> int:
         if all(m % d == 0 for m in mags):
             best = d
     return best
+
+
+def named_flag_varieties(series: str, r: int) -> dict[tuple[int, ...], tuple[str, int]]:
+    """Classical names and dimensions of the named flag varieties of one type.
+
+    Keyed by marked nodes in Bourbaki numbering: P^r at either end of A_r,
+    the quadric Q^(2r-1) at node 1 of B_r, P^(2r-1) at node 1 of C_r and
+    Q^3 at node 2 of C2, Q^(2r-2) at node 1 of D_r and at the spinor nodes
+    3, 4 of D4 (triality), Q^5 at node 1 of G2, the Grassmannian Gr(2,4)
+    at node 2 of A3 and the full flag threefold of SL(3).
+    """
+    named: dict[tuple[int, ...], tuple[str, int]] = {}
+    if series == "A":
+        named[(1,)] = named[(r,)] = (f"P^{r}", r)
+        if r == 2:
+            named[(1, 2)] = ("FlagSL3", 3)
+        if r == 3:
+            named[(2,)] = ("Gr(2,4)", 4)
+    elif series == "B":
+        named[(1,)] = (f"Q^{2 * r - 1}", 2 * r - 1)
+    elif series == "C":
+        named[(1,)] = (f"P^{2 * r - 1}", 2 * r - 1)
+        if r == 2:
+            named[(2,)] = ("Q^3", 3)
+    elif series == "D":
+        named[(1,)] = (f"Q^{2 * r - 2}", 2 * r - 2)
+        if r == 4:
+            named[(3,)] = named[(4,)] = ("Q^6", 6)
+    elif series == "G":
+        named[(1,)] = ("Q^5", 5)
+    return named

@@ -283,6 +283,40 @@ def test_rule_r3_fires_on_wrong_identified_dimension():
     assert "R3" in _rules_fired(text)
 
 
+_SL4_RECORD = """
+record = X
+case = SL
+source = Thm4.1
+item = 1
+requires = n == 4
+dim = n + 2
+picard = 2
+orbit = closed dim={dim} ident={ident}
+orbit = open dim=n+2
+"""
+
+
+def _r3(dim: int, ident: str) -> list:
+    text = _SL4_RECORD.format(dim=dim, ident=ident)
+    return [v.message for v in validate_records(parse_records(text)) if v.rule == "R3"]
+
+
+def test_rule_r3_accepts_the_klein_quadric_under_sl4():
+    # Gr(2,4) is the quadric Q^4, so SL(4) reaches both names at node 2
+    assert _r3(4, "Gr(2,4)") == []
+    assert _r3(4, "Q^4") == []
+    assert _r3(4, "Q^{n}") == []
+    assert _r3(3, "P^3") == []
+
+
+def test_rule_r3_messages():
+    assert _r3(5, "Q^5") == ["identification Q^5 has no flag variety under A3 at n=4"]
+    assert _r3(5, "Gr(2,5)") == [
+        "identification Gr(2,5) has no flag variety under A3 at n=4"
+    ]
+    assert _r3(3, "Q^{n}") == ["identification Q^4 has dim 4 but orbit recorded at 3"]
+
+
 def test_rule_r4_fires_on_missing_open_orbit():
     text = _mutated_db(
         'orbit = closed dim=3 ident=FlagSL3 note="locus of square tensors"\norbit = open dim=4',

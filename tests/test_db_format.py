@@ -13,6 +13,7 @@ from lieflag.errors import DatabaseFormatError
 from lieflag.records import (
     IDENT_RE,
     OrbitSchema,
+    RecordSchema,
     RelationEdge,
     _compile,
     _split,
@@ -333,3 +334,71 @@ def test_serialize_round_trips_arbitrary_values(kind, dim, ident, note, op, to, 
         relations=(RelationEdge(op, to, label),),
     )
     assert parse_records(serialize_records([rec])) == (rec,)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("name", "A\x85note = hi"),
+        ("name", "A\nitem = 5"),
+        ("name", "A\u2028B"),
+        ("name", None),
+        ("note", " padded "),
+        ("note", "tail\t"),
+        ("requires", "n >= 2\rdim = 5"),
+        ("dim", " n"),
+        ("param_constraint", "m > 0 "),
+        ("param_names", ("",)),
+        ("param_names", ("m", "a,b")),
+        ("param_names", ("m;k",)),
+        ("param_names", ("m k",)),
+        ("param_names", ("m\x1c",)),
+        ("orbits", (OrbitSchema("open dim=n\nnote = x", "n"),)),
+        ("orbits", (OrbitSchema('"open"', "n"),)),
+    ],
+)
+def test_serialize_refuses_values_the_line_format_would_change(field, value):
+    (base,) = parse_records(MINIMAL)
+    with pytest.raises(DatabaseFormatError, match="cannot write"):
+        serialize_records([replace(base, **{field: value})])
+
+
+def test_serialize_keeps_a_constraint_without_parameter_names():
+    (base,) = parse_records(MINIMAL)
+    rec = replace(base, param_names=(), param_constraint="True")
+    assert parse_records(serialize_records([rec])) == (rec,)
+
+
+# Text that leans on the characters the line format treats specially.
+_TEXT = st.text(
+    st.one_of(st.sampled_from(" \t\r\n\x0b\x1c\x85\u2028=#;,'\"\\"), st.characters())
+)
+# Values drawn for one record field at a time, over a valid record.
+_FIELD_VALUES = {
+    "name": _TEXT,
+    "case": st.sampled_from(["SL", "Spin"]) | _TEXT,
+    "source": st.sampled_from(["Thm5.4"]) | _TEXT,
+    "requires": st.sampled_from(["", "n == 4"]) | _TEXT,
+    "dim": _DIMS | _TEXT,
+    "param_names": st.lists(st.sampled_from(["m", "k"]) | _TEXT, max_size=3).map(tuple),
+    "param_constraint": st.sampled_from(["", "True", "m > 0"]) | _TEXT,
+    "note": _TEXT,
+    "orbits": (st.sampled_from(["closed", "fixed"]) | _TEXT).map(
+        lambda kind: (OrbitSchema(kind, "n"),)
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_serialize_round_trips_or_refuses_record_values(data):
+    (base,) = parse_records(MINIMAL)
+    if data.draw(st.booleans(), label="drop params"):
+        base = replace(base, param_names=(), param_constraint="")
+    keys = data.draw(st.sets(st.sampled_from(sorted(_FIELD_VALUES)), max_size=3))
+    rec = replace(base, **{k: data.draw(_FIELD_VALUES[k], label=k) for k in sorted(keys)})
+    try:
+        back = parse_records(serialize_records([rec]))
+    except DatabaseFormatError:
+        return
+    assert back == (rec,)

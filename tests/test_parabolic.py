@@ -13,6 +13,7 @@ from lieflag.errors import (
     NotMaximalParabolic,
 )
 from lieflag.parabolic import (
+    ParabolicMarking,
     admissible_conormal_range,
     character_weight,
     codim_parabolic,
@@ -21,11 +22,12 @@ from lieflag.parabolic import (
     identify_marking,
     marking,
     minimal_homogeneous_varieties,
+    named_marking,
     r_min,
 )
 from lieflag.roots import DynkinType, dynkin_type, positive_roots
 
-from oracles import ORACLE_TYPES, roots_in_simple_coords
+from oracles import ORACLE_TYPES, named_flag_varieties, roots_in_simple_coords
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
@@ -70,6 +72,18 @@ def test_marking_validation():
         marking(dynkin_type("A2"), (0,))
     with pytest.raises(NodeOutOfRange):
         marking(dynkin_type("A2"), (1.7,))
+
+
+def test_marking_constructor_checks_and_normalises_nodes():
+    a2 = dynkin_type("A2")
+    with pytest.raises(NodeOutOfRange, match="must be integers"):
+        ParabolicMarking(a2, frozenset({1.5}))
+    with pytest.raises(NodeOutOfRange, match="must be integers"):
+        ParabolicMarking(a2, 1)
+    mk = ParabolicMarking(a2, {2, 1})
+    assert mk.marked == frozenset({1, 2}) and type(mk.marked) is frozenset
+    assert hash(mk) == hash(marking(a2, (1, 2))) and mk == marking(a2, (1, 2))
+    assert codim_parabolic(mk) == 3
 
 
 def test_r_min_values_and_argmins():
@@ -155,6 +169,64 @@ def test_identification_table_spot_checks():
     assert identify_marking(marking(dynkin_type("B4"), (1,))).label() == "Q^7"
     assert identify_marking(marking(dynkin_type("D5"), (1,))).label() == "Q^8"
     assert identify_marking(marking(dynkin_type("C3"), (2,))) is None
+
+
+def _all_markings(dtype):
+    nodes = range(1, dtype.rank + 1)
+    return [sub for size in nodes for sub in combinations(nodes, size)]
+
+
+@pytest.mark.parametrize("dtype", _small_types(4), ids=str)
+def test_named_markings_resolve_back_to_their_dimension(dtype):
+    # name -> marking -> dimension gives back the original marking's
+    # codim_parabolic, for every marking the table names
+    for nodes in _all_markings(dtype):
+        mk = marking(dtype, nodes)
+        ident = identify_marking(mk)
+        if ident is not None:
+            back = named_marking(dtype, ident.label())
+            assert back is not None, (dtype, nodes, ident)
+            assert codim_parabolic(back) == codim_parabolic(mk) == ident.dim
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_identifications_match_classical_closed_forms(oracle_rank_cap, name):
+    t = dynkin_type(name)
+    expected = named_flag_varieties(t.series, t.rank)
+    if t.rank <= 4:
+        candidates = _all_markings(t)
+    else:
+        candidates = [(i,) for i in range(1, t.rank + 1)] + list(expected)
+    for nodes in candidates:
+        ident = identify_marking(marking(t, nodes))
+        if nodes not in expected:
+            assert ident is None, (name, nodes, ident)
+            continue
+        label, dim = expected[nodes]
+        assert ident is not None and ident.label() == label, (name, nodes)
+        assert ident.dim == dim == codim_parabolic(marking(t, nodes))
+
+
+def test_reverse_lookup_aliases_and_unknown_names():
+    a3 = dynkin_type("A3")
+    # Gr(2,4) is the Klein quadric: both names reach node 2, the label stays Gr(2,4)
+    assert named_marking(a3, "Gr(2,4)").nodes == (2,)
+    assert named_marking(a3, "Q^4").nodes == (2,)
+    assert identify_marking(marking(a3, (2,))).label() == "Gr(2,4)"
+    # the first row naming a label wins: P^3 is node 1, Q^6 of D4 is node 1
+    assert named_marking(a3, "P^3").nodes == (1,)
+    assert named_marking(dynkin_type("D4"), "Q^6").nodes == (1,)
+    assert named_marking(dynkin_type("G2"), "Q^5").nodes == (1,)
+    assert named_marking(dynkin_type("C2"), "Q^3").nodes == (2,)
+    for name, label in (
+        ("A3", "Q^5"),
+        ("A4", "Gr(2,4)"),
+        ("A2", "Gr(2,5)"),
+        ("B3", "P^5"),
+        ("F4", "Q^15"),
+        ("E6", "P^16"),
+    ):
+        assert named_marking(dynkin_type(name), label) is None
 
 
 def test_fano_index_projective_spaces():
