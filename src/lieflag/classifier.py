@@ -352,65 +352,64 @@ def validate_records(records: Sequence[RecordSchema]) -> list[Violation]:
 
     R1  no orbit of dimension strictly between 0 and r of the acting group
     R2  fixed points only in records flagged as the linear-extension case
-    R3  orbit identifications must match a flag variety of that dimension
+    R3  identified orbits, other than fixed points, match a flag variety of their dimension
     R4  quasihomogeneous fourfold records have exactly one open orbit
     R5  Spin-series records of Picard rank one are only P^n and Q^n
-    plus shape checks: open orbits fill the space, closed ones do not.
+    plus shape checks: open orbits fill the space, closed ones do not;
+    and reach: a record whose ``requires`` holds at no probe n of its
+    case would be checked by no rule, so it is reported instead.
     """
-    seen: dict[tuple, Violation] = {}
+    found = (
+        Violation(rule, rec.name, rec.case, message)
+        for rec in records
+        for rule, message in _record_violations(rec)
+    )
+    return list(dict.fromkeys(found))
 
-    def add(rule: str, rec: RecordSchema, message: str) -> None:
-        v = Violation(rule, rec.name, rec.case, message)
-        seen.setdefault((rule, rec.name, rec.case, message), v)
 
-    for rec in records:
-        for n, acting in _probes().get(rec.case, ()):
-            if not rec.applies(n):
-                continue
-            r = r_min(acting).value
-            dim = int(eval_expr(rec.dim, {"n": n}))
-            open_count = 0
-            for orb in rec.orbits:
-                odim = int(eval_expr(orb.dim, {"n": n}))
-                if orb.kind == "open":
-                    open_count += 1
-                    if odim != dim:
-                        add("shape", rec, f"open orbit of dim {odim} != {dim}")
-                elif orb.kind == "fixed":
-                    if odim != 0:
-                        add("shape", rec, "fixed orbit with positive dimension")
-                    if not rec.allows_fixed_point:
-                        add("R2", rec, "fixed point in an unflagged record")
-                else:
-                    if odim >= dim:
-                        add("shape", rec, f"closed orbit of dim {odim} not below {dim}")
-                if 0 < odim < r:
-                    add(
-                        "R1",
-                        rec,
-                        f"orbit of dim {odim} below r={r} of {acting} at n={n}",
-                    )
-                if orb.kind in ("closed", "intermediate") and orb.ident:
-                    label = _ident_label(orb.ident, n)
-                    mk = named_marking(acting, label)
-                    if mk is None:
-                        add(
-                            "R3",
-                            rec,
-                            f"identification {label} has no flag variety "
-                            f"under {acting} at n={n}",
-                        )
-                    elif codim_parabolic(mk) != odim:
-                        add(
-                            "R3",
-                            rec,
-                            f"identification {label} has dim {codim_parabolic(mk)} "
-                            f"but orbit recorded at {odim}",
-                        )
-            if open_count > 1:
-                add("shape", rec, "more than one open orbit")
-            if rec.case == "SL3Q" and open_count != 1:
-                add("R4", rec, f"{open_count} open orbits in a quasihomogeneous record")
-            if rec.case == "Spin" and rec.picard == 1 and rec.name not in ("P^n", "Q^n"):
-                add("R5", rec, f"Picard-rank-one Spin entry {rec.name!r}")
-    return list(seen.values())
+# Every check of validate_records reads one frozen record, so its findings
+# are memoised per record: a reloaded file reuses those of its unchanged records.
+@lru_cache(maxsize=256)
+def _record_violations(rec: RecordSchema) -> tuple[tuple[str, str], ...]:
+    """The (rule, message) findings of one record, in order, each once."""
+    found: list[tuple[str, str]] = []
+    probes = _probes().get(rec.case, [])
+    reached = [(n, acting) for n, acting in probes if rec.applies(n)]
+    if not reached:
+        ns = [n for n, _ in probes]
+        found.append(("reach", f"requires {rec.requires!r} holds at no probe n in {ns}"))
+    for n, acting in reached:
+        r = r_min(acting).value
+        dim = int(eval_expr(rec.dim, {"n": n}))
+        open_count = 0
+        for orb in rec.orbits:
+            odim = int(eval_expr(orb.dim, {"n": n}))
+            if orb.kind == "open":
+                open_count += 1
+                if odim != dim:
+                    found.append(("shape", f"open orbit of dim {odim} != {dim}"))
+            elif orb.kind == "fixed":
+                if odim != 0:
+                    found.append(("shape", "fixed orbit with positive dimension"))
+                if not rec.allows_fixed_point:
+                    found.append(("R2", "fixed point in an unflagged record"))
+            elif odim >= dim:
+                found.append(("shape", f"closed orbit of dim {odim} not below {dim}"))
+            if 0 < odim < r:
+                found.append(("R1", f"orbit of dim {odim} below r={r} of {acting} at n={n}"))
+            if orb.kind != "fixed" and orb.ident:
+                label = _ident_label(orb.ident, n)
+                mk = named_marking(acting, label)
+                if mk is None:
+                    why = f"has no flag variety under {acting} at n={n}"
+                    found.append(("R3", f"identification {label} {why}"))
+                elif codim_parabolic(mk) != odim:
+                    why = f"has dim {codim_parabolic(mk)} but orbit recorded at {odim}"
+                    found.append(("R3", f"identification {label} {why}"))
+        if open_count > 1:
+            found.append(("shape", "more than one open orbit"))
+        if rec.case == "SL3Q" and open_count != 1:
+            found.append(("R4", f"{open_count} open orbits in a quasihomogeneous record"))
+        if rec.case == "Spin" and rec.picard == 1 and rec.name not in ("P^n", "Q^n"):
+            found.append(("R5", f"Picard-rank-one Spin entry {rec.name!r}"))
+    return tuple(dict.fromkeys(found))

@@ -8,17 +8,21 @@ ambient dimension); parameter constraints are boolean expressions over
 the declared parameter names.  Parsing then serializing then parsing is
 the identity on the record list.  A record built in code round-trips
 too, unless serializing or parsing it raises ``DatabaseFormatError``:
-serializing refuses a record-level value that holds a line break or
-starts or ends with whitespace, which the line split and strip would
-change, a ``params`` name that is empty or holds ``,``, ``;`` or
-whitespace, and an unknown orbit kind.
+serializing refuses a field value of another type than declared, a
+record-level value that holds a line break or starts or ends with
+whitespace, which the line split and strip would change, a ``params``
+name that is empty or holds ``,``, ``;`` or whitespace, and an unknown
+orbit kind.  A parse error names its line (``line N: ...``) or, for a
+fault of a whole record, its record (``record 'NAME': ...``).
 
 An ``orbit`` or ``relation`` value is a list of ``key=value`` POSIX
 shell words: ``"..."`` with ``\"`` and ``\\`` as its only escapes,
 ``'...'`` taken literally, and a backslash outside quotes escaping the
 next character.  Serialization always quotes notes, ops, targets and
 labels, and quotes an orbit ``dim`` or ``ident`` only when it contains
-whitespace, a quote or a backslash.
+whitespace, a quote or a backslash.  Parsed orbit and relation values
+are memoised in bounded caches, as compiled expressions are; the schemas
+are frozen, so records share them.  Errors are never cached.
 """
 
 from __future__ import annotations
@@ -136,24 +140,14 @@ def eval_expr(text: str, env: Mapping[str, int]):
     return eval(code, {"__builtins__": {}}, dict(env))
 
 
-def _check_expr(text: str, kind: str, names: Sequence[str], where: str) -> None:
+def _check_expr(text: str, kind: str, names: Sequence[str]) -> None:
     """Compile a record expression at load time; check its names and kind."""
-    try:
-        code, got = _compile(text)
-    except DatabaseFormatError as exc:
-        raise DatabaseFormatError(f"{where}: {exc}") from None
+    code, got = _compile(text)
     for name in code.co_names:
         if name not in names:
-            raise DatabaseFormatError(f"{where}: unknown name {name!r} in {text!r}")
+            raise DatabaseFormatError(f"unknown name {name!r} in {text!r}")
     if got != kind:
-        raise DatabaseFormatError(f"{where}: {kind} expected, got {got} in {text!r}")
-
-
-def _int(value: str, key: str, where: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise DatabaseFormatError(f"{where}: {key} {value!r} is not an integer") from None
+        raise DatabaseFormatError(f"{kind} expected, got {got} in {text!r}")
 
 
 @dataclass(frozen=True)
@@ -241,138 +235,120 @@ def _split(value: str) -> list[str]:
     return words
 
 
-def _fields(
-    tokens: Sequence[str], allowed: Sequence[str], where: str, what: str
-) -> dict[str, str]:
+def _fields(tokens: Sequence[str], allowed: Sequence[str], what: str) -> dict[str, str]:
     """The key=value tokens of an orbit or relation line, by key."""
     fields = dict.fromkeys(allowed, "")
     for tok in tokens:
         key, eq, value = tok.partition("=")
         if not eq:
-            raise DatabaseFormatError(f"{where}: bad {what} token {tok!r}")
+            raise DatabaseFormatError(f"bad {what} token {tok!r}")
         if key not in fields:
-            raise DatabaseFormatError(f"{where}: unknown {what} field {key!r}")
+            raise DatabaseFormatError(f"unknown {what} field {key!r}")
         fields[key] = value
     return fields
 
 
-def _parse_orbit(value: str, where: str) -> OrbitSchema:
+@lru_cache(maxsize=256)
+def _parse_orbit(value: str) -> OrbitSchema:
     try:
         tokens = _split(value)
     except ValueError as exc:
-        raise DatabaseFormatError(f"{where}: bad orbit line: {exc}") from None
+        raise DatabaseFormatError(f"bad orbit line: {exc}") from None
     if not tokens or tokens[0] not in _ORBIT_KINDS:
-        raise DatabaseFormatError(f"{where}: orbit kind missing in {value!r}")
-    fields = _fields(tokens[1:], ("dim", "ident", "note"), where, "orbit")
+        raise DatabaseFormatError(f"orbit kind missing in {value!r}")
+    fields = _fields(tokens[1:], ("dim", "ident", "note"), "orbit")
     if not fields["dim"]:
-        raise DatabaseFormatError(f"{where}: orbit needs a dim")
-    _check_expr(fields["dim"], "int", ("n",), where)
+        raise DatabaseFormatError("orbit needs a dim")
+    _check_expr(fields["dim"], "int", ("n",))
     ident = IDENT_RE.match(fields["ident"])
     if ident is not None:
-        _check_expr(ident.group(2), "int", ("n",), where)
+        _check_expr(ident.group(2), "int", ("n",))
     return OrbitSchema(tokens[0], fields["dim"], fields["ident"], fields["note"])
 
 
-def _parse_relation(value: str, where: str) -> RelationEdge:
+@lru_cache(maxsize=256)
+def _parse_relation(value: str) -> RelationEdge:
     try:
         tokens = _split(value)
     except ValueError as exc:
-        raise DatabaseFormatError(f"{where}: bad relation line: {exc}") from None
-    fields = _fields(tokens, ("op", "to", "label"), where, "relation")
+        raise DatabaseFormatError(f"bad relation line: {exc}") from None
+    fields = _fields(tokens, ("op", "to", "label"), "relation")
     if not fields["op"] or not fields["to"]:
-        raise DatabaseFormatError(f"{where}: relation needs op and to")
+        raise DatabaseFormatError("relation needs op and to")
     return RelationEdge(fields["op"], fields["to"], fields["label"])
+
+
+_PLAIN_KEYS = {
+    "case", "source", "item", "dim", "picard", "requires", "allows_fixed_point", "actions", "note"
+}
+
+
+def _record(fields: dict) -> RecordSchema:
+    """The record of one ``record =`` block; an error names the record."""
+    try:
+        for key in ("case", "source", "item", "dim", "picard"):
+            if key not in fields:
+                raise DatabaseFormatError(f"missing {key}")
+        for key, known in (("case", _CASES), ("source", _SOURCES)):
+            if fields[key] not in known:
+                raise DatabaseFormatError(f"unknown {key} {fields[key]!r}")
+        for key in ("item", "picard", "actions"):
+            try:
+                fields[key] = int(fields.get(key, 1))
+            except ValueError:
+                raise DatabaseFormatError(f"{key} {fields[key]!r} is not an integer") from None
+    except DatabaseFormatError as exc:
+        raise DatabaseFormatError(f"record {fields['name']!r}: {exc}") from None
+    fields["allows_fixed_point"] = fields.get("allows_fixed_point") == "yes"
+    fields["orbits"] = tuple(fields["orbits"])
+    fields["relations"] = tuple(fields["relations"])
+    return RecordSchema(**fields)
 
 
 def parse_records(text: str) -> tuple[RecordSchema, ...]:
     records: list[RecordSchema] = []
-    current: dict | None = None
-    orbits: list[OrbitSchema] = []
-    relations: list[RelationEdge] = []
-
-    def close() -> None:
-        nonlocal current, orbits, relations
-        if current is None:
-            return
-        where = f"record {current.get('name', '?')!r}"
-        for key in ("case", "source", "item", "dim", "picard"):
-            if key not in current:
-                raise DatabaseFormatError(f"{where}: missing {key}")
-        if current["case"] not in _CASES:
-            raise DatabaseFormatError(f"{where}: unknown case {current['case']!r}")
-        if current["source"] not in _SOURCES:
-            raise DatabaseFormatError(
-                f"{where}: unknown source {current['source']!r}"
-            )
-        records.append(
-            RecordSchema(
-                name=current["name"],
-                case=current["case"],
-                source=current["source"],
-                item=_int(current["item"], "item", where),
-                dim=current["dim"],
-                picard=_int(current["picard"], "picard", where),
-                requires=current.get("requires", ""),
-                param_names=tuple(current.get("param_names", ())),
-                param_constraint=current.get("param_constraint", ""),
-                allows_fixed_point=current.get("allows_fixed_point", "no") == "yes",
-                actions=_int(current.get("actions", "1"), "actions", where),
-                note=current.get("note", ""),
-                orbits=tuple(orbits),
-                relations=tuple(relations),
-            )
-        )
-        current = None
-        orbits = []
-        relations = []
-
+    fields: dict | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         key, eq, value = line.partition("=")
-        if not eq:
-            raise DatabaseFormatError(f"line {lineno}: expected key = value")
-        key = key.strip()
-        value = value.strip()
-        if key == "record":
-            close()
-            current = {"name": value}
+        key = key.rstrip()
+        value = value.lstrip()
+        if eq and key == "record":
+            if fields is not None:
+                records.append(_record(fields))
+            fields = {"name": value, "orbits": [], "relations": []}
             continue
-        if current is None:
-            raise DatabaseFormatError(f"line {lineno}: {key!r} outside a record")
-        where = f"line {lineno}"
-        if key == "orbit":
-            orbits.append(_parse_orbit(value, where))
-        elif key == "relation":
-            relations.append(_parse_relation(value, where))
-        elif key == "params":
-            names, _, constraint = value.partition(";")
-            param_names = tuple(t.strip() for t in names.split(",") if t.strip())
-            constraint = constraint.strip()
-            if constraint:
-                _check_expr(constraint, "bool", param_names, where)
-            current["param_names"] = param_names
-            current["param_constraint"] = constraint
-        elif key in (
-            "case",
-            "source",
-            "item",
-            "dim",
-            "picard",
-            "requires",
-            "allows_fixed_point",
-            "actions",
-            "note",
-        ):
-            if key == "dim":
-                _check_expr(value, "int", ("n",), where)
-            elif key == "requires" and value:
-                _check_expr(value, "bool", ("n",), where)
-            current[key] = value
-        else:
-            raise DatabaseFormatError(f"line {lineno}: unknown key {key!r}")
-    close()
+        try:
+            if not eq:
+                raise DatabaseFormatError("expected key = value")
+            if fields is None:
+                raise DatabaseFormatError(f"{key!r} outside a record")
+            if key == "orbit":
+                fields["orbits"].append(_parse_orbit(value))
+            elif key == "relation":
+                fields["relations"].append(_parse_relation(value))
+            elif key == "params":
+                names, _, constraint = value.partition(";")
+                param_names = tuple(t.strip() for t in names.split(",") if t.strip())
+                constraint = constraint.strip()
+                if constraint:
+                    _check_expr(constraint, "bool", param_names)
+                fields["param_names"] = param_names
+                fields["param_constraint"] = constraint
+            elif key in _PLAIN_KEYS:
+                if key == "dim":
+                    _check_expr(value, "int", ("n",))
+                elif key == "requires" and value:
+                    _check_expr(value, "bool", ("n",))
+                fields[key] = value
+            else:
+                raise DatabaseFormatError(f"unknown key {key!r}")
+        except DatabaseFormatError as exc:
+            raise DatabaseFormatError(f"line {lineno}: {exc}") from None
+    if fields is not None:
+        records.append(_record(fields))
     if not records:
         raise DatabaseFormatError("no records found")
     return tuple(records)
@@ -396,12 +372,29 @@ def _word(text: str) -> str:
 _RECORD_TEXT = attrgetter(
     "name", "case", "source", "requires", "dim", "param_constraint", "note"
 )
+_RECORD_INTS = attrgetter("item", "picard", "actions")
 _UNSAFE_PARAM = re.compile(r"[\s,;]").search
+
+
+def _check_types(rec: RecordSchema) -> None:
+    """Refuse field values of another type than declared, which parse back changed."""
+    for value in _RECORD_INTS(rec):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DatabaseFormatError(f"cannot write {value!r}: not an integer")
+    if not isinstance(rec.allows_fixed_point, bool):
+        raise DatabaseFormatError(f"cannot write {rec.allows_fixed_point!r}: not a bool")
+    if not isinstance(rec.param_names, tuple):
+        raise DatabaseFormatError(f"cannot write {rec.param_names!r}: not a tuple")
+    for part in (*rec.orbits, *rec.relations):
+        for value in vars(part).values():
+            if not isinstance(value, str):
+                raise DatabaseFormatError(f"cannot write {value!r}: not a string")
 
 
 def serialize_records(records: Sequence[RecordSchema]) -> str:
     lines: list[str] = []
     for rec in records:
+        _check_types(rec)
         for value in _RECORD_TEXT(rec):
             one_line = isinstance(value, str) and len(value.splitlines()) < 2
             if not one_line or value != value.strip():
@@ -409,7 +402,7 @@ def serialize_records(records: Sequence[RecordSchema]) -> str:
                     f"cannot write {value!r}: not one line without edge whitespace"
                 )
         for name in rec.param_names:
-            if not name or _UNSAFE_PARAM(name):
+            if not isinstance(name, str) or not name or _UNSAFE_PARAM(name):
                 raise DatabaseFormatError(f"cannot write params name {name!r}")
         lines.append(f"record = {rec.name}")
         lines.append(f"case = {rec.case}")

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
 from lieflag import parabolic, records
 from lieflag.classifier import (
     GroupSpec,
+    Violation,
     classify,
     load_database,
     orbit_structure,
@@ -315,6 +318,41 @@ def test_rule_r3_messages():
         "identification Gr(2,5) has no flag variety under A3 at n=4"
     ]
     assert _r3(3, "Q^{n}") == ["identification Q^4 has dim 4 but orbit recorded at 3"]
+
+
+def test_rule_r3_checks_identified_open_orbits():
+    text = _mutated_db("orbit = open dim=4 ident=Gr(2,4)", "orbit = open dim=4 ident=Q^9")
+    assert validate_records(parse_records(text)) == [
+        Violation("R3", "Gr(2,4)", "SL", "identification Q^9 has no flag variety under A3 at n=4")
+    ]
+
+
+_SPIN_RECORD = """
+record = Y
+case = Spin
+source = Thm4.1
+item = 9
+requires = {requires}
+dim = n
+picard = 2
+orbit = open dim=n
+"""
+
+
+def test_a_record_no_probe_reaches_is_reported():
+    text = serialize_records(load_database()) + _SPIN_RECORD.format(requires="n == 9")
+    assert validate_records(parse_records(text)) == [
+        Violation("reach", "Y", "Spin", "requires 'n == 9' holds at no probe n in [6, 7, 8]")
+    ]
+    assert validate_records(parse_records(_SPIN_RECORD.format(requires="n == 8"))) == []
+
+
+def test_raising_a_shipped_lower_bound_by_one_keeps_every_record_reached():
+    # the benchmark's database variants raise `requires = n >= k` to k + 1
+    text = serialize_records(load_database())
+    raised = re.sub(r"requires = n >= (\d+)", lambda m: f"requires = n >= {int(m[1]) + 1}", text)
+    assert raised != text
+    assert validate_records(parse_records(raised)) == []
 
 
 def test_rule_r4_fires_on_missing_open_orbit():

@@ -1,4 +1,5 @@
 import os
+import re
 import shlex
 import signal
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieflag.classifier import load_database
+from lieflag.classifier import _record_violations, load_database, validate_records
 from lieflag.errors import DatabaseFormatError
 from lieflag.records import (
     IDENT_RE,
@@ -16,6 +17,8 @@ from lieflag.records import (
     RecordSchema,
     RelationEdge,
     _compile,
+    _parse_orbit,
+    _parse_relation,
     _split,
     eval_expr,
     parse_records,
@@ -64,51 +67,84 @@ def test_record_predicates():
     assert rec.check_params({"m": 3}) and not rec.check_params({"m": 0})
 
 
+# Each malformation with the exact text its DatabaseFormatError carries:
+# a line-level fault names its line, a record-level one its record.
+_DEEP_600 = "-" * 600 + "n"
+_DEEP_3000 = "-" * 3000 + "n"
+# Parts the interpreter words itself, and which of our two nesting errors
+# fires depends on its parser; only the text around them is pinned.
+_INTERPRETER_WORDED = {
+    "{syntax}": r"invalid syntax \(.*\)",
+    "{deep}": r"(expression nested too deeply: |bad expression )",
+    "{tail}": r"(: .+)?",
+}
+
+
 @pytest.mark.parametrize(
     "mutation",
     [
-        ("case = SL", "case = XX"),
-        ("source = Thm4.1", "source = Thm9.9"),
-        ("item = 1", ""),
-        ("orbit = open dim=n", "orbit = open"),
-        ("orbit = open dim=n", "orbit = sideways dim=n"),
-        ("note = hello world", "oops = hello"),
+        ("case = SL", "case = XX", "record 'W^n': unknown case 'XX'"),
+        ("source = Thm4.1", "source = Thm9.9", "record 'W^n': unknown source 'Thm9.9'"),
+        ("item = 1", "", "record 'W^n': missing item"),
+        ("orbit = open dim=n", "orbit = open", "line 14: orbit needs a dim"),
+        (
+            "orbit = open dim=n",
+            "orbit = sideways dim=n",
+            "line 14: orbit kind missing in 'sideways dim=n'",
+        ),
+        ("note = hello world", "oops = hello", "line 12: unknown key 'oops'"),
         # non-integer item, picard or actions
-        ("item = 1", "item = x"),
-        ("picard = 1", "picard = one"),
-        ("actions = 2", "actions = 2.5"),
+        ("item = 1", "item = x", "record 'W^n': item 'x' is not an integer"),
+        ("picard = 1", "picard = one", "record 'W^n': picard 'one' is not an integer"),
+        ("actions = 2", "actions = 2.5", "record 'W^n': actions '2.5' is not an integer"),
         # unterminated quote on a relation line
-        ('label="W^{(1)}"', 'label="W^{(1)}'),
+        (
+            'label="W^{(1)}"',
+            'label="W^{(1)}',
+            "line 15: bad relation line: No closing quotation",
+        ),
         # expressions of the wrong kind, or over undeclared names
-        ("dim = n", "dim = (1,2)"),
-        ("dim = n", "dim = n > 2"),
-        ("dim = n", "dim = (1, 2) + (3,)"),
-        ("dim = n", "dim = k + 1"),
-        ("dim = n", "dim = n +"),
-        ("dim = n", "dim = " + "-" * 600 + "n"),
-        ("dim = n", "dim = " + "-" * 3000 + "n"),
-        ("requires = n >= 2", "requires = n"),
-        ("requires = n >= 2", "requires = (n, 1) < 2"),
-        ("requires = n >= 2", "requires = m > 0"),
-        ("m ; m > 0", "m ; m"),
-        ("m ; m > 0", "m ; n > 0"),
-        ("open dim=n", "open dim=n==2"),
-        ("open dim=n", "open dim=k"),
+        ("dim = n", "dim = (1,2)", "line 8: int expected, got tuple in '(1,2)'"),
+        ("dim = n", "dim = n > 2", "line 8: int expected, got bool in 'n > 2'"),
+        (
+            "dim = n",
+            "dim = (1, 2) + (3,)",
+            "line 8: tuple outside == or != in '(1, 2) + (3,)'",
+        ),
+        ("dim = n", "dim = k + 1", "line 8: unknown name 'k' in 'k + 1'"),
+        ("dim = n", "dim = n +", "line 8: bad expression 'n +': {syntax}"),
+        ("dim = n", "dim = " + _DEEP_600, f"line 8: {{deep}}{_DEEP_600!r}{{tail}}"),
+        ("dim = n", "dim = " + _DEEP_3000, f"line 8: {{deep}}{_DEEP_3000!r}{{tail}}"),
+        ("requires = n >= 2", "requires = n", "line 7: bool expected, got int in 'n'"),
+        (
+            "requires = n >= 2",
+            "requires = (n, 1) < 2",
+            "line 7: tuple outside == or != in '(n, 1) < 2'",
+        ),
+        ("requires = n >= 2", "requires = m > 0", "line 7: unknown name 'm' in 'm > 0'"),
+        ("m ; m > 0", "m ; m", "line 10: bool expected, got int in 'm'"),
+        ("m ; m > 0", "m ; n > 0", "line 10: unknown name 'n' in 'n > 0'"),
+        ("open dim=n", "open dim=n==2", "line 14: int expected, got bool in 'n==2'"),
+        ("open dim=n", "open dim=k", "line 14: unknown name 'k' in 'k'"),
         # orbit identification exponents are expressions in n too
-        ("ident=P^{n-1}", "ident=P^{n-}"),
-        ("ident=P^{n-1}", "ident=Q^{n+}"),
+        ("ident=P^{n-1}", "ident=P^{n-}", "line 13: bad expression 'n-': {syntax}"),
+        ("ident=P^{n-1}", "ident=Q^{n+}", "line 13: bad expression 'n+': {syntax}"),
     ],
 )
 def test_parse_rejects_malformed_records(mutation):
-    old, new = mutation
-    with pytest.raises(DatabaseFormatError):
+    old, new, message = mutation
+    with pytest.raises(DatabaseFormatError) as exc:
         parse_records(MINIMAL.replace(old, new))
+    pattern = re.escape(message)
+    for placeholder, regex in _INTERPRETER_WORDED.items():
+        pattern = pattern.replace(re.escape(placeholder), regex)
+    assert re.fullmatch(pattern, str(exc.value)), str(exc.value)
 
 
 def test_parse_rejects_orphan_lines():
-    with pytest.raises(DatabaseFormatError):
+    with pytest.raises(DatabaseFormatError, match=r"^line 1: 'dim' outside a record$"):
         parse_records("dim = n\n")
-    with pytest.raises(DatabaseFormatError):
+    with pytest.raises(DatabaseFormatError, match=r"^no records found$"):
         parse_records("# only a comment\n")
 
 
@@ -162,8 +198,9 @@ def test_expressions_validated_at_load_not_at_query():
     # no query is needed to reach the bad dim of a record that never applies
     text = MINIMAL.replace("requires = n >= 2", "requires = n > 99")
     parse_records(text)
-    with pytest.raises(DatabaseFormatError):
+    with pytest.raises(DatabaseFormatError) as exc:
         parse_records(text.replace("dim = n", "dim = (1,2)"))
+    assert str(exc.value) == "line 8: int expected, got tuple in '(1,2)'"
 
 
 def test_tuples_stay_legal_under_equality():
@@ -193,6 +230,35 @@ def test_shipped_db_with_one_value_replaced_fails_only_cleanly(index, value):
         parse_records("\n".join(lines))
     except DatabaseFormatError:
         pass
+
+
+_VALUES = sorted({line.split(" = ", 1)[1] for line in SHIPPED.splitlines() if " = " in line})
+
+
+def _parse_and_validate(text: str):
+    try:
+        records = parse_records(text)
+    except DatabaseFormatError as exc:
+        return str(exc)
+    return records, validate_records(records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    index=st.integers(min_value=0),
+    value=st.sampled_from(_VALUES) | st.text(max_size=30),
+)
+def test_cold_caches_give_the_warm_results(index, value):
+    lines = SHIPPED.splitlines()
+    fields = [i for i, line in enumerate(lines) if " = " in line]
+    at = fields[index % len(fields)]
+    lines[at] = lines[at].split(" = ", 1)[0] + " = " + value
+    text = "\n".join(lines)
+    _parse_and_validate(text)
+    warm = _parse_and_validate(text)
+    for memo in (_parse_orbit, _parse_relation, _record_violations):
+        memo.cache_clear()
+    assert _parse_and_validate(text) == warm
 
 
 def test_edited_database_file_is_reread(tmp_path):
@@ -280,11 +346,40 @@ def test_split_rejects_long_adversarial_lines_in_linear_time(line, error):
     ],
 )
 def test_tokenizer_errors_keep_their_text(old, new, error):
-    with pytest.raises(DatabaseFormatError, match=error):
-        parse_records(MINIMAL.replace(old, new))
+    text = MINIMAL.replace(old, new)
+    lineno = next(i for i, line in enumerate(text.splitlines(), 1) if new in line)
+    with pytest.raises(DatabaseFormatError) as exc:
+        parse_records(text)
+    assert str(exc.value) == f"line {lineno}: {error}"
 
 
 _HEAD = "record = X\ncase = SL\nsource = Thm4.1\nitem = 1\ndim = n\npicard = 1\n"
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("orbit = open dim=k", "unknown name 'k' in 'k'"),
+        ("relation = op=x", "relation needs op and to"),
+    ],
+)
+def test_a_repeated_bad_value_names_the_line_of_each_parse(line, error):
+    # orbit and relation values are memoised, their errors never
+    for pad in (0, 3, 0):
+        with pytest.raises(DatabaseFormatError) as exc:
+            parse_records("\n" * pad + _HEAD + line)
+        assert str(exc.value) == f"line {7 + pad}: {error}"
+
+
+def test_a_cached_good_value_keeps_later_errors_on_their_line():
+    good = _HEAD + "orbit = open dim=n\nrelation = op=a to=b\n"
+    parse_records(good)
+    with pytest.raises(DatabaseFormatError) as exc:
+        parse_records("# pad\n" + good + "orbit = open dim=n\nrelation = op=a\n")
+    assert str(exc.value) == "line 11: relation needs op and to"
+    with pytest.raises(DatabaseFormatError) as exc:
+        parse_records(good.replace("picard = 1\n", "") + "record = Y\n")
+    assert str(exc.value) == "record 'X': missing picard"
 
 
 @pytest.mark.parametrize(
@@ -355,12 +450,38 @@ def test_serialize_round_trips_arbitrary_values(kind, dim, ident, note, op, to, 
         ("param_names", ("m\x1c",)),
         ("orbits", (OrbitSchema("open dim=n\nnote = x", "n"),)),
         ("orbits", (OrbitSchema('"open"', "n"),)),
+        # a value of another type than the field declares
+        ("item", "3"),
+        ("item", True),
+        ("picard", 2.0),
+        ("actions", None),
+        ("allows_fixed_point", "yes"),
+        ("allows_fixed_point", 1),
+        ("param_names", ["m"]),
+        ("param_names", ("m", 3)),
+        ("orbits", (OrbitSchema(None, "n"),)),
+        ("orbits", (OrbitSchema("open", None),)),
+        ("orbits", (OrbitSchema("open", "n", 4),)),
+        ("orbits", (OrbitSchema("open", "n", "", b"x"),)),
+        ("relations", (RelationEdge(1, "P^n"),)),
+        ("relations", (RelationEdge("op", ("P^n",)),)),
+        ("relations", (RelationEdge("op", "P^n", None),)),
     ],
 )
 def test_serialize_refuses_values_the_line_format_would_change(field, value):
     (base,) = parse_records(MINIMAL)
     with pytest.raises(DatabaseFormatError, match="cannot write"):
         serialize_records([replace(base, **{field: value})])
+
+
+def test_serialize_names_the_value_of_another_type():
+    (base,) = parse_records(MINIMAL)
+    with pytest.raises(DatabaseFormatError) as exc:
+        serialize_records([replace(base, item="3")])
+    assert str(exc.value) == "cannot write '3': not an integer"
+    with pytest.raises(DatabaseFormatError) as exc:
+        serialize_records([replace(base, orbits=(OrbitSchema("open", None),))])
+    assert str(exc.value) == "cannot write None: not a string"
 
 
 def test_serialize_keeps_a_constraint_without_parameter_names():
@@ -387,6 +508,22 @@ _FIELD_VALUES = {
         lambda kind: (OrbitSchema(kind, "n"),)
     ),
 }
+# Values of another type than a field declares, which must never parse
+# back as something else.
+_ILL_TYPED = st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+_FIELD_VALUES.update(
+    item=st.integers() | _ILL_TYPED,
+    picard=st.integers() | _ILL_TYPED,
+    actions=st.integers() | _ILL_TYPED,
+    allows_fixed_point=st.booleans() | _ILL_TYPED,
+    param_names=_FIELD_VALUES["param_names"] | st.lists(_ILL_TYPED, max_size=2).map(tuple)
+    | st.lists(st.sampled_from(["m", "k"]), max_size=2),
+    orbits=_FIELD_VALUES["orbits"]
+    | st.builds(OrbitSchema, st.just("closed"), _DIMS | _ILL_TYPED, _ILL_TYPED, _ILL_TYPED).map(
+        lambda orbit: (orbit,)
+    ),
+    relations=st.builds(RelationEdge, _ILL_TYPED, _ILL_TYPED, _ILL_TYPED).map(lambda r: (r,)),
+)
 
 
 @settings(max_examples=300, deadline=None)
