@@ -10,10 +10,9 @@ database covers exactly the quasihomogeneous fourfolds of SL(3).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import index
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     DatabaseFormatError,
@@ -28,21 +27,20 @@ from .parabolic import (
     named_marking,
     r_min,
 )
-from .records import IDENT_RE, RecordSchema, eval_expr, parse_records
-from .roots import DynkinType
+from .records import IDENT_RE, RecordSchema, eval_expr, param_index, parse_records
+from .roots import DynkinType, _make_validated
 
 DB_ENV_VAR = "LIEFLAG_DB"
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple("GroupSpec", [("family", str), ("parameter", int)])):
     """A classical simple group named the way the record lists name it."""
 
-    family: str
-    parameter: int = 0
+    __slots__ = ()
+    _make = _make_validated
 
-    def __post_init__(self) -> None:
-        f, p = self.family, self.parameter
+    def __new__(cls, family: str, parameter: int = 0) -> "GroupSpec":
+        f, p = family, parameter
         try:
             index(p)
         except TypeError:
@@ -58,6 +56,7 @@ class GroupSpec:
                 raise InvalidGroup(f"Spin needs parameter >= 5, got {p}")
         elif f != "G2":
             raise InvalidGroup(f"unknown family {f!r}")
+        return super().__new__(cls, family, parameter)
 
     def resolve(self) -> tuple[str, "GroupSpec"]:
         """Case label plus the group after the low-rank spin aliases."""
@@ -122,16 +121,14 @@ def _ident_label(ident: str, n: int) -> str:
     return f"{match.group(1)}^{eval_expr(match.group(2), {'n': n})}"
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     kind: str
     dim: int
     identification: str = ""
     note: str = ""
 
 
-@dataclass(frozen=True)
-class VarietyDescriptor:
+class VarietyDescriptor(NamedTuple):
     """One record of the classification, instantiated at a dimension n."""
 
     name: str
@@ -152,33 +149,19 @@ class VarietyDescriptor:
 def _instantiate(rec: RecordSchema, n: int) -> VarietyDescriptor:
     env = {"n": n}
     orbits = tuple(
-        Orbit(
-            kind=o.kind,
-            dim=int(eval_expr(o.dim, env)),
-            identification=_ident_label(o.ident, n) if o.ident else "",
-            note=o.note,
-        )
+        Orbit(o.kind, int(eval_expr(o.dim, env)), _ident_label(o.ident, n) if o.ident else "",
+              o.note)
         for o in rec.orbits
     )
     return VarietyDescriptor(
-        name=rec.name,
-        case=rec.case,
-        source=rec.source,
-        item=rec.item,
-        n=n,
-        dim=int(eval_expr(rec.dim, env)),
-        picard=rec.picard,
-        orbits=orbits,
-        param_names=rec.param_names,
-        param_constraint=rec.param_constraint,
-        actions=rec.actions,
-        note=rec.note,
-        allows_fixed_point=rec.allows_fixed_point,
+        name=rec.name, case=rec.case, source=rec.source, item=rec.item, n=n,
+        dim=int(eval_expr(rec.dim, env)), picard=rec.picard, orbits=orbits,
+        param_names=rec.param_names, param_constraint=rec.param_constraint,
+        actions=rec.actions, note=rec.note, allows_fixed_point=rec.allows_fixed_point,
     )
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     verdict: str  # only_trivial_action | homogeneous | full_list | out_of_covered_range
     group: GroupSpec
     n: int
@@ -288,7 +271,7 @@ def orbit_structure(
     rec = matches[0]
     if "n" not in params:
         raise ParameterViolation("params must bind n")
-    n = int(params["n"])
+    n = param_index("n", params["n"])
     if not rec.applies(n):
         raise ParameterViolation(
             f"{name!r} requires {rec.requires!r}, violated at n={n}"
@@ -323,8 +306,7 @@ def relations(
     return tuple(edges)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     record: str
     case: str

@@ -137,19 +137,18 @@ _DESCRIPTOR_KEYS = ("name", "case", "source", "item", "n", "dim", "picard", "par
 
 
 def _cmd_classify(args) -> dict:
-    from dataclasses import asdict
     group = lieflag.GroupSpec(args.group, args.param)
     result = lieflag.classify(
         group, args.dim, quasihomogeneous_only=args.quasihomogeneous, db_path=args.db
     )
-    entries = [asdict(d) for d in result.entries]
+    entries = [{**d._asdict(), "orbits": [o._asdict() for o in d.orbits]}
+               for d in result.entries]
     return {"group": group.label(), "n": result.n, "verdict": result.verdict,
             "reason": result.reason, "count": len(entries),
             "entries": [{key: e[key] for key in _DESCRIPTOR_KEYS} for e in entries]}
 
 
 def _cmd_orbits(args) -> dict:
-    from dataclasses import asdict
     params: dict[str, int] = {}
     if args.params:
         for item in args.params.split(","):
@@ -162,7 +161,7 @@ def _cmd_orbits(args) -> dict:
                 raise UsageError("--params", f"non-integer value in {item!r}") from None
     orbits = lieflag.orbit_structure(args.variety, params, case=args.case, db_path=args.db)
     return {"variety": args.variety, "params": params, "count": len(orbits),
-            "orbits": [asdict(o) for o in orbits]}
+            "orbits": [o._asdict() for o in orbits]}
 
 
 def _cmd_relations(args) -> dict:
@@ -172,9 +171,8 @@ def _cmd_relations(args) -> dict:
 
 
 def _cmd_validate_db(args) -> dict:
-    from dataclasses import asdict
     violations = lieflag.validate_database(db_path=args.db)
-    return {"count": len(violations), "violations": [asdict(v) for v in violations]}
+    return {"count": len(violations), "violations": [v._asdict() for v in violations]}
 
 
 # One entry per command, in usage-line order.  ``arguments`` are keys of _ARGUMENTS.  ``layout``

@@ -17,6 +17,7 @@ from .errors import ArityMismatch, EmptyMarking, NodeOutOfRange, NotMaximalParab
 from .roots import (
     DynkinType,
     Weight,
+    _make_validated,
     positive_roots,
     root_system,
 )
@@ -28,6 +29,7 @@ class ParabolicMarking(
     """Marked-node subset defining a proper parabolic subgroup."""
 
     __slots__ = ()
+    _make = _make_validated
 
     def __new__(cls, dynkin: DynkinType, marked: Iterable[int]) -> "ParabolicMarking":
         try:

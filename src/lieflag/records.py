@@ -8,12 +8,13 @@ ambient dimension); parameter constraints are boolean expressions over
 the declared parameter names.  Parsing then serializing then parsing is
 the identity on the record list.  A record built in code round-trips
 too, unless serializing or parsing it raises ``DatabaseFormatError``:
-serializing refuses a field value of another type than declared, a
-record-level value that holds a line break or starts or ends with
-whitespace, which the line split and strip would change, a ``params``
-name that is empty or holds ``,``, ``;`` or whitespace, and an unknown
-orbit kind.  A parse error names its line (``line N: ...``) or, for a
-fault of a whole record, its record (``record 'NAME': ...``).
+serializing refuses a field value of another type than declared, an
+integer with more digits than ``str`` converts, a record-level value
+that holds a line break or starts or ends with whitespace, which the
+line split and strip would change, a ``params`` name that is empty or
+holds ``,``, ``;`` or whitespace, and an unknown orbit kind.  A parse
+error names its line (``line N: ...``) or, for a fault of a whole
+record, its record (``record 'NAME': ...``).
 
 An ``orbit`` or ``relation`` value is a list of ``key=value`` POSIX
 shell words: ``"..."`` with ``\"`` and ``\\`` as its only escapes,
@@ -29,13 +30,12 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, index
 from types import CodeType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .errors import DatabaseFormatError
+from .errors import DatabaseFormatError, ParameterViolation
 
 _SOURCES = ("Prop3.1", "Thm4.1", "Thm5.4")
 _CASES = ("SL", "Sp", "Spin", "SL3Q")
@@ -150,23 +150,28 @@ def _check_expr(text: str, kind: str, names: Sequence[str]) -> None:
         raise DatabaseFormatError(f"{kind} expected, got {got} in {text!r}")
 
 
-@dataclass(frozen=True)
-class OrbitSchema:
+def param_index(name: str, value) -> int:
+    """An integer parameter value; a fraction or a string is refused, not truncated."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ParameterViolation(f"parameter {name!r} must be an integer, got {value!r}") from None
+
+
+class OrbitSchema(NamedTuple):
     kind: str
     dim: str
     ident: str = ""
     note: str = ""
 
 
-@dataclass(frozen=True)
-class RelationEdge:
+class RelationEdge(NamedTuple):
     op: str
     to: str
     label: str = ""
 
 
-@dataclass(frozen=True)
-class RecordSchema:
+class RecordSchema(NamedTuple):
     """One classification entry, dimensions still symbolic in n."""
 
     name: str
@@ -192,7 +197,7 @@ class RecordSchema:
     def check_params(self, values: Mapping[str, int]) -> bool:
         if not self.param_constraint:
             return True
-        env = {name: int(values[name]) for name in self.param_names}
+        env = {name: param_index(name, values[name]) for name in self.param_names}
         return bool(eval_expr(self.param_constraint, env))
 
 
@@ -386,7 +391,7 @@ def _check_types(rec: RecordSchema) -> None:
     if not isinstance(rec.param_names, tuple):
         raise DatabaseFormatError(f"cannot write {rec.param_names!r}: not a tuple")
     for part in (*rec.orbits, *rec.relations):
-        for value in vars(part).values():
+        for value in part:
             if not isinstance(value, str):
                 raise DatabaseFormatError(f"cannot write {value!r}: not a string")
 
@@ -404,21 +409,25 @@ def serialize_records(records: Sequence[RecordSchema]) -> str:
         for name in rec.param_names:
             if not isinstance(name, str) or not name or _UNSAFE_PARAM(name):
                 raise DatabaseFormatError(f"cannot write params name {name!r}")
+        try:
+            item, picard, actions = map(str, _RECORD_INTS(rec))
+        except ValueError as exc:  # more digits than int -> str allows
+            raise DatabaseFormatError(f"cannot write an integer: {exc}") from None
         lines.append(f"record = {rec.name}")
         lines.append(f"case = {rec.case}")
         lines.append(f"source = {rec.source}")
-        lines.append(f"item = {rec.item}")
+        lines.append(f"item = {item}")
         if rec.requires:
             lines.append(f"requires = {rec.requires}")
         lines.append(f"dim = {rec.dim}")
-        lines.append(f"picard = {rec.picard}")
+        lines.append(f"picard = {picard}")
         if rec.param_names or rec.param_constraint:
             names = ", ".join(rec.param_names)
             lines.append(f"params = {names} ; {rec.param_constraint}".rstrip())
         if rec.allows_fixed_point:
             lines.append("allows_fixed_point = yes")
         if rec.actions != 1:
-            lines.append(f"actions = {rec.actions}")
+            lines.append(f"actions = {actions}")
         if rec.note:
             lines.append(f"note = {rec.note}")
         for orb in rec.orbits:

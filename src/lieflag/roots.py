@@ -28,10 +28,17 @@ _FIXED_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 MAX_CLASSICAL_RANK = 12
 
 
+@classmethod
+def _make_validated(cls, iterable: Iterable):
+    """``_make`` that builds through the validating ``__new__``; ``_replace`` calls it."""
+    return cls(*iterable)
+
+
 class DynkinType(NamedTuple("DynkinType", [("series", str), ("rank", int)])):
     """A simple Lie type: series letter A-G plus rank."""
 
     __slots__ = ()
+    _make = _make_validated
 
     def __new__(cls, series: str, rank: int) -> "DynkinType":
         try:
@@ -76,6 +83,7 @@ class Weight(NamedTuple("Weight", [("dynkin", DynkinType), ("coords", tuple[int,
     """Integer coordinates on the fundamental weights of a fixed type."""
 
     __slots__ = ()
+    _make = _make_validated
 
     def __new__(cls, dynkin: DynkinType, coords: tuple[int, ...]) -> "Weight":
         if len(coords) != dynkin.rank:

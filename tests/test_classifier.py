@@ -200,6 +200,25 @@ def test_orbit_structure_parameter_checks():
         orbit_structure("Q^4", {"n": 4})  # ambiguous between Sp and SL3Q
 
 
+@pytest.mark.parametrize(
+    "params, name",
+    [
+        ({"n": 4.7, "m": 2}, "n"),
+        ({"n": 4, "m": 1.9}, "m"),
+        ({"n": 4, "m": 0.5}, "m"),
+        ({"n": 4, "m": "2"}, "m"),
+    ],
+)
+def test_orbit_structure_refuses_fractional_parameters(params, name):
+    # refused and named, not truncated to the orbits of n = 4 or m = 1
+    value = params[name]
+    with pytest.raises(ParameterViolation) as exc:
+        orbit_structure("P(O(m)+O)/P^{n-1}", params, case="SL")
+    assert str(exc.value) == f"parameter {name!r} must be an integer, got {value!r}"
+    with pytest.raises(ParameterViolation, match="'n' must be an integer, got 4.7"):
+        orbit_structure("P^n", {"n": 4.7}, case="SL")
+
+
 def test_relations_edges():
     assert relations("Q^4") == (("blow-up one plane orbit", "Y_{(-1)}"),)
     assert relations("Y_{(-1)}") == (

@@ -2,7 +2,6 @@ import os
 import re
 import shlex
 import signal
-from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieflag.classifier import _record_violations, load_database, validate_records
-from lieflag.errors import DatabaseFormatError
+from lieflag.errors import DatabaseFormatError, ParameterViolation
 from lieflag.records import (
     IDENT_RE,
     OrbitSchema,
@@ -65,6 +64,14 @@ def test_record_predicates():
     (rec,) = parse_records(MINIMAL)
     assert rec.applies(2) and not rec.applies(1)
     assert rec.check_params({"m": 3}) and not rec.check_params({"m": 0})
+
+
+@pytest.mark.parametrize("value", [1.9, 0.5, "2", None])
+def test_check_params_refuses_a_value_that_is_not_an_integer(value):
+    (rec,) = parse_records(MINIMAL)
+    with pytest.raises(ParameterViolation) as exc:
+        rec.check_params({"m": value})
+    assert str(exc.value) == f"parameter 'm' must be an integer, got {value!r}"
 
 
 # Each malformation with the exact text its DatabaseFormatError carries:
@@ -423,8 +430,7 @@ _IDENTS = st.one_of(
 )
 def test_serialize_round_trips_arbitrary_values(kind, dim, ident, note, op, to, label):
     (base,) = parse_records(MINIMAL)
-    rec = replace(
-        base,
+    rec = base._replace(
         orbits=(OrbitSchema(kind, dim, ident, note),),
         relations=(RelationEdge(op, to, label),),
     )
@@ -471,22 +477,29 @@ def test_serialize_round_trips_arbitrary_values(kind, dim, ident, note, op, to, 
 def test_serialize_refuses_values_the_line_format_would_change(field, value):
     (base,) = parse_records(MINIMAL)
     with pytest.raises(DatabaseFormatError, match="cannot write"):
-        serialize_records([replace(base, **{field: value})])
+        serialize_records([base._replace(**{field: value})])
 
 
 def test_serialize_names_the_value_of_another_type():
     (base,) = parse_records(MINIMAL)
     with pytest.raises(DatabaseFormatError) as exc:
-        serialize_records([replace(base, item="3")])
+        serialize_records([base._replace(item="3")])
     assert str(exc.value) == "cannot write '3': not an integer"
     with pytest.raises(DatabaseFormatError) as exc:
-        serialize_records([replace(base, orbits=(OrbitSchema("open", None),))])
+        serialize_records([base._replace(orbits=(OrbitSchema("open", None),))])
     assert str(exc.value) == "cannot write None: not a string"
+
+
+@pytest.mark.parametrize("field", ["item", "picard", "actions"])
+def test_serialize_refuses_an_integer_too_long_to_write(field):
+    (base,) = parse_records(MINIMAL)
+    with pytest.raises(DatabaseFormatError, match="^cannot write an integer: Exceeds the limit"):
+        serialize_records([base._replace(**{field: 10**5000})])
 
 
 def test_serialize_keeps_a_constraint_without_parameter_names():
     (base,) = parse_records(MINIMAL)
-    rec = replace(base, param_names=(), param_constraint="True")
+    rec = base._replace(param_names=(), param_constraint="True")
     assert parse_records(serialize_records([rec])) == (rec,)
 
 
@@ -531,9 +544,9 @@ _FIELD_VALUES.update(
 def test_serialize_round_trips_or_refuses_record_values(data):
     (base,) = parse_records(MINIMAL)
     if data.draw(st.booleans(), label="drop params"):
-        base = replace(base, param_names=(), param_constraint="")
+        base = base._replace(param_names=(), param_constraint="")
     keys = data.draw(st.sets(st.sampled_from(sorted(_FIELD_VALUES)), max_size=3))
-    rec = replace(base, **{k: data.draw(_FIELD_VALUES[k], label=k) for k in sorted(keys)})
+    rec = base._replace(**{k: data.draw(_FIELD_VALUES[k], label=k) for k in sorted(keys)})
     try:
         back = parse_records(serialize_records([rec]))
     except DatabaseFormatError:

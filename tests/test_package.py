@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +12,16 @@ import pytest
 import lieflag
 from lieflag import (
     DynkinType,
+    GroupSpec,
     HomogeneousVariety,
     ParabolicMarking,
     RootSystem,
     VarietyClass,
+    Violation,
     Weight,
 )
+from lieflag.errors import InvalidGroup, InvalidRank, NodeOutOfRange
+from lieflag.records import parse_records
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -69,6 +74,23 @@ def test_type_command_skips_database_modules():
     loaded = set(json.loads(modules))
     assert {"lieflag.cli", "lieflag.roots", "lieflag.parabolic"} <= loaded
     assert not loaded & {"lieflag.classifier", "lieflag.records", "dataclasses", "ast", "json"}
+
+
+@pytest.mark.parametrize(
+    "case", ["classify_SL4_n4.txt", "validate_db.json", "orbits_bundle_over_P3.txt"]
+)
+def test_database_command_skips_dataclasses_and_inspect(case):
+    lines = (GOLDEN / "manifest.tsv").read_text().splitlines()
+    manifest = dict(line.split("\t") for line in lines)
+    stem, suffix = case.rsplit(".", 1)
+    argv = (["--json"] if suffix == "json" else []) + shlex.split(manifest[stem])
+    step = f"from lieflag import cli\ncli.run({argv!r})"
+    done = _fresh_python(_FOOTPRINT.format(step=step))
+    *out, modules = done.stdout.splitlines()
+    assert "\n".join(out) + "\n" == (GOLDEN / case).read_text()
+    loaded = set(json.loads(modules))
+    assert {"lieflag.classifier", "lieflag.records"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_database_command_after_lazy_start_matches_golden():
@@ -138,3 +160,86 @@ def test_value_types_keep_repr_hash_order_and_immutability():
             obj.extra = 1
     coords = Weight(c2, [True, 0]).coords  # normalised to a tuple of plain ints
     assert type(coords) is tuple and [type(c) for c in coords] == [int, int]
+
+
+_RECORD = """record = W
+case = SL
+source = Thm4.1
+item = 1
+dim = n
+picard = 2
+params = m ; m > 0
+orbit = open dim=n
+relation = op=up to=P^n label=W1
+"""
+
+
+def _database_values():
+    """One value of each database type, with the repr the frozen dataclasses printed."""
+    (rec,) = parse_records(_RECORD)
+    result = lieflag.classify(GroupSpec("SL", 2), 1)
+    (entry,) = result.entries
+    orbit_repr = "Orbit(kind='open', dim=1, identification='P^1', note='')"
+    entry_repr = (
+        "VarietyDescriptor(name='P^1', case='SL', source='Prop3.1', item=0, n=1, dim=1, "
+        f"picard=1, orbits=({orbit_repr},), param_names=(), param_constraint='', actions=1, "
+        "note='homogeneous, marked node 1', allows_fixed_point=False)"
+    )
+    return [
+        (rec.orbits[0], "OrbitSchema(kind='open', dim='n', ident='', note='')", "dim"),
+        (rec.relations[0], "RelationEdge(op='up', to='P^n', label='W1')", "to"),
+        (rec, "RecordSchema(name='W', case='SL', source='Thm4.1', item=1, dim='n', picard=2, "
+              "requires='', param_names=('m',), param_constraint='m > 0', "
+              "allows_fixed_point=False, actions=1, note='', "
+              "orbits=(OrbitSchema(kind='open', dim='n', ident='', note=''),), "
+              "relations=(RelationEdge(op='up', to='P^n', label='W1'),))", "item"),
+        (GroupSpec("SL", 4), "GroupSpec(family='SL', parameter=4)", "parameter"),
+        (entry.orbits[0], orbit_repr, "dim"),
+        (entry, entry_repr, "note"),
+        (result, "ClassificationResult(verdict='homogeneous', "
+                 f"group=GroupSpec(family='SL', parameter=2), n=1, entries=({entry_repr},), "
+                 "reason='')", "n"),
+        (Violation("R1", "W", "SL", "m"),
+         "Violation(rule='R1', record='W', case='SL', message='m')", "rule"),
+    ]
+
+
+def test_database_types_keep_repr_hash_and_immutability():
+    values = _database_values()
+    assert len({type(value) for value, _, _ in values}) == 8
+    for value, text, field in values:
+        assert repr(value) == text
+        assert hash(value) == hash(tuple(value))
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        other = value._replace(**{field: getattr(value, field)})
+        assert other == value and type(other) is type(value)
+        assert value._asdict()[field] == getattr(value, field)
+    (rec,) = parse_records(_RECORD)
+    assert rec._replace(item=2).item == 2 and rec._replace(item=2).applies(1)
+    assert GroupSpec("SL", 4)._replace(parameter=5) == GroupSpec("SL", 5)
+    assert GroupSpec("G2") == GroupSpec("G2", 0) == ("G2", 0)  # the default parameter
+
+
+def test_replace_and_make_validate_like_the_constructor():
+    a2 = DynkinType("A", 2)
+    with pytest.raises(InvalidRank, match="rank 99 above the configured cap"):
+        a2._replace(rank=99)
+    with pytest.raises(InvalidRank, match="rank 99 above the configured cap"):
+        DynkinType._make(("A", 99))
+    with pytest.raises(NodeOutOfRange, match="node 7 out of range 1..2 for A2"):
+        lieflag.marking(a2, (1,))._replace(marked=frozenset({7}))
+    w = Weight(a2, (1, 0))
+    with pytest.raises(InvalidRank, match="must be integers"):
+        w._replace(coords=(1.5, 0))
+    with pytest.raises(InvalidRank, match="needs 2 coordinates, got 1"):
+        w._replace(coords=(1,))
+    with pytest.raises(InvalidGroup, match="SL needs parameter >= 2, got 1"):
+        GroupSpec("SL", 4)._replace(parameter=1)
+    with pytest.raises(InvalidGroup, match="unknown family 'SU'"):
+        GroupSpec._make(("SU", 3))
+    # a valid replacement still normalises as the constructor does
+    assert w._replace(coords=[True, 0]).coords == (1, 0)
+    assert lieflag.marking(a2, (1,))._replace(marked=[2, 2]).marked == frozenset({2})
