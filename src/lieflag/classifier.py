@@ -20,6 +20,7 @@ from .errors import (
     InvalidGroup,
     ParameterViolation,
     UnknownVariety,
+    shown,
 )
 from .parabolic import (
     codim_parabolic,
@@ -27,7 +28,7 @@ from .parabolic import (
     named_marking,
     r_min,
 )
-from .records import IDENT_RE, RecordSchema, eval_expr, param_index, parse_records
+from .records import IDENT_RE, RecordSchema, _check_types, eval_expr, param_index, parse_records
 from .roots import DynkinType, _make_validated
 
 DB_ENV_VAR = "LIEFLAG_DB"
@@ -44,16 +45,16 @@ class GroupSpec(NamedTuple("GroupSpec", [("family", str), ("parameter", int)])):
         try:
             index(p)
         except TypeError:
-            raise InvalidGroup(f"group parameter must be an integer, got {p!r}") from None
+            raise InvalidGroup(f"group parameter must be an integer, got {shown(p)}") from None
         if f == "SL":
             if p < 2:
-                raise InvalidGroup(f"SL needs parameter >= 2, got {p}")
+                raise InvalidGroup(f"SL needs parameter >= 2, got {shown(p)}")
         elif f == "Sp":
             if p < 4 or p % 2:
-                raise InvalidGroup(f"Sp needs an even parameter >= 4, got {p}")
+                raise InvalidGroup(f"Sp needs an even parameter >= 4, got {shown(p)}")
         elif f == "Spin":
             if p < 5:
-                raise InvalidGroup(f"Spin needs parameter >= 5, got {p}")
+                raise InvalidGroup(f"Spin needs parameter >= 5, got {shown(p)}")
         elif f != "G2":
             raise InvalidGroup(f"unknown family {f!r}")
         return super().__new__(cls, family, parameter)
@@ -118,7 +119,13 @@ def _ident_label(ident: str, n: int) -> str:
     match = IDENT_RE.match(ident)
     if match is None:
         return ident
-    return f"{match.group(1)}^{eval_expr(match.group(2), {'n': n})}"
+    exponent = eval_expr(match.group(2), {"n": n})
+    try:
+        return f"{match.group(1)}^{exponent}"
+    except ValueError:  # more digits than int -> str converts
+        raise ParameterViolation(
+            f"{ident} at n={shown(n)} has an exponent too long to write"
+        ) from None
 
 
 class Orbit(NamedTuple):
@@ -146,6 +153,9 @@ class VarietyDescriptor(NamedTuple):
     allows_fixed_point: bool = False
 
 
+# The ladder's per-record steps are pure functions of frozen values, so a
+# repeated query reuses them; an edited database gives new keys.
+@lru_cache(maxsize=1024)
 def _instantiate(rec: RecordSchema, n: int) -> VarietyDescriptor:
     env = {"n": n}
     orbits = tuple(
@@ -169,6 +179,7 @@ class ClassificationResult(NamedTuple):
     reason: str = ""
 
 
+@lru_cache(maxsize=256)
 def _homogeneous_entries(group: GroupSpec, n: int) -> tuple[VarietyDescriptor, ...]:
     entries = []
     for hv in minimal_homogeneous_varieties(group.dynkin()):
@@ -208,9 +219,9 @@ def classify(
     try:
         n = index(n)
     except TypeError:
-        raise InvalidDimension(f"dimension must be an integer, got {n!r}") from None
+        raise InvalidDimension(f"dimension must be an integer, got {shown(n)}") from None
     if n <= 0:
-        raise InvalidDimension(f"dimension must be positive, got {n}")
+        raise InvalidDimension(f"dimension must be positive, got {shown(n)}")
     case, effective = group.resolve()
     r = r_min(group.dynkin()).value
     if n < r:
@@ -244,7 +255,7 @@ def classify(
         "out_of_covered_range",
         group,
         n,
-        reason=f"no record list for {group.label()} in dimension {n}",
+        reason=f"no record list for {group.label()} in dimension {shown(n)}",
     )
 
 
@@ -274,7 +285,7 @@ def orbit_structure(
     n = param_index("n", params["n"])
     if not rec.applies(n):
         raise ParameterViolation(
-            f"{name!r} requires {rec.requires!r}, violated at n={n}"
+            f"{name!r} requires {rec.requires!r}, violated at n={shown(n)}"
         )
     missing = [p for p in rec.param_names if p not in params]
     if missing:
@@ -341,6 +352,9 @@ def validate_records(records: Sequence[RecordSchema]) -> list[Violation]:
     and reach: a record whose ``requires`` holds at no probe n of its
     case would be checked by no rule, so it is reported instead.
     """
+    records = tuple(records)
+    for rec in records:
+        _check_types(rec)
     found = (
         Violation(rule, rec.name, rec.case, message)
         for rec in records
@@ -369,14 +383,14 @@ def _record_violations(rec: RecordSchema) -> tuple[tuple[str, str], ...]:
             if orb.kind == "open":
                 open_count += 1
                 if odim != dim:
-                    found.append(("shape", f"open orbit of dim {odim} != {dim}"))
+                    found.append(("shape", f"open orbit of dim {shown(odim)} != {shown(dim)}"))
             elif orb.kind == "fixed":
                 if odim != 0:
                     found.append(("shape", "fixed orbit with positive dimension"))
                 if not rec.allows_fixed_point:
                     found.append(("R2", "fixed point in an unflagged record"))
             elif odim >= dim:
-                found.append(("shape", f"closed orbit of dim {odim} not below {dim}"))
+                found.append(("shape", f"closed orbit of dim {shown(odim)} not below {shown(dim)}"))
             if 0 < odim < r:
                 found.append(("R1", f"orbit of dim {odim} below r={r} of {acting} at n={n}"))
             if orb.kind != "fixed" and orb.ident:
@@ -386,7 +400,7 @@ def _record_violations(rec: RecordSchema) -> tuple[tuple[str, str], ...]:
                     why = f"has no flag variety under {acting} at n={n}"
                     found.append(("R3", f"identification {label} {why}"))
                 elif codim_parabolic(mk) != odim:
-                    why = f"has dim {codim_parabolic(mk)} but orbit recorded at {odim}"
+                    why = f"has dim {codim_parabolic(mk)} but orbit recorded at {shown(odim)}"
                     found.append(("R3", f"identification {label} {why}"))
         if open_count > 1:
             found.append(("shape", "more than one open orbit"))

@@ -14,7 +14,7 @@ from math import gcd
 from operator import index
 from typing import Iterable
 
-from .errors import InvalidDimension, UnsupportedWeight, ZeroClass
+from .errors import InvalidDimension, UnsupportedWeight, ZeroClass, shown
 from .parabolic import ParabolicMarking
 from .representations import bwb_section_dim
 from .roots import Weight
@@ -25,7 +25,7 @@ def cone_cover_order(c1: Iterable[int]) -> int:
     try:
         coeffs = tuple(map(index, c1))
     except TypeError:
-        raise UnsupportedWeight(f"c1 entries must be integers, got {c1!r}") from None
+        raise UnsupportedWeight(f"c1 entries must be integers, got {shown(c1)}") from None
     if not coeffs or not any(coeffs):
         raise ZeroClass("c1 must have a nonzero entry")
     return gcd(*(abs(c) for c in coeffs))
@@ -36,5 +36,5 @@ def cone_hilbert_function(
 ) -> list[int]:
     """Hilbert function of the cone ring, entries k = 0..k_max."""
     if not isinstance(k_max, int) or k_max < 1:
-        raise InvalidDimension(f"k_max must be an integer >= 1, got {k_max!r}")
+        raise InvalidDimension(f"k_max must be an integer >= 1, got {shown(k_max)}")
     return [1] + [bwb_section_dim(mk, w, k) for k in range(1, k_max + 1)]

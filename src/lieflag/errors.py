@@ -2,7 +2,8 @@
 
 Every error raised on bad mathematical input derives from DomainError so
 the CLI can map them to a single exit code; the class name itself is the
-stable, user-visible error tag.
+stable, user-visible error tag.  Messages quote a caller's value through
+``shown``.
 """
 
 
@@ -60,3 +61,18 @@ class ParameterViolation(DomainError):
 
 class DatabaseFormatError(DomainError):
     pass
+
+
+def shown(value) -> str:
+    """repr of a caller's value for an error message.
+
+    An integer with more digits than ``str`` converts (4,300 by default)
+    is given by its size instead, so building the message cannot raise.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            sign = "negative " if value < 0 else ""
+            return f"<{sign}integer of ~{value.bit_length() * 30103 // 100000} digits>"
+        return f"<{type(value).__name__} holding an over-long integer>"

@@ -13,7 +13,7 @@ from functools import lru_cache
 from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ArityMismatch, EmptyMarking, NodeOutOfRange, NotMaximalParabolic
+from .errors import ArityMismatch, EmptyMarking, NodeOutOfRange, NotMaximalParabolic, shown
 from .roots import (
     DynkinType,
     Weight,
@@ -35,13 +35,13 @@ class ParabolicMarking(
         try:
             nodes = frozenset(map(index, marked))
         except TypeError:
-            raise NodeOutOfRange(f"marked nodes must be integers, got {marked!r}") from None
+            raise NodeOutOfRange(f"marked nodes must be integers, got {shown(marked)}") from None
         if not nodes:
             raise EmptyMarking("a parabolic marking needs at least one node")
         bad = [i for i in nodes if not 1 <= i <= dynkin.rank]
         if bad:
             raise NodeOutOfRange(
-                f"node {min(bad)} out of range 1..{dynkin.rank} for {dynkin}"
+                f"node {shown(min(bad))} out of range 1..{dynkin.rank} for {dynkin}"
             )
         return super().__new__(cls, dynkin, nodes)
 

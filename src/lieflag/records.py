@@ -22,8 +22,9 @@ shell words: ``"..."`` with ``\"`` and ``\\`` as its only escapes,
 next character.  Serialization always quotes notes, ops, targets and
 labels, and quotes an orbit ``dim`` or ``ident`` only when it contains
 whitespace, a quote or a backslash.  Parsed orbit and relation values
-are memoised in bounded caches, as compiled expressions are; the schemas
-are frozen, so records share them.  Errors are never cached.
+are memoised in bounded caches, as compiled expressions and a record's
+``requires`` outcome at n are; the schemas are frozen, so records share
+them.  Errors are never cached.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from operator import attrgetter, index
 from types import CodeType
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import DatabaseFormatError, ParameterViolation
+from .errors import DatabaseFormatError, ParameterViolation, shown
 
 _SOURCES = ("Prop3.1", "Thm4.1", "Thm5.4")
 _CASES = ("SL", "Sp", "Spin", "SL3Q")
@@ -140,6 +141,12 @@ def eval_expr(text: str, env: Mapping[str, int]):
     return eval(code, {"__builtins__": {}}, dict(env))
 
 
+@lru_cache(maxsize=1024)
+def _holds(requires: str, n: int) -> bool:
+    """Whether a record's ``requires`` expression holds at dimension n."""
+    return bool(eval_expr(requires, {"n": n}))
+
+
 def _check_expr(text: str, kind: str, names: Sequence[str]) -> None:
     """Compile a record expression at load time; check its names and kind."""
     code, got = _compile(text)
@@ -155,7 +162,9 @@ def param_index(name: str, value) -> int:
     try:
         return index(value)
     except TypeError:
-        raise ParameterViolation(f"parameter {name!r} must be an integer, got {value!r}") from None
+        raise ParameterViolation(
+            f"parameter {name!r} must be an integer, got {shown(value)}"
+        ) from None
 
 
 class OrbitSchema(NamedTuple):
@@ -190,9 +199,7 @@ class RecordSchema(NamedTuple):
     relations: tuple[RelationEdge, ...] = ()
 
     def applies(self, n: int) -> bool:
-        if not self.requires:
-            return True
-        return bool(eval_expr(self.requires, {"n": n}))
+        return not self.requires or _holds(self.requires, n)
 
     def check_params(self, values: Mapping[str, int]) -> bool:
         if not self.param_constraint:
@@ -382,18 +389,31 @@ _UNSAFE_PARAM = re.compile(r"[\s,;]").search
 
 
 def _check_types(rec: RecordSchema) -> None:
-    """Refuse field values of another type than declared, which parse back changed."""
+    """Refuse a record with a value of another type than declared, which
+    would parse back changed or could not key the per-record caches."""
+    if not isinstance(rec, RecordSchema):
+        raise DatabaseFormatError(f"cannot write {shown(rec)}: not a RecordSchema")
     for value in _RECORD_INTS(rec):
         if not isinstance(value, int) or isinstance(value, bool):
-            raise DatabaseFormatError(f"cannot write {value!r}: not an integer")
+            raise DatabaseFormatError(f"cannot write {shown(value)}: not an integer")
     if not isinstance(rec.allows_fixed_point, bool):
-        raise DatabaseFormatError(f"cannot write {rec.allows_fixed_point!r}: not a bool")
-    if not isinstance(rec.param_names, tuple):
-        raise DatabaseFormatError(f"cannot write {rec.param_names!r}: not a tuple")
+        raise DatabaseFormatError(f"cannot write {shown(rec.allows_fixed_point)}: not a bool")
+    for parts, kind, noun in (
+        (rec.param_names, str, "a string"),
+        (rec.orbits, OrbitSchema, "an OrbitSchema"),
+        (rec.relations, RelationEdge, "a RelationEdge"),
+    ):
+        if not isinstance(parts, tuple):
+            raise DatabaseFormatError(f"cannot write {shown(parts)}: not a tuple")
+        for part in parts:
+            if not isinstance(part, kind):
+                raise DatabaseFormatError(f"cannot write {shown(part)}: not {noun}")
+    strings = [*_RECORD_TEXT(rec)]
     for part in (*rec.orbits, *rec.relations):
-        for value in part:
-            if not isinstance(value, str):
-                raise DatabaseFormatError(f"cannot write {value!r}: not a string")
+        strings += part
+    for value in strings:
+        if not isinstance(value, str):
+            raise DatabaseFormatError(f"cannot write {shown(value)}: not a string")
 
 
 def serialize_records(records: Sequence[RecordSchema]) -> str:
@@ -401,13 +421,12 @@ def serialize_records(records: Sequence[RecordSchema]) -> str:
     for rec in records:
         _check_types(rec)
         for value in _RECORD_TEXT(rec):
-            one_line = isinstance(value, str) and len(value.splitlines()) < 2
-            if not one_line or value != value.strip():
+            if len(value.splitlines()) > 1 or value != value.strip():
                 raise DatabaseFormatError(
                     f"cannot write {value!r}: not one line without edge whitespace"
                 )
         for name in rec.param_names:
-            if not isinstance(name, str) or not name or _UNSAFE_PARAM(name):
+            if not name or _UNSAFE_PARAM(name):
                 raise DatabaseFormatError(f"cannot write params name {name!r}")
         try:
             item, picard, actions = map(str, _RECORD_INTS(rec))

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import prod
 from typing import NamedTuple
 
-from .errors import InvalidDimension, NonDominantWeight, UnsupportedWeight
+from .errors import InvalidDimension, NonDominantWeight, UnsupportedWeight, shown
 from .parabolic import ParabolicMarking, r_min
 from .roots import DynkinType, Weight, fundamental_weight, root_system
 
@@ -96,5 +96,5 @@ def bwb_section_dim(mk: ParabolicMarking, w: Weight, power: int) -> int:
     if off:
         raise UnsupportedWeight(f"weight {w} has mass at unmarked node {off[0]}")
     if not isinstance(power, int) or power < 1:
-        raise InvalidDimension(f"power must be an integer >= 1, got {power!r}")
+        raise InvalidDimension(f"power must be an integer >= 1, got {shown(power)}")
     return weyl_dim(w.scaled(power))

@@ -17,7 +17,7 @@ from functools import lru_cache
 from operator import add, index
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InvalidRank
+from .errors import InvalidRank, shown
 
 RootVector = tuple[int, ...]
 
@@ -44,18 +44,18 @@ class DynkinType(NamedTuple("DynkinType", [("series", str), ("rank", int)])):
         try:
             rank = index(rank)
         except TypeError:
-            raise InvalidRank(f"rank must be an integer, got {rank!r}") from None
+            raise InvalidRank(f"rank must be an integer, got {shown(rank)}") from None
         if series not in _MIN_RANK:
             raise InvalidRank(f"unknown series {series!r}")
         if series in _FIXED_RANKS:
             if rank not in _FIXED_RANKS[series]:
-                raise InvalidRank(f"{series}{rank} is not a simple type")
+                raise InvalidRank(f"{series}{shown(rank)} is not a simple type")
         else:
             if rank < _MIN_RANK[series]:
                 raise InvalidRank(f"series {series} needs rank >= {_MIN_RANK[series]}")
             if rank > MAX_CLASSICAL_RANK:
                 raise InvalidRank(
-                    f"rank {rank} above the configured cap "
+                    f"rank {shown(rank)} above the configured cap "
                     f"{MAX_CLASSICAL_RANK} for series {series}"
                 )
         if series == "D" and rank == 3:
@@ -76,7 +76,11 @@ def dynkin_type(text: str) -> DynkinType:
     text = text.strip()
     if len(text) < 2 or not text[0].isalpha() or not text[1:].isdigit():
         raise InvalidRank(f"cannot parse Dynkin type {text!r}")
-    return DynkinType(text[0].upper(), int(text[1:]))
+    try:
+        rank = int(text[1:])
+    except ValueError:  # a digit int() refuses, or more digits than it converts
+        raise InvalidRank(f"cannot parse Dynkin type {text!r}") from None
+    return DynkinType(text[0].upper(), rank)
 
 
 class Weight(NamedTuple("Weight", [("dynkin", DynkinType), ("coords", tuple[int, ...])])):
@@ -94,7 +98,7 @@ class Weight(NamedTuple("Weight", [("dynkin", DynkinType), ("coords", tuple[int,
             return super().__new__(cls, dynkin, tuple(map(index, coords)))
         except TypeError:
             raise InvalidRank(
-                f"weight coordinates must be integers, got {coords!r}"
+                f"weight coordinates must be integers, got {shown(coords)}"
             ) from None
 
     @property
@@ -109,7 +113,7 @@ class Weight(NamedTuple("Weight", [("dynkin", DynkinType), ("coords", tuple[int,
         return Weight(self.dynkin, tuple(k * c for c in self.coords))
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.coords) + ")"
+        return "(" + ",".join(map(shown, self.coords)) + ")"
 
 
 def weight(dtype: DynkinType, coords: Iterable[int]) -> Weight:
@@ -121,9 +125,9 @@ def fundamental_weight(dtype: DynkinType, node: int) -> Weight:
     try:
         node = index(node)
     except TypeError:
-        raise InvalidRank(f"node must be an integer, got {node!r}") from None
+        raise InvalidRank(f"node must be an integer, got {shown(node)}") from None
     if not 1 <= node <= dtype.rank:
-        raise InvalidRank(f"node {node} out of range for {dtype}")
+        raise InvalidRank(f"node {shown(node)} out of range for {dtype}")
     return Weight(dtype, tuple(1 if i == node - 1 else 0 for i in range(dtype.rank)))
 
 

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from lieflag import parabolic, records
+from lieflag import classifier, parabolic, records
 from lieflag.classifier import (
     GroupSpec,
     Violation,
@@ -410,11 +410,70 @@ def test_repeated_classify_compiles_nothing_and_reuses_r():
     for n in (4, 5):
         classify(group, n)
     compiled = records._compile.cache_info()
+    before = classifier._instantiate.cache_info().hits
     rmin = parabolic.r_min.cache_info()
     for _ in range(100):
         for n in (4, 5):
             classify(group, n)
     assert records._compile.cache_info().misses == compiled.misses
-    assert records._compile.cache_info().hits > compiled.hits
+    assert classifier._instantiate.cache_info().hits >= before + 200
     assert parabolic.r_min.cache_info().misses == rmin.misses
     assert parabolic.r_min.cache_info().hits >= rmin.hits + 200
+
+
+def test_memoised_instantiate_equals_a_fresh_build():
+    checked = 0
+    for rec in load_database():
+        for n in range(1, 13):
+            assert rec.applies(n) == bool(records.eval_expr(rec.requires or "True", {"n": n}))
+            if rec.applies(n):
+                memo = classifier._instantiate(rec, n)
+                assert memo == classifier._instantiate.__wrapped__(rec, n)
+                assert classifier._instantiate(rec, n) is memo
+                checked += 1
+    assert checked > 100
+
+
+def test_memoised_homogeneous_entries_equal_a_fresh_build():
+    for group in (GroupSpec("SL", 4), GroupSpec("Sp", 4), GroupSpec("Spin", 8), GroupSpec("G2")):
+        n = parabolic.r_min(group.dynkin()).value
+        memo = classifier._homogeneous_entries(group, n)
+        assert memo == classifier._homogeneous_entries.__wrapped__(group, n)
+        assert classify(group, n).entries == memo
+
+
+def test_an_edited_database_file_changes_the_classify_answer(tmp_path):
+    db = tmp_path / "edited.db"
+    shipped = load_database()
+    db.write_text(serialize_records(shipped))
+    group = GroupSpec("SL", 4)
+    before = classify(group, 4, db_path=str(db))
+    assert before == classify(group, 4)
+    edited = [r._replace(dim="n + 1") if r.name == "Gr(2,4)" else r for r in shipped]
+    db.write_text(serialize_records(edited))
+    after = classify(group, 4, db_path=str(db))
+    dims = {d.name: d.dim for d in after.entries}
+    assert dims["Gr(2,4)"] == 5
+    assert {d.name: d.dim for d in before.entries} == {**dims, "Gr(2,4)": 4}
+    assert classify(group, 4).entries == before.entries
+
+
+def test_an_error_is_raised_again_not_cached():
+    huge = 10**5000
+    misses = classifier._instantiate.cache_info().misses
+    for _ in range(2):
+        with pytest.raises(ParameterViolation, match="too long to write"):
+            orbit_structure("P^n", {"n": huge}, case="SL")
+    assert classifier._instantiate.cache_info().misses == misses + 2
+    for _ in range(2):
+        with pytest.raises(InvalidDimension, match="got <negative integer of ~5000 digits>"):
+            classify(GroupSpec("SL", 4), -huge)
+
+
+def test_every_memo_of_the_verdict_ladder_is_bounded():
+    for memo, bound in (
+        (classifier._instantiate, 1024),
+        (classifier._homogeneous_entries, 256),
+        (records._holds, 1024),
+    ):
+        assert memo.cache_info().maxsize == bound

@@ -497,6 +497,50 @@ def test_serialize_refuses_an_integer_too_long_to_write(field):
         serialize_records([base._replace(**{field: 10**5000})])
 
 
+_SHIPPED_RECORD = parse_records(SHIPPED)[0]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (_SHIPPED_RECORD._replace(orbits=(("open", "n", "", ""),)),
+         "cannot write ('open', 'n', '', ''): not an OrbitSchema"),
+        (_SHIPPED_RECORD._replace(orbits=("x",)), "cannot write 'x': not an OrbitSchema"),
+        (_SHIPPED_RECORD._replace(orbits=list(_SHIPPED_RECORD.orbits)), "not a tuple"),
+        (_SHIPPED_RECORD._replace(relations=(("blow-up", "P^n", ""),)),
+         "cannot write ('blow-up', 'P^n', ''): not a RelationEdge"),
+        (_SHIPPED_RECORD._replace(param_names=(["m"],)), "cannot write ['m']: not a string"),
+        (_SHIPPED_RECORD._replace(dim=5), "cannot write 5: not a string"),
+        ("x", "cannot write 'x': not a RecordSchema"),
+        (tuple(_SHIPPED_RECORD), "not a RecordSchema"),
+    ],
+)
+def test_ill_typed_records_are_format_errors_in_both_directions(bad, message):
+    for call in (serialize_records, validate_records):
+        with pytest.raises(DatabaseFormatError) as exc:
+            call([bad])
+        assert message in str(exc.value)
+    # a good record ahead of the bad one is refused with it
+    with pytest.raises(DatabaseFormatError):
+        validate_records([_SHIPPED_RECORD, bad])
+
+
+def test_validate_records_reads_any_iterable_once():
+    records = [rec._replace(dim="n + 1") for rec in parse_records(SHIPPED)]
+    found = validate_records(records)
+    assert found
+    assert validate_records(iter(records)) == found
+
+
+def test_validation_messages_give_an_over_long_dimension_by_size():
+    big = "9" * 4000
+    (rec,) = parse_records(MINIMAL)
+    found = validate_records([rec._replace(dim=f"{big} * {big} + n")])
+    assert [v.message for v in found] == [
+        f"open orbit of dim {n} != <integer of ~8000 digits>" for n in range(2, 9)
+    ]
+
+
 def test_serialize_keeps_a_constraint_without_parameter_names():
     (base,) = parse_records(MINIMAL)
     rec = base._replace(param_names=(), param_constraint="True")
