@@ -81,7 +81,10 @@ class GroupSpec(NamedTuple("GroupSpec", [("family", str), ("parameter", int)])):
     def label(self) -> str:
         if self.family == "G2":
             return "G2"
-        return f"{self.family}({self.parameter})"
+        return f"{self.family}({shown(self.parameter)})"
+
+    def __repr__(self) -> str:
+        return f"GroupSpec(family={self.family!r}, parameter={shown(self.parameter)})"
 
 
 def group_spec(family: str, parameter: int = 0) -> GroupSpec:
@@ -236,27 +239,13 @@ def classify(
     if case == "SL" and effective.parameter == 3 and n == 4:
         if quasihomogeneous_only:
             return _full_list(records, "SL3Q", group, n)
-        return ClassificationResult(
-            "out_of_covered_range",
-            group,
-            n,
-            reason="dimension r+2 is covered only under a dense-orbit "
-            "hypothesis; rerun with quasihomogeneous_only",
-        )
-    if case == "G2" and n > r:
-        return ClassificationResult(
-            "out_of_covered_range",
-            group,
-            n,
-            reason="exceptional groups are covered only through the "
-            "minimal flag-variety dimension",
-        )
-    return ClassificationResult(
-        "out_of_covered_range",
-        group,
-        n,
-        reason=f"no record list for {group.label()} in dimension {shown(n)}",
-    )
+        reason = ("dimension r+2 is covered only under a dense-orbit "
+                  "hypothesis; rerun with quasihomogeneous_only")
+    elif case == "G2":  # here n > r
+        reason = "exceptional groups are covered only through the minimal flag-variety dimension"
+    else:
+        reason = f"no record list for {group.label()} in dimension {shown(n)}"
+    return ClassificationResult("out_of_covered_range", group, n, reason=reason)
 
 
 def orbit_structure(

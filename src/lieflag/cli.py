@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import lieflag
 
-from .errors import DomainError
+from .errors import AnswerTooLong, DomainError, shown
 from .roots import DynkinType, Weight, dynkin_type  # on every command's path
 
 
@@ -246,6 +246,14 @@ def _format(key: str, value) -> str:
     return f'"{value}"' if key in _QUOTED_KEYS else str(value)
 
 
+def _largest(value) -> int:
+    """The largest integer of a payload, 0 if it holds none."""
+    if isinstance(value, (dict, list)):
+        items = value.values() if isinstance(value, dict) else value
+        return max(map(_largest, items), default=0)
+    return value if isinstance(value, int) else 0
+
+
 def _line(fields: str, item: dict) -> str:
     parts = []
     for field in fields.split():
@@ -328,17 +336,22 @@ def run(argv: Sequence[str] | None = None) -> int:
                 raise UsageError("TYPE", str(exc)) from None
             payload["type"] = str(args.type)
         payload.update(COMMANDS[args.command].handler(args))
+        try:
+            if args.json:
+                import json
+                out = json.dumps(payload, indent=2)
+            else:
+                out = "\n".join(_render_text(args.command, payload))
+        except ValueError:  # an integer with more digits than str converts
+            big = shown(_largest(payload))
+            raise AnswerTooLong(f"the answer holds {big}, more digits than str writes") from None
     except UsageError as exc:
         print("usage error: {}: {}".format(*exc.args), file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        import json
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(_render_text(args.command, payload)))
+    print(out)
     return 1 if args.command == "validate-db" and payload["violations"] else 0
 
 

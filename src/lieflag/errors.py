@@ -63,6 +63,10 @@ class DatabaseFormatError(DomainError):
     pass
 
 
+class AnswerTooLong(DomainError):
+    pass
+
+
 def shown(value) -> str:
     """repr of a caller's value for an error message.
 

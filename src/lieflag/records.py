@@ -21,10 +21,10 @@ shell words: ``"..."`` with ``\"`` and ``\\`` as its only escapes,
 ``'...'`` taken literally, and a backslash outside quotes escaping the
 next character.  Serialization always quotes notes, ops, targets and
 labels, and quotes an orbit ``dim`` or ``ident`` only when it contains
-whitespace, a quote or a backslash.  Parsed orbit and relation values
-are memoised in bounded caches, as compiled expressions and a record's
-``requires`` outcome at n are; the schemas are frozen, so records share
-them.  Errors are never cached.
+whitespace, a quote or a backslash.  Record blocks, orbit and relation
+values, compiled expressions and a record's ``requires`` outcome at n are
+memoised in bounded caches; a block (its stripped lines but blanks and
+comments) is reused only while they are unchanged.  No error is cached.
 """
 
 from __future__ import annotations
@@ -222,7 +222,6 @@ _SCAN = re.compile(
     rf"""[ \t\r\n]+|((?:[^ \t\r\n'"\\]+|\\[\s\S]|'[^']*'|"{_DQ_BODY}")+)"""
     rf"""|((?:"{_DQ_BODY})?\\\Z)|([\s\S])"""
 )
-_QUOTED = re.compile(r"""['"\\]""").search
 _PIECE = re.compile(rf"""\\([\s\S])|'([^']*)'|"({_DQ_BODY})"|([^'"\\]+)""")
 _DQ_ESCAPE = re.compile(r'\\(["\\])')
 
@@ -234,11 +233,13 @@ def _split(value: str) -> list[str]:
         kind = match.lastindex
         if kind == 1:
             word = match[1]
-            if _QUOTED(word):
+            if "\\" in word or ("'" in word and '"' in word):
                 word = "".join(
                     esc + single + _DQ_ESCAPE.sub(r"\1", double) + plain
                     for esc, single, double, plain in _PIECE.findall(word)
                 )
+            else:  # with one kind of quote and no escape, every quote is a delimiter
+                word = word.replace("'", "").replace('"', "")
             words.append(word)
         elif kind == 2:
             raise ValueError("No escaped character")
@@ -295,41 +296,19 @@ _PLAIN_KEYS = {
 }
 
 
-def _record(fields: dict) -> RecordSchema:
-    """The record of one ``record =`` block; an error names the record."""
-    try:
-        for key in ("case", "source", "item", "dim", "picard"):
-            if key not in fields:
-                raise DatabaseFormatError(f"missing {key}")
-        for key, known in (("case", _CASES), ("source", _SOURCES)):
-            if fields[key] not in known:
-                raise DatabaseFormatError(f"unknown {key} {fields[key]!r}")
-        for key in ("item", "picard", "actions"):
-            try:
-                fields[key] = int(fields.get(key, 1))
-            except ValueError:
-                raise DatabaseFormatError(f"{key} {fields[key]!r} is not an integer") from None
-    except DatabaseFormatError as exc:
-        raise DatabaseFormatError(f"record {fields['name']!r}: {exc}") from None
-    fields["allows_fixed_point"] = fields.get("allows_fixed_point") == "yes"
-    fields["orbits"] = tuple(fields["orbits"])
-    fields["relations"] = tuple(fields["relations"])
-    return RecordSchema(**fields)
+class _LineError(Exception):
+    """A fault of one line of a block: (index of the line in the block, error)."""
 
 
-def parse_records(text: str) -> tuple[RecordSchema, ...]:
-    records: list[RecordSchema] = []
+@lru_cache(maxsize=256)
+def _parse_block(block: str) -> RecordSchema:
+    """The record of one block of stripped significant lines joined by newlines."""
     fields: dict | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
+    for at, line in enumerate(block.split("\n")):
         key, eq, value = line.partition("=")
         key = key.rstrip()
         value = value.lstrip()
         if eq and key == "record":
-            if fields is not None:
-                records.append(_record(fields))
             fields = {"name": value, "orbits": [], "relations": []}
             continue
         try:
@@ -358,9 +337,44 @@ def parse_records(text: str) -> tuple[RecordSchema, ...]:
             else:
                 raise DatabaseFormatError(f"unknown key {key!r}")
         except DatabaseFormatError as exc:
-            raise DatabaseFormatError(f"line {lineno}: {exc}") from None
-    if fields is not None:
-        records.append(_record(fields))
+            raise _LineError(at, exc) from None
+    try:
+        for key in ("case", "source", "item", "dim", "picard"):
+            if key not in fields:
+                raise DatabaseFormatError(f"missing {key}")
+        for key, known in (("case", _CASES), ("source", _SOURCES)):
+            if fields[key] not in known:
+                raise DatabaseFormatError(f"unknown {key} {fields[key]!r}")
+        for key in ("item", "picard", "actions"):
+            try:
+                fields[key] = int(fields.get(key, 1))
+            except ValueError:
+                raise DatabaseFormatError(f"{key} {fields[key]!r} is not an integer") from None
+    except DatabaseFormatError as exc:
+        raise DatabaseFormatError(f"record {fields['name']!r}: {exc}") from None
+    fields["allows_fixed_point"] = fields.get("allows_fixed_point") == "yes"
+    fields["orbits"] = tuple(fields["orbits"])
+    fields["relations"] = tuple(fields["relations"])
+    return RecordSchema(**fields)
+
+
+# A block starts at each ``record =`` line: "record", whitespace, "=".
+_BLOCKS = re.compile(r"\n(?=record[^\S\n]*=)").split
+
+
+def parse_records(text: str) -> tuple[RecordSchema, ...]:
+    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    blocks = _BLOCKS("\n".join(lines)) if lines else []  # lines ahead of a record fail
+    records: list[RecordSchema] = []
+    for i, block in enumerate(blocks):
+        try:
+            records.append(_parse_block(block))
+        except _LineError as exc:
+            at, error = exc.args
+            at += sum(b.count("\n") + 1 for b in blocks[:i])
+            lineno = [n for n, line in enumerate(map(str.strip, text.splitlines()), 1)
+                      if line and line[0] != "#"][at]
+            raise DatabaseFormatError(f"line {lineno}: {error}") from None
     if not records:
         raise DatabaseFormatError("no records found")
     return tuple(records)

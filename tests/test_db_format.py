@@ -16,6 +16,8 @@ from lieflag.records import (
     RecordSchema,
     RelationEdge,
     _compile,
+    _holds,
+    _parse_block,
     _parse_orbit,
     _parse_relation,
     _split,
@@ -263,9 +265,87 @@ def test_cold_caches_give_the_warm_results(index, value):
     text = "\n".join(lines)
     _parse_and_validate(text)
     warm = _parse_and_validate(text)
-    for memo in (_parse_orbit, _parse_relation, _record_violations):
+    for memo in (_parse_block, _parse_orbit, _parse_relation, _record_violations):
         memo.cache_clear()
     assert _parse_and_validate(text) == warm
+
+
+def _clear_parse_memos():
+    for memo in (_parse_block, _parse_orbit, _parse_relation, _compile, _holds):
+        memo.cache_clear()
+
+
+# The shipped file cut before each record line: a header, then one chunk per record.
+_CHUNKS = re.split(r"\n(?=record = )", SHIPPED.rstrip("\n"))
+_NOISE = ["", "   ", "# churn 17", "  # indented comment", "\t#"]
+# whitespace that strip removes but no line split breaks at
+_INDENTS = [" ", "  \t", "\xa0", "\x1f", "\u3000"]
+_SEPARATORS = ["=", " =", "= ", "\t=\t", "\xa0=\u3000"]
+
+
+@st.composite
+def _shipped_variants(draw):
+    """Lines of the shipped records, reordered or dropped, with comment and
+    blank lines inserted, lines indented and key separators respaced."""
+    order = draw(st.permutations(range(1, len(_CHUNKS))))
+    order = order[: draw(st.integers(1, len(order)))]
+    lines = [line for i in [0, *order] for line in _CHUNKS[i].split("\n")]
+    for at, noise in draw(st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(_NOISE)),
+                                   max_size=12)):
+        lines.insert(at % (len(lines) + 1), noise)
+    for at, indent in draw(st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(_INDENTS)),
+                                    max_size=12)):
+        lines[at % len(lines)] = indent + lines[at % len(lines)] + indent[::-1]
+    for at, sep in draw(st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(_SEPARATORS)),
+                                 max_size=12)):
+        lines[at % len(lines)] = lines[at % len(lines)].replace(" = ", sep, 1)
+    return lines
+
+
+_ENDINGS = st.sampled_from(["\n", "\r\n", "\r", "\u2028"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=_shipped_variants(), ending=_ENDINGS, final=st.booleans())
+def test_record_blocks_are_reused_across_comments_indentation_and_line_endings(
+    lines, ending, final
+):
+    text = ending.join(lines) + (ending if final else "")
+    got = parse_records(text)  # the memo holds blocks of earlier examples
+    plain = "\n".join(s for s in map(str.strip, lines) if s and s[0] != "#")
+    _clear_parse_memos()
+    expected = parse_records(plain)
+    assert got == expected
+    assert parse_records(text) == expected  # every block a hit now
+    assert len(expected) == sum(s.startswith("record") for s in map(str.strip, lines))
+
+
+_LINE_FAULTS = [
+    ("colour = red", "unknown key 'colour'"),
+    ("dim = (1,2)", "int expected, got tuple in '(1,2)'"),
+    ("orbit = open", "orbit needs a dim"),
+    ('relation = op="blow-up" to="P^n', "bad relation line: No closing quotation"),
+    ("just words", "expected key = value"),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=_shipped_variants(), ending=_ENDINGS, data=st.data())
+def test_a_malformed_line_is_named_by_its_number_with_the_memo_cold_or_warm(
+    lines, ending, data
+):
+    good = ending.join(lines)
+    candidates = [i for i, line in enumerate(lines)
+                  if line.strip() and line.strip()[0] != "#" and "record" not in line]
+    at = data.draw(st.sampled_from(candidates), label="line index")
+    bad, error = data.draw(st.sampled_from(_LINE_FAULTS), label="fault")
+    text = ending.join(lines[:at] + [bad] + lines[at + 1:])
+    _clear_parse_memos()
+    for memo in ("cold", "warm"):
+        with pytest.raises(DatabaseFormatError) as exc:
+            parse_records(text)
+        assert str(exc.value) == f"line {at + 1}: {error}", memo
+        parse_records(good)  # the memo now holds every good block of the text
 
 
 def test_edited_database_file_is_reread(tmp_path):
@@ -371,7 +451,7 @@ _HEAD = "record = X\ncase = SL\nsource = Thm4.1\nitem = 1\ndim = n\npicard = 1\n
     ],
 )
 def test_a_repeated_bad_value_names_the_line_of_each_parse(line, error):
-    # orbit and relation values are memoised, their errors never
+    # record blocks and orbit and relation values are memoised, their errors never
     for pad in (0, 3, 0):
         with pytest.raises(DatabaseFormatError) as exc:
             parse_records("\n" * pad + _HEAD + line)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from lieflag.classifier import GroupSpec, classify, orbit_structure
+from lieflag.cli import run
 from lieflag.cone import cone_cover_order, cone_hilbert_function
 from lieflag.errors import (
     InvalidDimension,
@@ -100,3 +101,33 @@ def test_classify_at_an_over_long_dimension_is_out_of_range():
 def test_an_over_long_weight_still_has_its_dimension():
     # the value is computed exactly; only writing it in a message is refused
     assert weyl_dim(weight(A2, (H, 0))) == (H + 1) * (H + 2) // 2
+
+
+def test_group_spec_gives_an_over_long_parameter_by_size():
+    group = GroupSpec("SL", H)
+    assert group.label() == "SL(<integer of ~5000 digits>)"
+    assert repr(group) == "GroupSpec(family='SL', parameter=<integer of ~5000 digits>)"
+    assert repr(GroupSpec("Sp", 6)) == "GroupSpec(family='Sp', parameter=6)"
+    assert GroupSpec("Spin", 7).label() == "Spin(7)" and GroupSpec("G2").label() == "G2"
+
+
+_NINES = "9" * 4300  # the longest integer argument the CLI reads
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, answer",
+    [
+        (["weyl-dim", "A2", "--weight", _NINES + ",0"], (10**4300) * (10**4300 + 1) // 2),
+        # a list of values, two of them over-long: the largest is named
+        (["hilbert", "A1", "--nodes", "1", "--weight", _NINES, "--kmax", "2"], 2 * 10**4300 - 1),
+    ],
+    ids=["weyl-dim", "hilbert"],
+)
+def test_cli_refuses_an_answer_too_long_to_write(capsys, mode, argv, answer):
+    assert run(mode + argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: AnswerTooLong: the answer holds {shown(answer)}, more digits than str writes\n"
+    )
