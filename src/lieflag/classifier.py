@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from operator import index
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -20,6 +19,7 @@ from .errors import (
     InvalidGroup,
     ParameterViolation,
     UnknownVariety,
+    integer,
     shown,
 )
 from .parabolic import (
@@ -28,7 +28,7 @@ from .parabolic import (
     named_marking,
     r_min,
 )
-from .records import IDENT_RE, RecordSchema, _check_types, eval_expr, param_index, parse_records
+from .records import IDENT_RE, RecordSchema, _check_types, eval_expr, parse_records
 from .roots import DynkinType, _make_validated
 
 DB_ENV_VAR = "LIEFLAG_DB"
@@ -42,10 +42,7 @@ class GroupSpec(NamedTuple("GroupSpec", [("family", str), ("parameter", int)])):
 
     def __new__(cls, family: str, parameter: int = 0) -> "GroupSpec":
         f, p = family, parameter
-        try:
-            index(p)
-        except TypeError:
-            raise InvalidGroup(f"group parameter must be an integer, got {shown(p)}") from None
+        integer(p, "group parameter", InvalidGroup)
         if f == "SL":
             if p < 2:
                 raise InvalidGroup(f"SL needs parameter >= 2, got {shown(p)}")
@@ -219,10 +216,7 @@ def classify(
     db_path: str | None = None,
 ) -> ClassificationResult:
     """Full variety list for a group acting in dimension n, where covered."""
-    try:
-        n = index(n)
-    except TypeError:
-        raise InvalidDimension(f"dimension must be an integer, got {shown(n)}") from None
+    n = integer(n, "dimension", InvalidDimension)
     if n <= 0:
         raise InvalidDimension(f"dimension must be positive, got {shown(n)}")
     case, effective = group.resolve()
@@ -271,7 +265,7 @@ def orbit_structure(
     rec = matches[0]
     if "n" not in params:
         raise ParameterViolation("params must bind n")
-    n = param_index("n", params["n"])
+    n = integer(params["n"], "parameter 'n'", ParameterViolation)
     if not rec.applies(n):
         raise ParameterViolation(
             f"{name!r} requires {rec.requires!r}, violated at n={shown(n)}"

@@ -6,6 +6,8 @@ stable, user-visible error tag.  Messages quote a caller's value through
 ``shown``.
 """
 
+from operator import index
+
 
 class DomainError(Exception):
     pass
@@ -80,3 +82,12 @@ def shown(value) -> str:
             sign = "negative " if value < 0 else ""
             return f"<{sign}integer of ~{value.bit_length() * 30103 // 100000} digits>"
         return f"<{type(value).__name__} holding an over-long integer>"
+
+
+def integer(value, what: str, error: type[DomainError]) -> int:
+    """``operator.index(value)``; anything that is not an integer raises
+    ``error("<what> must be an integer, got <value>")``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {shown(value)}") from None

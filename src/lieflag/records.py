@@ -5,38 +5,41 @@ A database file is a sequence of records.  A record starts at a
 until the next record; ``#`` lines are comments and blank lines are
 ignored.  Dimensions may be closed integer expressions in ``n`` (the
 ambient dimension); parameter constraints are boolean expressions over
-the declared parameter names.  Parsing then serializing then parsing is
-the identity on the record list.  A record built in code round-trips
-too, unless serializing or parsing it raises ``DatabaseFormatError``:
-serializing refuses a field value of another type than declared, an
-integer with more digits than ``str`` converts, a record-level value
-that holds a line break or starts or ends with whitespace, which the
-line split and strip would change, a ``params`` name that is empty or
-holds ``,``, ``;`` or whitespace, and an unknown orbit kind.  A parse
-error names its line (``line N: ...``) or, for a fault of a whole
-record, its record (``record 'NAME': ...``).
+the declared parameter names.  An expression nests at most
+``_MAX_DEPTH`` (100) expression nodes deep.  Parsing then serializing
+then parsing is the identity on the record list.  A record built in
+code round-trips too, unless serializing or parsing it raises
+``DatabaseFormatError``: serializing refuses a field value of another
+type than declared, an integer with more digits than ``str`` converts,
+a record-level value that holds a line break or starts or ends with
+whitespace, which the line split and strip would change, a ``params``
+name that is empty or holds ``,``, ``;`` or whitespace, and an unknown
+orbit kind.  A parse error names its line (``line N: ...``) or, for a
+fault of a whole record, its record (``record 'NAME': ...``).
 
-An ``orbit`` or ``relation`` value is a list of ``key=value`` POSIX
-shell words: ``"..."`` with ``\"`` and ``\\`` as its only escapes,
-``'...'`` taken literally, and a backslash outside quotes escaping the
-next character.  Serialization always quotes notes, ops, targets and
-labels, and quotes an orbit ``dim`` or ``ident`` only when it contains
-whitespace, a quote or a backslash.  Record blocks, orbit and relation
-values, compiled expressions and a record's ``requires`` outcome at n are
-memoised in bounded caches; a block (its stripped lines but blanks and
-comments) is reused only while they are unchanged.  No error is cached.
+An ``orbit`` or ``relation`` value is a list of ``key=value`` words,
+split by ``shlex.split`` (POSIX mode, no comments): ``"..."`` with
+``\"`` and ``\\`` as its only escapes, ``'...'`` taken literally, and
+a backslash outside quotes escaping the next character.  Serialization
+always quotes notes, ops, targets and labels, and quotes an orbit
+``dim`` or ``ident`` only when it contains whitespace, a quote or a
+backslash.  Record blocks, orbit and relation values, compiled
+expressions and a record's ``requires`` outcome at n are memoised in
+bounded caches; a block (its stripped lines but blanks and comments) is
+reused only while they are unchanged.  No error is cached.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import shlex
 from functools import lru_cache
-from operator import attrgetter, index
+from operator import attrgetter
 from types import CodeType
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import DatabaseFormatError, ParameterViolation, shown
+from .errors import DatabaseFormatError, ParameterViolation, integer, shown
 
 _SOURCES = ("Prop3.1", "Thm4.1", "Thm5.4")
 _CASES = ("SL", "Sp", "Spin", "SL3Q")
@@ -45,91 +48,61 @@ _ORBIT_KINDS = ("open", "closed", "intermediate", "fixed")
 # Orbit identifications P^k / Q^k, with k an integer expression in n.
 IDENT_RE = re.compile(r"^([PQ])\^\{?([0-9n+\- ]+)\}?$")
 
+# Node types an expression may hold, each operator node with its operators.
 _ALLOWED_NODES = (
-    ast.Expression,
-    ast.BoolOp,
-    ast.And,
-    ast.Or,
-    ast.UnaryOp,
-    ast.Not,
-    ast.USub,
-    ast.BinOp,
-    ast.Add,
-    ast.Sub,
-    ast.Mult,
-    ast.Compare,
-    ast.Eq,
-    ast.NotEq,
-    ast.Lt,
-    ast.LtE,
-    ast.Gt,
-    ast.GtE,
-    ast.Name,
-    ast.Load,
-    ast.Constant,
-    ast.Tuple,
+    ast.BoolOp, ast.And, ast.Or,
+    ast.UnaryOp, ast.Not, ast.USub,
+    ast.BinOp, ast.Add, ast.Sub, ast.Mult,
+    ast.Compare, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
+    ast.Name, ast.Load, ast.Constant, ast.Tuple,
 )
-
-
-def _scalar(node: ast.expr, text: str) -> str:
-    kind = _kind(node, text)
-    if kind == "tuple":
-        raise DatabaseFormatError(f"tuple outside == or != in {text!r}")
-    return kind
-
-
-def _kind(node: ast.expr, text: str) -> str:
-    """Value kind of a whitelisted node: "int", "bool" or "tuple".
-
-    Tuples are legal only as operands of == and != and hold only scalars,
-    so an expression that passes cannot fail once its names are bound.
-    """
-    if isinstance(node, ast.Constant):
-        return "bool" if isinstance(node.value, bool) else "int"
-    if isinstance(node, ast.Name):
-        return "int"
-    if isinstance(node, ast.Tuple):
-        for elt in node.elts:
-            _scalar(elt, text)
-        return "tuple"
-    if isinstance(node, ast.UnaryOp):
-        _scalar(node.operand, text)
-        return "bool" if isinstance(node.op, ast.Not) else "int"
-    if isinstance(node, ast.BinOp):
-        _scalar(node.left, text)
-        _scalar(node.right, text)
-        return "int"
-    if isinstance(node, ast.BoolOp):
-        for value in node.values:
-            _scalar(value, text)
-        return "bool"
-    kinds = [_kind(o, text) for o in (node.left, *node.comparators)]
-    for op, left, right in zip(node.ops, kinds, kinds[1:]):
-        if "tuple" in (left, right) and not isinstance(op, (ast.Eq, ast.NotEq)):
-            raise DatabaseFormatError(f"tuple outside == or != in {text!r}")
-    return "bool"
+_EQUALITY = (ast.Eq, ast.NotEq)
+# Most expression nodes on a path from the root of an expression to a leaf.
+_MAX_DEPTH = 100
 
 
 @lru_cache(maxsize=1024)
 def _compile(text: str) -> tuple[CodeType, str]:
-    """Checked code object of an expression, plus the kind of its value."""
+    """Checked code object of an expression, plus the kind of its value:
+    "int", "bool" or "tuple".
+
+    One breadth-first pass checks node types, integer constants and the
+    nesting depth, and that a tuple holds only scalars and stands only as
+    the whole expression or as an operand of == or != alone, so an
+    expression that passes cannot fail once its names are bound.
+    """
     try:
         tree = ast.parse(text, mode="eval")
     except (SyntaxError, ValueError, RecursionError) as exc:
         raise DatabaseFormatError(f"bad expression {text!r}: {exc}") from None
-    for node in ast.walk(tree):
+    misplaced = False  # raised after the walk, which names a disallowed node first
+    # (node, depth, whether it may be a tuple), visited in the order of ast.walk
+    todo = [(tree.body, 1, True)]
+    for node, depth, tuple_ok in todo:
         if not isinstance(node, _ALLOWED_NODES):
-            raise DatabaseFormatError(
-                f"disallowed syntax {type(node).__name__} in {text!r}"
-            )
+            raise DatabaseFormatError(f"disallowed syntax {type(node).__name__} in {text!r}")
         if isinstance(node, ast.Constant) and not isinstance(node.value, int):
             raise DatabaseFormatError(f"non-integer constant in {text!r}")
-    try:
-        kind = _kind(tree.body, text)
-        code = compile(tree, "<record>", "eval")
-    except RecursionError:
-        raise DatabaseFormatError(f"expression nested too deeply: {text!r}") from None
-    return code, kind
+        if depth > _MAX_DEPTH:
+            raise DatabaseFormatError(f"expression nested too deeply: {text!r}")
+        misplaced |= isinstance(node, ast.Tuple) and not tuple_ok
+        tuple_operands = ()
+        if isinstance(node, ast.Compare):  # operands with only == or != beside them
+            eq = [True, *(isinstance(op, _EQUALITY) for op in node.ops), True]
+            operands = (node.left, *node.comparators)
+            tuple_operands = [o for o, left, right in zip(operands, eq, eq[1:]) if left and right]
+        for child in ast.iter_child_nodes(node):  # operators and contexts add no depth
+            todo.append((child, depth + isinstance(child, ast.expr), child in tuple_operands))
+    if misplaced:
+        raise DatabaseFormatError(f"tuple outside == or != in {text!r}")
+    root = tree.body
+    boolean = (
+        isinstance(root, (ast.BoolOp, ast.Compare))
+        or isinstance(root, ast.UnaryOp) and isinstance(root.op, ast.Not)
+        or isinstance(root, ast.Constant) and isinstance(root.value, bool)
+    )
+    kind = "tuple" if isinstance(root, ast.Tuple) else "bool" if boolean else "int"
+    return compile(tree, "<record>", "eval"), kind
 
 
 def eval_expr(text: str, env: Mapping[str, int]):
@@ -155,16 +128,6 @@ def _check_expr(text: str, kind: str, names: Sequence[str]) -> None:
             raise DatabaseFormatError(f"unknown name {name!r} in {text!r}")
     if got != kind:
         raise DatabaseFormatError(f"{kind} expected, got {got} in {text!r}")
-
-
-def param_index(name: str, value) -> int:
-    """An integer parameter value; a fraction or a string is refused, not truncated."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ParameterViolation(
-            f"parameter {name!r} must be an integer, got {shown(value)}"
-        ) from None
 
 
 class OrbitSchema(NamedTuple):
@@ -204,48 +167,11 @@ class RecordSchema(NamedTuple):
     def check_params(self, values: Mapping[str, int]) -> bool:
         if not self.param_constraint:
             return True
-        env = {name: param_index(name, values[name]) for name in self.param_names}
+        env = {
+            name: integer(values[name], f"parameter {name!r}", ParameterViolation)
+            for name in self.param_names
+        }
         return bool(eval_expr(self.param_constraint, env))
-
-
-# Orbit and relation values are POSIX shell words, with no comments:
-# only space, tab, CR and LF separate words; outside quotes a
-# backslash escapes any character; '...' is literal; inside "..." only
-# \" and \\ are escapes.  Word pieces are disjoint by their first
-# character and a matched word is never given back, so the scan is
-# linear in the line on any input; a fullmatch of the whole line against
-# a repeated word pattern would backtrack exponentially instead.
-_DQ_BODY = r'[^"\\]*(?:\\[\s\S][^"\\]*)*'
-# Groups: 1 a word, 2 a trailing escape (inside or outside "..."),
-# 3 a quote that is never closed; a separator run matches no group.
-_SCAN = re.compile(
-    rf"""[ \t\r\n]+|((?:[^ \t\r\n'"\\]+|\\[\s\S]|'[^']*'|"{_DQ_BODY}")+)"""
-    rf"""|((?:"{_DQ_BODY})?\\\Z)|([\s\S])"""
-)
-_PIECE = re.compile(rf"""\\([\s\S])|'([^']*)'|"({_DQ_BODY})"|([^'"\\]+)""")
-_DQ_ESCAPE = re.compile(r'\\(["\\])')
-
-
-def _split(value: str) -> list[str]:
-    """The shell words of value; ValueError on an open quote or escape."""
-    words: list[str] = []
-    for match in _SCAN.finditer(value):
-        kind = match.lastindex
-        if kind == 1:
-            word = match[1]
-            if "\\" in word or ("'" in word and '"' in word):
-                word = "".join(
-                    esc + single + _DQ_ESCAPE.sub(r"\1", double) + plain
-                    for esc, single, double, plain in _PIECE.findall(word)
-                )
-            else:  # with one kind of quote and no escape, every quote is a delimiter
-                word = word.replace("'", "").replace('"', "")
-            words.append(word)
-        elif kind == 2:
-            raise ValueError("No escaped character")
-        elif kind == 3:
-            raise ValueError("No closing quotation")
-    return words
 
 
 def _fields(tokens: Sequence[str], allowed: Sequence[str], what: str) -> dict[str, str]:
@@ -264,7 +190,7 @@ def _fields(tokens: Sequence[str], allowed: Sequence[str], what: str) -> dict[st
 @lru_cache(maxsize=256)
 def _parse_orbit(value: str) -> OrbitSchema:
     try:
-        tokens = _split(value)
+        tokens = shlex.split(value)
     except ValueError as exc:
         raise DatabaseFormatError(f"bad orbit line: {exc}") from None
     if not tokens or tokens[0] not in _ORBIT_KINDS:
@@ -282,7 +208,7 @@ def _parse_orbit(value: str) -> OrbitSchema:
 @lru_cache(maxsize=256)
 def _parse_relation(value: str) -> RelationEdge:
     try:
-        tokens = _split(value)
+        tokens = shlex.split(value)
     except ValueError as exc:
         raise DatabaseFormatError(f"bad relation line: {exc}") from None
     fields = _fields(tokens, ("op", "to", "label"), "relation")

@@ -17,7 +17,7 @@ from functools import lru_cache
 from operator import add, index
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InvalidRank, shown
+from .errors import InvalidRank, integer, shown
 
 RootVector = tuple[int, ...]
 
@@ -41,10 +41,7 @@ class DynkinType(NamedTuple("DynkinType", [("series", str), ("rank", int)])):
     _make = _make_validated
 
     def __new__(cls, series: str, rank: int) -> "DynkinType":
-        try:
-            rank = index(rank)
-        except TypeError:
-            raise InvalidRank(f"rank must be an integer, got {shown(rank)}") from None
+        rank = integer(rank, "rank", InvalidRank)
         if series not in _MIN_RANK:
             raise InvalidRank(f"unknown series {series!r}")
         if series in _FIXED_RANKS:
@@ -115,6 +112,10 @@ class Weight(NamedTuple("Weight", [("dynkin", DynkinType), ("coords", tuple[int,
     def __str__(self) -> str:
         return "(" + ",".join(map(shown, self.coords)) + ")"
 
+    def __repr__(self) -> str:
+        coords = ", ".join(map(shown, self.coords)) + ("," if len(self.coords) == 1 else "")
+        return f"Weight(dynkin={self.dynkin!r}, coords=({coords}))"
+
 
 def weight(dtype: DynkinType, coords: Iterable[int]) -> Weight:
     return Weight(dtype, tuple(coords))
@@ -122,10 +123,7 @@ def weight(dtype: DynkinType, coords: Iterable[int]) -> Weight:
 
 def fundamental_weight(dtype: DynkinType, node: int) -> Weight:
     """Fundamental weight at a 1-based node."""
-    try:
-        node = index(node)
-    except TypeError:
-        raise InvalidRank(f"node must be an integer, got {shown(node)}") from None
+    node = integer(node, "node", InvalidRank)
     if not 1 <= node <= dtype.rank:
         raise InvalidRank(f"node {shown(node)} out of range for {dtype}")
     return Weight(dtype, tuple(1 if i == node - 1 else 0 for i in range(dtype.rank)))

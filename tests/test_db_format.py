@@ -1,6 +1,5 @@
 import os
 import re
-import shlex
 import signal
 from importlib import resources
 
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from lieflag.classifier import _record_violations, load_database, validate_records
 from lieflag.errors import DatabaseFormatError, ParameterViolation
 from lieflag.records import (
+    _MAX_DEPTH,
     IDENT_RE,
     OrbitSchema,
     RecordSchema,
@@ -20,7 +20,6 @@ from lieflag.records import (
     _parse_block,
     _parse_orbit,
     _parse_relation,
-    _split,
     eval_expr,
     parse_records,
     serialize_records,
@@ -80,8 +79,9 @@ def test_check_params_refuses_a_value_that_is_not_an_integer(value):
 # a line-level fault names its line, a record-level one its record.
 _DEEP_600 = "-" * 600 + "n"
 _DEEP_3000 = "-" * 3000 + "n"
-# Parts the interpreter words itself, and which of our two nesting errors
-# fires depends on its parser; only the text around them is pinned.
+# Parts the interpreter words itself, and whether _DEEP_3000 fails in the
+# interpreter's parser or at our depth limit depends on that parser; only
+# the text around them is pinned.
 _INTERPRETER_WORDED = {
     "{syntax}": r"invalid syntax \(.*\)",
     "{deep}": r"(expression nested too deeply: |bad expression )",
@@ -122,7 +122,7 @@ _INTERPRETER_WORDED = {
         ),
         ("dim = n", "dim = k + 1", "line 8: unknown name 'k' in 'k + 1'"),
         ("dim = n", "dim = n +", "line 8: bad expression 'n +': {syntax}"),
-        ("dim = n", "dim = " + _DEEP_600, f"line 8: {{deep}}{_DEEP_600!r}{{tail}}"),
+        ("dim = n", "dim = " + _DEEP_600, f"line 8: expression nested too deeply: {_DEEP_600!r}"),
         ("dim = n", "dim = " + _DEEP_3000, f"line 8: {{deep}}{_DEEP_3000!r}{{tail}}"),
         ("requires = n >= 2", "requires = n", "line 7: bool expected, got int in 'n'"),
         (
@@ -138,6 +138,14 @@ _INTERPRETER_WORDED = {
         # orbit identification exponents are expressions in n too
         ("ident=P^{n-1}", "ident=P^{n-}", "line 13: bad expression 'n-': {syntax}"),
         ("ident=P^{n-1}", "ident=Q^{n+}", "line 13: bad expression 'n+': {syntax}"),
+        # a tuple beside another operator, inside a tuple or under not
+        ("n >= 2", "n == (1,) < 2", "line 7: tuple outside == or != in 'n == (1,) < 2'"),
+        ("n >= 2", "((1,),) == (1,)", "line 7: tuple outside == or != in '((1,),) == (1,)'"),
+        ("n >= 2", "not (1,)", "line 7: tuple outside == or != in 'not (1,)'"),
+        # a disallowed node is named before a misplaced tuple, the shallowest first
+        ("dim = n", "dim = (1,) < n ** 2", "line 8: disallowed syntax Pow in '(1,) < n ** 2'"),
+        ("dim = n", "dim = (1,) < 1.5", "line 8: non-integer constant in '(1,) < 1.5'"),
+        ("dim = n", "dim = n ** 2 < f(n)", "line 8: disallowed syntax Call in 'n ** 2 < f(n)'"),
     ],
 )
 def test_parse_rejects_malformed_records(mutation):
@@ -215,6 +223,38 @@ def test_expressions_validated_at_load_not_at_query():
 def test_tuples_stay_legal_under_equality():
     (rec,) = parse_records(MINIMAL.replace("m ; m > 0", "p, q ; (p, q) != (0, 0)"))
     assert rec.check_params({"p": 0, "q": 1}) and not rec.check_params({"p": 0, "q": 0})
+    assert _compile("(1,) == (1,) != (2,)")[1] == "bool"
+    assert eval_expr("(1,) == (1,) != (2,)", {}) is True
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        ("n", "int"), ("2", "int"), ("-True", "int"), ("n * 2 - 1", "int"),
+        ("True", "bool"), ("not n", "bool"), ("n and 1", "bool"), ("n < 1", "bool"),
+        ("(n, 1)", "tuple"), ("()", "tuple"),
+    ],
+)
+def test_the_kind_of_an_expression_is_that_of_its_root(text, kind):
+    assert _compile(text)[1] == kind
+
+
+@pytest.mark.parametrize(
+    "nest, value",
+    [
+        (lambda k: "-" * (k - 1) + "n", (-1) ** (_MAX_DEPTH - 1)),
+        (lambda k: "n" + " + 1" * (k - 1), _MAX_DEPTH),
+    ],
+    ids=["negations", "sum"],
+)
+def test_expressions_nest_up_to_the_depth_limit(nest, value):
+    # depth counts the expression nodes on the longest path from the root
+    assert _compile(nest(_MAX_DEPTH))[1] == "int"
+    assert eval_expr(nest(_MAX_DEPTH), {"n": 1}) == value
+    text = nest(_MAX_DEPTH + 1)
+    with pytest.raises(DatabaseFormatError) as exc:
+        _compile(text)
+    assert str(exc.value) == f"expression nested too deeply: {text!r}"
 
 
 @settings(max_examples=300, deadline=None)
@@ -367,28 +407,11 @@ def test_unreadable_database_file_is_a_format_error(tmp_path):
         load_database(str(tmp_path))
 
 
-# shlex.split is the independent oracle for the orbit/relation tokenizer.
-_SHELL_TEXT = st.text(
-    st.one_of(st.sampled_from(list("ab=\"'\\ \t\r\n\xa0\x0b#n-{}")), st.characters()),
-    max_size=40,
-)
-
-
-@settings(max_examples=2000, deadline=None)
-@given(text=_SHELL_TEXT)
-def test_split_agrees_with_shlex(text):
-    try:
-        expected = shlex.split(text)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            _split(text)
-        assert str(got.value) == str(exc)
-    else:
-        assert _split(text) == expected
+_HEAD = "record = X\ncase = SL\nsource = Thm4.1\nitem = 1\ndim = n\npicard = 1\n"
 
 
 def _too_slow(signum, frame):
-    raise TimeoutError("tokenizer did not finish in linear time")
+    raise TimeoutError("splitting did not finish in linear time")
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
@@ -412,12 +435,13 @@ def _too_slow(signum, frame):
     ],
 )
 def test_split_rejects_long_adversarial_lines_in_linear_time(line, error):
-    # exponential backtracking would run for hours; the alarm turns it into a failure
+    # a backtracking splitter would run for hours; the alarm turns it into a failure
     previous = signal.signal(signal.SIGALRM, _too_slow)
     signal.setitimer(signal.ITIMER_REAL, 5)
     try:
-        with pytest.raises(ValueError, match=error):
-            _split(line)
+        with pytest.raises(DatabaseFormatError) as exc:
+            parse_records(_HEAD + "orbit = " + line)
+        assert str(exc.value) == f"line 7: bad orbit line: {error}"
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -438,9 +462,6 @@ def test_tokenizer_errors_keep_their_text(old, new, error):
     with pytest.raises(DatabaseFormatError) as exc:
         parse_records(text)
     assert str(exc.value) == f"line {lineno}: {error}"
-
-
-_HEAD = "record = X\ncase = SL\nsource = Thm4.1\nitem = 1\ndim = n\npicard = 1\n"
 
 
 @pytest.mark.parametrize(

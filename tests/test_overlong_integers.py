@@ -103,6 +103,16 @@ def test_an_over_long_weight_still_has_its_dimension():
     assert weyl_dim(weight(A2, (H, 0))) == (H + 1) * (H + 2) // 2
 
 
+def test_weight_repr_gives_an_over_long_coordinate_by_size():
+    assert repr(weight(A2, (H, 0))) == (
+        "Weight(dynkin=DynkinType(series='A', rank=2), coords=(<integer of ~5000 digits>, 0))"
+    )
+    assert repr(weight(DynkinType("A", 1), (-H,))) == (
+        "Weight(dynkin=DynkinType(series='A', rank=1), "
+        "coords=(<negative integer of ~5000 digits>,))"
+    )
+
+
 def test_group_spec_gives_an_over_long_parameter_by_size():
     group = GroupSpec("SL", H)
     assert group.label() == "SL(<integer of ~5000 digits>)"
