@@ -28,7 +28,7 @@ from .parabolic import (
     named_marking,
     r_min,
 )
-from .records import IDENT_RE, RecordSchema, _check_types, eval_expr, parse_records
+from .records import IDENT_RE, RecordSchema, _check_types, _each, eval_expr, parse_records
 from .roots import DynkinType, _make_validated
 
 DB_ENV_VAR = "LIEFLAG_DB"
@@ -107,6 +107,10 @@ def load_database(path: str | None = None) -> tuple[RecordSchema, ...]:
         path = os.environ.get(DB_ENV_VAR) or None
     if path is None:
         return _load_shipped()
+    try:
+        path = os.fspath(path)  # an integer would be taken as a file descriptor
+    except TypeError:
+        raise DatabaseFormatError(f"cannot read database {shown(path)}: not a path") from None
     try:
         st = os.stat(path)
         return _load_file(path, st.st_mtime_ns, st.st_size)
@@ -216,6 +220,8 @@ def classify(
     db_path: str | None = None,
 ) -> ClassificationResult:
     """Full variety list for a group acting in dimension n, where covered."""
+    if not isinstance(group, GroupSpec):
+        raise InvalidGroup(f"group must be a GroupSpec, got {shown(group)}")
     n = integer(n, "dimension", InvalidDimension)
     if n <= 0:
         raise InvalidDimension(f"dimension must be positive, got {shown(n)}")
@@ -270,9 +276,6 @@ def orbit_structure(
         raise ParameterViolation(
             f"{name!r} requires {rec.requires!r}, violated at n={shown(n)}"
         )
-    missing = [p for p in rec.param_names if p not in params]
-    if missing:
-        raise ParameterViolation(f"{name!r} needs parameter {missing[0]!r}")
     if not rec.check_params(params):
         raise ParameterViolation(
             f"parameters violate {rec.param_constraint!r} for {name!r}"
@@ -335,7 +338,7 @@ def validate_records(records: Sequence[RecordSchema]) -> list[Violation]:
     and reach: a record whose ``requires`` holds at no probe n of its
     case would be checked by no rule, so it is reported instead.
     """
-    records = tuple(records)
+    records = tuple(_each(records))
     for rec in records:
         _check_types(rec)
     found = (

@@ -26,7 +26,14 @@ always quotes notes, ops, targets and labels, and quotes an orbit
 backslash.  Record blocks, orbit and relation values, compiled
 expressions and a record's ``requires`` outcome at n are memoised in
 bounded caches; a block (its stripped lines but blanks and comments) is
-reused only while they are unchanged.  No error is cached.
+reused only while they are unchanged.
+
+Serializing and validating take a record only when each value has
+exactly its declared type, subclasses refused, so two records that pass
+and compare equal hold identical values.  ``_CHECKED`` holds up to 256
+records that passed, by identity, and is emptied when full;
+``_record_text`` memoises the text of up to 256 records by value, and
+runs only on a record that passed.  No error is cached.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import shlex
 from functools import lru_cache
 from operator import attrgetter
 from types import CodeType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DatabaseFormatError, ParameterViolation, integer, shown
 
@@ -165,6 +172,9 @@ class RecordSchema(NamedTuple):
         return not self.requires or _holds(self.requires, n)
 
     def check_params(self, values: Mapping[str, int]) -> bool:
+        for name in self.param_names:
+            if name not in values:
+                raise ParameterViolation(f"{self.name!r} needs parameter {name!r}")
         if not self.param_constraint:
             return True
         env = {
@@ -289,6 +299,8 @@ _BLOCKS = re.compile(r"\n(?=record[^\S\n]*=)").split
 
 
 def parse_records(text: str) -> tuple[RecordSchema, ...]:
+    if not isinstance(text, str):
+        raise DatabaseFormatError(f"database text must be a str, got {type(text).__name__}")
     lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
     blocks = _BLOCKS("\n".join(lines)) if lines else []  # lines ahead of a record fail
     records: list[RecordSchema] = []
@@ -328,80 +340,116 @@ _RECORD_INTS = attrgetter("item", "picard", "actions")
 _UNSAFE_PARAM = re.compile(r"[\s,;]").search
 
 
+# Records that passed _check_types, by id, emptied when full.  Holding a
+# record keeps its id from being reused.  An equality-keyed memo could not
+# skip the check: tuple(rec) == rec, and a record with item=True equals
+# one with item=1.
+_CHECKED: dict[int, RecordSchema] = {}
+_CHECKED_MAX = 256
+
+
 def _check_types(rec: RecordSchema) -> None:
     """Refuse a record with a value of another type than declared, which
-    would parse back changed or could not key the per-record caches."""
-    if not isinstance(rec, RecordSchema):
+    would parse back changed or could not key the per-record caches.
+
+    Types must match exactly, subclasses refused: two records that pass
+    and compare equal then hold identical values.
+    """
+    if _CHECKED.get(id(rec)) is rec:
+        return
+    if type(rec) is not RecordSchema:
         raise DatabaseFormatError(f"cannot write {shown(rec)}: not a RecordSchema")
     for value in _RECORD_INTS(rec):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if type(value) is not int:
             raise DatabaseFormatError(f"cannot write {shown(value)}: not an integer")
-    if not isinstance(rec.allows_fixed_point, bool):
+    if type(rec.allows_fixed_point) is not bool:
         raise DatabaseFormatError(f"cannot write {shown(rec.allows_fixed_point)}: not a bool")
     for parts, kind, noun in (
         (rec.param_names, str, "a string"),
         (rec.orbits, OrbitSchema, "an OrbitSchema"),
         (rec.relations, RelationEdge, "a RelationEdge"),
     ):
-        if not isinstance(parts, tuple):
+        if type(parts) is not tuple:
             raise DatabaseFormatError(f"cannot write {shown(parts)}: not a tuple")
         for part in parts:
-            if not isinstance(part, kind):
+            if type(part) is not kind:
                 raise DatabaseFormatError(f"cannot write {shown(part)}: not {noun}")
     strings = [*_RECORD_TEXT(rec)]
     for part in (*rec.orbits, *rec.relations):
         strings += part
     for value in strings:
-        if not isinstance(value, str):
+        if type(value) is not str:
             raise DatabaseFormatError(f"cannot write {shown(value)}: not a string")
+    if len(_CHECKED) >= _CHECKED_MAX:
+        _CHECKED.clear()
+    _CHECKED[id(rec)] = rec
 
 
-def serialize_records(records: Sequence[RecordSchema]) -> str:
-    lines: list[str] = []
-    for rec in records:
-        _check_types(rec)
-        for value in _RECORD_TEXT(rec):
-            if len(value.splitlines()) > 1 or value != value.strip():
-                raise DatabaseFormatError(
-                    f"cannot write {value!r}: not one line without edge whitespace"
-                )
-        for name in rec.param_names:
-            if not name or _UNSAFE_PARAM(name):
-                raise DatabaseFormatError(f"cannot write params name {name!r}")
-        try:
-            item, picard, actions = map(str, _RECORD_INTS(rec))
-        except ValueError as exc:  # more digits than int -> str allows
-            raise DatabaseFormatError(f"cannot write an integer: {exc}") from None
-        lines.append(f"record = {rec.name}")
-        lines.append(f"case = {rec.case}")
-        lines.append(f"source = {rec.source}")
-        lines.append(f"item = {item}")
-        if rec.requires:
-            lines.append(f"requires = {rec.requires}")
-        lines.append(f"dim = {rec.dim}")
-        lines.append(f"picard = {picard}")
-        if rec.param_names or rec.param_constraint:
-            names = ", ".join(rec.param_names)
-            lines.append(f"params = {names} ; {rec.param_constraint}".rstrip())
-        if rec.allows_fixed_point:
-            lines.append("allows_fixed_point = yes")
-        if rec.actions != 1:
-            lines.append(f"actions = {actions}")
-        if rec.note:
-            lines.append(f"note = {rec.note}")
-        for orb in rec.orbits:
-            if orb.kind not in _ORBIT_KINDS:
-                raise DatabaseFormatError(f"cannot write orbit kind {orb.kind!r}")
-            parts = [orb.kind, f"dim={_word(orb.dim)}"]
-            if orb.ident:
-                parts.append(f"ident={_word(orb.ident)}")
-            if orb.note:
-                parts.append(f"note={_quote(orb.note)}")
-            lines.append("orbit = " + " ".join(parts))
-        for rel in rec.relations:
-            parts = [f"op={_quote(rel.op)}", f"to={_quote(rel.to)}"]
-            if rel.label:
-                parts.append(f"label={_quote(rel.label)}")
-            lines.append("relation = " + " ".join(parts))
-        lines.append("")
+def _each(records: Iterable[RecordSchema]) -> Iterator[RecordSchema]:
+    """iter(records); a value that cannot be iterated is a DatabaseFormatError."""
+    try:
+        return iter(records)
+    except TypeError:
+        raise DatabaseFormatError(
+            f"records must be an iterable, got {type(records).__name__}"
+        ) from None
+
+
+@lru_cache(maxsize=256)
+def _record_text(rec: RecordSchema) -> str:
+    """The lines of a record that passed _check_types, each ending in a line break."""
+    for value in _RECORD_TEXT(rec):
+        if len(value.splitlines()) > 1 or value != value.strip():
+            raise DatabaseFormatError(
+                f"cannot write {value!r}: not one line without edge whitespace"
+            )
+    for name in rec.param_names:
+        if not name or _UNSAFE_PARAM(name):
+            raise DatabaseFormatError(f"cannot write params name {name!r}")
+    try:
+        item, picard, actions = map(str, _RECORD_INTS(rec))
+    except ValueError as exc:  # more digits than int -> str allows
+        raise DatabaseFormatError(f"cannot write an integer: {exc}") from None
+    lines = [
+        f"record = {rec.name}",
+        f"case = {rec.case}",
+        f"source = {rec.source}",
+        f"item = {item}",
+    ]
+    if rec.requires:
+        lines.append(f"requires = {rec.requires}")
+    lines.append(f"dim = {rec.dim}")
+    lines.append(f"picard = {picard}")
+    if rec.param_names or rec.param_constraint:
+        names = ", ".join(rec.param_names)
+        lines.append(f"params = {names} ; {rec.param_constraint}".rstrip())
+    if rec.allows_fixed_point:
+        lines.append("allows_fixed_point = yes")
+    if rec.actions != 1:
+        lines.append(f"actions = {actions}")
+    if rec.note:
+        lines.append(f"note = {rec.note}")
+    for orb in rec.orbits:
+        if orb.kind not in _ORBIT_KINDS:
+            raise DatabaseFormatError(f"cannot write orbit kind {orb.kind!r}")
+        parts = [orb.kind, f"dim={_word(orb.dim)}"]
+        if orb.ident:
+            parts.append(f"ident={_word(orb.ident)}")
+        if orb.note:
+            parts.append(f"note={_quote(orb.note)}")
+        lines.append("orbit = " + " ".join(parts))
+    for rel in rec.relations:
+        parts = [f"op={_quote(rel.op)}", f"to={_quote(rel.to)}"]
+        if rel.label:
+            parts.append(f"label={_quote(rel.label)}")
+        lines.append("relation = " + " ".join(parts))
+    lines.append("")
     return "\n".join(lines)
+
+
+def serialize_records(records: Iterable[RecordSchema]) -> str:
+    chunks = []
+    for rec in _each(records):
+        _check_types(rec)
+        chunks.append(_record_text(rec))
+    return "\n".join(chunks)

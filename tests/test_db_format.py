@@ -2,14 +2,23 @@ import os
 import re
 import signal
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieflag.classifier import _record_violations, load_database, validate_records
-from lieflag.errors import DatabaseFormatError, ParameterViolation
+from lieflag.classifier import (
+    _record_violations,
+    classify,
+    group_spec,
+    load_database,
+    orbit_structure,
+    validate_records,
+)
+from lieflag.errors import DatabaseFormatError, InvalidGroup, ParameterViolation
 from lieflag.records import (
+    _CHECKED,
     _MAX_DEPTH,
     IDENT_RE,
     OrbitSchema,
@@ -20,6 +29,7 @@ from lieflag.records import (
     _parse_block,
     _parse_orbit,
     _parse_relation,
+    _record_text,
     eval_expr,
     parse_records,
     serialize_records,
@@ -73,6 +83,18 @@ def test_check_params_refuses_a_value_that_is_not_an_integer(value):
     with pytest.raises(ParameterViolation) as exc:
         rec.check_params({"m": value})
     assert str(exc.value) == f"parameter 'm' must be an integer, got {value!r}"
+
+
+def test_a_missing_declared_parameter_is_named():
+    (rec,) = parse_records(MINIMAL)
+    with pytest.raises(ParameterViolation) as exc:
+        rec.check_params({})
+    assert str(exc.value) == "'W^n' needs parameter 'm'"
+    # a declared parameter is needed without a constraint too
+    with pytest.raises(ParameterViolation) as exc:
+        orbit_structure("Y_a", {"n": 4})
+    assert str(exc.value) == "'Y_a' needs parameter 'a'"
+    assert orbit_structure("Y_a", {"n": 4, "a": -3})
 
 
 # Each malformation with the exact text its DatabaseFormatError carries:
@@ -407,6 +429,42 @@ def test_unreadable_database_file_is_a_format_error(tmp_path):
         load_database(str(tmp_path))
 
 
+def test_a_value_that_is_not_a_path_touches_no_file_descriptor(tmp_path):
+    db = tmp_path / "fd.db"
+    db.write_text(MINIMAL)
+    fd = os.open(db, os.O_RDONLY)
+    try:
+        assert fd > 2
+        with pytest.raises(DatabaseFormatError) as exc:
+            load_database(fd)
+        assert str(exc.value) == f"cannot read database {fd}: not a path"
+        with pytest.raises(DatabaseFormatError):
+            classify(group_spec("SL", 4), 4, db_path=fd)
+        assert os.fstat(fd).st_size == len(MINIMAL)  # still open
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize(
+    "call, args, error, message",
+    [
+        (classify, (None, 4), InvalidGroup, "group must be a GroupSpec, got None"),
+        (classify, (("SL", 4), 4), InvalidGroup, "group must be a GroupSpec, got ('SL', 4)"),
+        (parse_records, (5,), DatabaseFormatError, "database text must be a str, got int"),
+        (parse_records, (MINIMAL.encode(),), DatabaseFormatError,
+         "database text must be a str, got bytes"),
+        (serialize_records, (5,), DatabaseFormatError, "records must be an iterable, got int"),
+        (validate_records, (5,), DatabaseFormatError, "records must be an iterable, got int"),
+        (validate_records, (None,), DatabaseFormatError,
+         "records must be an iterable, got NoneType"),
+    ],
+)
+def test_wrong_typed_arguments_are_domain_errors(call, args, error, message):
+    with pytest.raises(error) as exc:
+        call(*args)
+    assert str(exc.value) == message
+
+
 _HEAD = "record = X\ncase = SL\nsource = Thm4.1\nitem = 1\ndim = n\npicard = 1\n"
 
 
@@ -697,3 +755,58 @@ def test_serialize_round_trips_or_refuses_record_values(data):
     except DatabaseFormatError:
         return
     assert back == (rec,)
+
+
+def _clear_record_memos():
+    _CHECKED.clear()
+    _record_text.cache_clear()
+
+
+class _Text(str):
+    pass
+
+
+_SHIPPED_RECORDS = load_database()
+# Each equal to a shipped record, yet of another type than a field declares.
+_EQUAL_BUT_ILL_TYPED = [
+    (tuple(_SHIPPED_RECORD), "not a RecordSchema"),
+    (_SHIPPED_RECORD._replace(item=True), "cannot write True: not an integer"),
+    (_SHIPPED_RECORD._replace(name=_Text(_SHIPPED_RECORD.name)),
+     f"cannot write {_SHIPPED_RECORD.name!r}: not a string"),
+]
+
+
+@pytest.mark.parametrize("bad, message", _EQUAL_BUT_ILL_TYPED)
+def test_the_record_memos_refuse_an_equal_record_of_another_type(bad, message):
+    assert bad == _SHIPPED_RECORD and _SHIPPED_RECORD.item == 1
+    serialize_records(_SHIPPED_RECORDS)
+    validate_records(_SHIPPED_RECORDS)
+    for call in (serialize_records, validate_records, serialize_records, validate_records):
+        with pytest.raises(DatabaseFormatError) as exc:
+            call([*_SHIPPED_RECORDS, bad])
+        assert message in str(exc.value)
+
+
+def test_a_refused_value_is_refused_on_every_call():
+    bad = _SHIPPED_RECORD._replace(note="ends in a space ")
+    for _ in range(2):
+        with pytest.raises(DatabaseFormatError, match="not one line without edge whitespace"):
+            serialize_records([bad])
+
+
+def test_serialized_shipped_records_are_pinned():
+    expected = Path(__file__).with_name("shipped_serialized.db").read_text(encoding="utf-8")
+    _clear_record_memos()
+    for memo in ("cold", "warm"):
+        assert serialize_records(load_database()) == expected, memo
+
+
+@settings(max_examples=150, deadline=None)
+@given(order=st.permutations(range(len(_SHIPPED_RECORDS))), keep=st.integers(0, 30))
+def test_the_record_memos_give_the_text_they_were_cleared_of(order, keep):
+    records = [_SHIPPED_RECORDS[i] for i in order[:keep]]
+    serialize_records(_SHIPPED_RECORDS)
+    warm = serialize_records(records)
+    _clear_record_memos()
+    assert serialize_records(records) == warm
+    assert warm == "".join(serialize_records([rec]) + "\n" for rec in records)[:-1]
