@@ -20,6 +20,7 @@ from .errors import (
     ParameterViolation,
     UnknownVariety,
     integer,
+    mapping,
     shown,
 )
 from .parabolic import (
@@ -269,7 +270,7 @@ def orbit_structure(
         cases = ", ".join(sorted({r.case for r in matches}))
         raise UnknownVariety(f"{name!r} is ambiguous between cases {cases}; pass case")
     rec = matches[0]
-    if "n" not in params:
+    if "n" not in mapping(params, "params", ParameterViolation):
         raise ParameterViolation("params must bind n")
     n = integer(params["n"], "parameter 'n'", ParameterViolation)
     if not rec.applies(n):

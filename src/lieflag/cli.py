@@ -4,23 +4,28 @@ Every subcommand is one entry of the COMMANDS table: help text,
 arguments, handler and text layout.  The handler builds one JSON payload.
 With --json it is printed as a single JSON document; otherwise its stable
 line-oriented text form is rendered from that payload through the
-command's layout, so the two modes cannot disagree.  run() builds the
-argparse subparser of the chosen command only, and the handlers reach the
-library through the package's lazy re-exports, so a command loads only the
-modules it uses.  Exit codes: 0 success, 1 domain errors (named on stderr),
-2 usage errors.
+command's layout, so the two modes cannot disagree.  run() reads a plain
+argv (exact option names, each once, values that convert) straight from
+the COMMANDS table and imports argparse only for help, usage errors and
+any other argv, which it parses with every subparser built; both paths
+give the same namespace.  The handlers reach the library through the
+package's lazy re-exports, so a command loads only the modules it uses.
+Exit codes: 0 success, 1 domain errors (named on stderr), 2 usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import Callable, NamedTuple, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import lieflag
 
 from .errors import AnswerTooLong, DomainError, shown
 from .roots import DynkinType, Weight, dynkin_type  # on every command's path
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class UsageError(Exception):
@@ -181,7 +186,7 @@ def _cmd_validate_db(args) -> dict:
 class Command(NamedTuple):
     help: str
     arguments: str
-    handler: Callable[[argparse.Namespace], dict]
+    handler: Callable[[SimpleNamespace], dict]
     layout: list
 
 
@@ -282,8 +287,10 @@ def _render_text(command: str, payload: dict) -> list[str]:
     return lines
 
 
-def build_parser(names: Sequence[str] | None = None) -> argparse.ArgumentParser:
-    """The parser with the subparsers of ``names``, of every command by default."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, for help, usage errors and argv that are not plain."""
+    import argparse
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit one JSON document")
@@ -292,44 +299,90 @@ def build_parser(names: Sequence[str] | None = None) -> argparse.ArgumentParser:
     # SUPPRESS keeps the subparser from re-stamping a default over a value
     # already parsed from before the subcommand; run() fills the fallback.
     parser = argparse.ArgumentParser(prog="lieflag", parents=[common])
-    # With some commands left out, the metavar keeps them all in the usage
-    # line.  It is not set otherwise: error messages name the argument by it.
-    metavar = None if names is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if names is None else names:
-        entry = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, entry in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=entry.help)
         for argument in entry.arguments.split():
             p.add_argument(argument, **_ARGUMENTS[argument])
     return parser
 
 
-def _named_command(argv: Sequence[str]) -> str | None:
-    """The command argv names after exact top-level options only, else None."""
+def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace build_parser() gives argv, with run()'s json/db fallbacks,
+    when argv is plain; None otherwise, leaving argparse to decide.
+
+    Plain: one command word; --json and --db at most once each, before or
+    after it; other options exact names of the command, each at most once,
+    after it; values as ``--opt value`` or ``--opt=value``, none starting
+    with "-"; flags without "="; the type positional exactly once where the
+    command takes one; int values that int() converts, values among their
+    choices and every required argument given.  Help, abbreviations, "--",
+    repeats, negative numbers and stray words are not plain.
+    """
+    given: dict[str, str | bool] = {}
+    command, names = None, []
+    options = {"--json": {"action": "store_true"}, "--db": {}}  # as build_parser() adds them
     words = iter(argv)
     for word in words:
-        if word == "--db":
-            next(words, None)
-        elif word != "--json" and not word.startswith("--db="):
-            return word if word in COMMANDS else None
-    return None
+        if not word.startswith("-"):
+            if command is None and word in COMMANDS:
+                command, names = word, COMMANDS[word].arguments.split()
+                options.update((name, _ARGUMENTS[name]) for name in names)
+            elif "type" in names and "type" not in given:
+                given["type"] = word
+            else:
+                return None
+            continue
+        option, eq, value = word.partition("=")
+        if option not in options or option in given:
+            return None
+        if options[option].get("action") == "store_true":
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(words, "-")  # a missing value is not plain either
+            if value.startswith("-"):
+                return None
+        given[option] = value
+    if command is None:
+        return None
+    args = SimpleNamespace(command=command, json=given.pop("--json", False),
+                           db=given.pop("--db", None))
+    for name in names:
+        spec = _ARGUMENTS[name]
+        if name in given:
+            value = given[name]
+            if "type" in spec:
+                try:
+                    value = spec["type"](value)
+                except ValueError:
+                    return None
+            if value not in spec.get("choices", (value,)):
+                return None
+        elif name == "type" or spec.get("required"):
+            return None
+        else:
+            value = spec.get("default", False)  # a store_true flag defaults to False
+        setattr(args, name.lstrip("-"), value)
+    return args
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    name = _named_command(argv)
-    # Help, a missing or unknown command and stray options list every command.
-    full = name is None or "-h" in argv or "--help" in argv
-    parser = build_parser(None if full else [name])
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    args.json = getattr(args, "json", False)
-    args.db = getattr(args, "db", None)
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        args.json = getattr(args, "json", False)
+        args.db = getattr(args, "db", None)
     try:
         payload = {}
-        if "type" in args:  # parsed here for every command that has one; its payload opens with it
+        # parsed here for every command that has one; its payload opens with it
+        if hasattr(args, "type"):
             try:
                 args.type = dynkin_type(args.type)
             except DomainError as exc:

@@ -6,6 +6,7 @@ stable, user-visible error tag.  Messages quote a caller's value through
 ``shown``.
 """
 
+from collections.abc import Mapping
 from operator import index
 
 
@@ -91,3 +92,11 @@ def integer(value, what: str, error: type[DomainError]) -> int:
         return index(value)
     except TypeError:
         raise error(f"{what} must be an integer, got {shown(value)}") from None
+
+
+def mapping(value, what: str, error: type[DomainError]) -> Mapping:
+    """``value`` when it is a mapping; anything else raises
+    ``error("<what> must be a mapping, got <type name>")``."""
+    if type(value) is dict or isinstance(value, Mapping):
+        return value
+    raise error(f"{what} must be a mapping, got {type(value).__name__}")

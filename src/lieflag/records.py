@@ -46,7 +46,14 @@ from operator import attrgetter
 from types import CodeType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import DatabaseFormatError, ParameterViolation, integer, shown
+from .errors import (
+    DatabaseFormatError,
+    InvalidDimension,
+    ParameterViolation,
+    integer,
+    mapping,
+    shown,
+)
 
 _SOURCES = ("Prop3.1", "Thm4.1", "Thm5.4")
 _CASES = ("SL", "Sp", "Spin", "SL3Q")
@@ -78,6 +85,8 @@ def _compile(text: str) -> tuple[CodeType, str]:
     the whole expression or as an operand of == or != alone, so an
     expression that passes cannot fail once its names are bound.
     """
+    if not isinstance(text, str):  # checked here, on a memo miss only
+        raise DatabaseFormatError(f"expression must be a string, got {type(text).__name__}")
     try:
         tree = ast.parse(text, mode="eval")
     except (SyntaxError, ValueError, RecursionError) as exc:
@@ -113,8 +122,13 @@ def _compile(text: str) -> tuple[CodeType, str]:
 
 
 def eval_expr(text: str, env: Mapping[str, int]):
-    """Evaluate a small integer/boolean expression over named integers."""
+    """Evaluate a small integer/boolean expression over named integers.
+
+    A ``text`` that is not a string or an ``env`` that is not a mapping
+    raises ``DatabaseFormatError``.
+    """
     code, _ = _compile(text)
+    mapping(env, "env", DatabaseFormatError)
     for name in code.co_names:
         if name not in env:
             raise DatabaseFormatError(f"unknown name {name!r} in {text!r}")
@@ -169,9 +183,12 @@ class RecordSchema(NamedTuple):
     relations: tuple[RelationEdge, ...] = ()
 
     def applies(self, n: int) -> bool:
+        if type(n) is not int:  # before the memo, where 3.0 would hit as 3
+            n = integer(n, "dimension", InvalidDimension)
         return not self.requires or _holds(self.requires, n)
 
     def check_params(self, values: Mapping[str, int]) -> bool:
+        mapping(values, "params", ParameterViolation)
         for name in self.param_names:
             if name not in values:
                 raise ParameterViolation(f"{self.name!r} needs parameter {name!r}")

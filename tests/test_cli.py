@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import json
 import os
 import re
@@ -7,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieflag import cli
 from lieflag.cli import run
@@ -97,7 +102,7 @@ _TOP_USAGE = f"usage: lieflag [-h] [--json] [--db DB]\n               {_COMMANDS
 _CHOICES = ", ".join(repr(name) for name in _COMMANDS.strip("{}").split(","))
 
 
-# Exact argparse texts; they must not depend on which subparsers run() builds.
+# Exact argparse texts, which the full parser prints for help and usage errors.
 @pytest.mark.parametrize(
     "argv,code,out,err",
     [
@@ -168,23 +173,120 @@ def test_db_value_named_like_a_command(capsys, tmp_path, monkeypatch):
     assert _run(capsys, ["--db", "roots", "validate-db"])[0] == 1
 
 
+@functools.cache
+def _parser():
+    return cli.build_parser()
+
+
+def _full_namespace(argv):
+    """vars() of the full parser's namespace with run()'s fallbacks; None when it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args = _parser().parse_args(argv)
+    except SystemExit:
+        return None
+    return {"json": False, "db": None, **vars(args)}
+
+
+def _check_plain(argv):
+    """_plain_args(argv) is None or the full parser's namespace; None where the parser exits."""
+    plain = cli._plain_args(argv)
+    full = _full_namespace(argv)
+    if full is None or plain is None:
+        assert plain is None
+    else:
+        assert vars(plain) == full
+    return plain
+
+
 @pytest.mark.parametrize(
     "argv,name",
     [
         (["rmin", "G2"], "rmin"),
         (["--json", "--db", "roots", "validate-db"], "validate-db"),
-        (["--db=x", "rmin", "--db", "y"], "rmin"),
+        (["--db=x", "rmin", "--db", "y"], None),  # --db twice
         (["--bogus", "rmin"], None),
         (["--js", "rmin"], None),
         (["-h", "rmin"], None),
         (["bogus", "rmin"], None),
         (["--db"], None),
         ([], None),
+        (["--db=x", "rmin", "G2", "--db", "y"], None),  # argparse takes the last
+        (["classify", "--dim", "4", "--group", "SL", "--dim", "4"], None),
+        (["rmin", "G2", "--db"], None),
+        (["classify", "--dim=4", "--group", "SL", "--quasihomogeneous"], "classify"),
+        (["classify", "--dim", "4", "--group", "SL", "--quasihomogeneous="], None),
+        (["classify", "--dim", "4", "--group", "SU"], None),
+        (["classify", "--dim", "-4", "--group", "SL"], None),
+        (["fano-index", "B2", "--node", "+1"], "fano-index"),
+        (["fano-index", "--node", "1", "B2", "B2"], None),
+        (["fano-index", "B2", "--node", "1", "--", "B2"], None),
+        (["weyl-dim", "--weight", "1", "A1", "--weig", "2"], None),
     ],
 )
 def test_only_a_plainly_named_command_skips_the_full_parser(argv, name):
     # any other argv may need the full parser: help, or an error listing every command
-    assert cli._named_command(argv) == name
+    plain = _check_plain(argv)
+    assert (plain and plain.command) == name
+
+
+@pytest.mark.parametrize("name,argv", _cases())
+def test_every_golden_argv_is_plain(name, argv):
+    for variant, json_, db in (
+        (argv, False, None),
+        (["--json", *argv], True, None),
+        ([*argv, "--json"], True, None),
+        (["--db", "x.db", *argv], False, "x.db"),
+        ([*argv, "--db=x.db", "--json"], True, "x.db"),
+        (["--json", *argv, "--db", "x.db"], True, "x.db"),
+    ):
+        plain = _check_plain(variant)
+        assert plain is not None and (plain.json, plain.db) == (json_, db), variant
+
+
+# Words for the differential: option names exact and abbreviated, values that
+# int() reads in several spellings, negatives, choices and non-choices.
+_OPTIONS = [name for name in cli._ARGUMENTS if name.startswith("--")] + ["--json", "--db"]
+_INTS = ["0", "1", "3", "12", "+4", "4_0", "\u0664", " 4"]
+_VALUES = [*_INTS, "1,0", "2,4", "-1", "-1,0", "", "A2", "G2", "B3", "x", "n=4", "SL", "Sp",
+           "Spin", "SL3Q", "SO", "P^n"]
+_ODD = ["--", "-h", "--help", "-", "--js", "--d", "--no", "--we", "--pa", "--q", "--c", "bogus"]
+_WORDS = st.one_of(
+    st.sampled_from([*cli.COMMANDS, *_OPTIONS, *_VALUES, *_ODD]),
+    st.builds("{}={}".format, st.sampled_from(_OPTIONS + _ODD), st.sampled_from(_VALUES)),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A command with most of its arguments, shuffled, in either value form, plus strays."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    before, after = [], []
+    for name in cli.COMMANDS[command].arguments.split() + ["--json", "--db"]:
+        if draw(st.integers(0, 9)) == 0:
+            continue
+        spec = cli._ARGUMENTS.get(name, {})
+        fitting = spec.get("choices") or (_INTS if "type" in spec else ["A2", "B3", "1,0"])
+        value = draw(st.sampled_from([*fitting, *_VALUES]))
+        if name == "type":
+            group = [value]
+        elif name in ("--json", "--quasihomogeneous"):
+            group = [name]
+        else:
+            group = draw(st.sampled_from([[name, value], [f"{name}={value}"]]))
+        top = name in ("--json", "--db") and draw(st.booleans())
+        (before if top else after).append(group)
+    groups = [*before, [command], *draw(st.permutations(after))]
+    words = [word for group in groups for word in group]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        words.insert(draw(st.integers(0, len(words))), draw(_WORDS))
+    return words
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=st.one_of(_argvs(), st.lists(_WORDS, max_size=6)))
+def test_plain_args_agree_with_the_full_parser(argv):
+    _check_plain(argv)
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from lieflag.classifier import (
     orbit_structure,
     validate_records,
 )
-from lieflag.errors import DatabaseFormatError, InvalidGroup, ParameterViolation
+from lieflag.errors import DatabaseFormatError, InvalidDimension, InvalidGroup, ParameterViolation
 from lieflag.records import (
     _CHECKED,
     _MAX_DEPTH,
@@ -75,6 +75,8 @@ def test_record_predicates():
     (rec,) = parse_records(MINIMAL)
     assert rec.applies(2) and not rec.applies(1)
     assert rec.check_params({"m": 3}) and not rec.check_params({"m": 0})
+    with pytest.raises(InvalidDimension, match="got 2.0"):
+        rec.applies(2.0)  # refused, not answered from the memo entry of 2
 
 
 @pytest.mark.parametrize("value", [1.9, 0.5, "2", None])
@@ -457,6 +459,18 @@ def test_a_value_that_is_not_a_path_touches_no_file_descriptor(tmp_path):
         (validate_records, (5,), DatabaseFormatError, "records must be an iterable, got int"),
         (validate_records, (None,), DatabaseFormatError,
          "records must be an iterable, got NoneType"),
+        (orbit_structure, ("P^n", None, "SL"), ParameterViolation,
+         "params must be a mapping, got NoneType"),
+        (orbit_structure, ("P^n", [("n", 4)], "SL"), ParameterViolation,
+         "params must be a mapping, got list"),
+        (parse_records(MINIMAL)[0].check_params, (None,), ParameterViolation,
+         "params must be a mapping, got NoneType"),
+        (eval_expr, (5, {}), DatabaseFormatError, "expression must be a string, got int"),
+        (eval_expr, ("n", None), DatabaseFormatError, "env must be a mapping, got NoneType"),
+        (parse_records(MINIMAL)[0].applies, ("3",), InvalidDimension,
+         "dimension must be an integer, got '3'"),
+        (parse_records(MINIMAL)[0].applies, (None,), InvalidDimension,
+         "dimension must be an integer, got None"),
     ],
 )
 def test_wrong_typed_arguments_are_domain_errors(call, args, error, message):

@@ -39,11 +39,11 @@ PUBLIC_NAMES = [
 ]
 
 
-def _fresh_python(code: str) -> subprocess.CompletedProcess:
+def _fresh_python(code: str, *flags: str) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if k != "LIEFLAG_DB"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
     return done
@@ -59,38 +59,50 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
+def _footprints(step: str):
+    """(stdout, modules loaded) of a step in a fresh interpreter, with site and under -S,
+    which leaves out whatever site imports first."""
+    for flags in ((), ("-S",)):
+        done = _fresh_python(_FOOTPRINT.format(step=step), *flags)
+        *out, modules = done.stdout.splitlines()
+        yield "\n".join(out) + "\n", set(json.loads(modules))
+
+
 def test_bare_import_loads_no_submodule():
-    done = _fresh_python(_FOOTPRINT.format(step="import lieflag"))
-    loaded = json.loads(done.stdout.splitlines()[-1])
-    assert "lieflag" in loaded
-    assert [m for m in loaded if m.startswith("lieflag.")] == []
+    for _, loaded in _footprints("import lieflag"):
+        assert "lieflag" in loaded
+        assert [m for m in loaded if m.startswith("lieflag.")] == []
 
 
 def test_type_command_skips_database_modules():
-    step = "from lieflag import cli\ncli.run(['rmin', 'G2'])"
-    done = _fresh_python(_FOOTPRINT.format(step=step))
-    *out, modules = done.stdout.splitlines()
-    assert "\n".join(out) + "\n" == (GOLDEN / "rmin_G2.txt").read_text()
-    loaded = set(json.loads(modules))
-    assert {"lieflag.cli", "lieflag.roots", "lieflag.parabolic"} <= loaded
-    assert not loaded & {"lieflag.classifier", "lieflag.records", "dataclasses", "ast", "json"}
+    for out, loaded in _footprints("from lieflag import cli\ncli.run(['rmin', 'G2'])"):
+        assert out == (GOLDEN / "rmin_G2.txt").read_text()
+        assert {"lieflag.cli", "lieflag.roots", "lieflag.parabolic"} <= loaded
+        assert not loaded & {"lieflag.classifier", "lieflag.records", "dataclasses", "ast", "json",
+                             "argparse", "gettext"}
 
 
 @pytest.mark.parametrize(
-    "case", ["classify_SL4_n4.txt", "validate_db.json", "orbits_bundle_over_P3.txt"]
+    "case",
+    ["classify_SL4_n4.txt", "classify_SL4_n4.json", "validate_db.json",
+     "orbits_bundle_over_P3.txt"],
 )
 def test_database_command_skips_dataclasses_and_inspect(case):
     lines = (GOLDEN / "manifest.tsv").read_text().splitlines()
     manifest = dict(line.split("\t") for line in lines)
     stem, suffix = case.rsplit(".", 1)
     argv = (["--json"] if suffix == "json" else []) + shlex.split(manifest[stem])
-    step = f"from lieflag import cli\ncli.run({argv!r})"
-    done = _fresh_python(_FOOTPRINT.format(step=step))
-    *out, modules = done.stdout.splitlines()
-    assert "\n".join(out) + "\n" == (GOLDEN / case).read_text()
-    loaded = set(json.loads(modules))
-    assert {"lieflag.classifier", "lieflag.records"} <= loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    for out, loaded in _footprints(f"from lieflag import cli\ncli.run({argv!r})"):
+        assert out == (GOLDEN / case).read_text()
+        assert {"lieflag.classifier", "lieflag.records"} <= loaded
+        # a plain argv is parsed from the command table, without argparse
+        assert not loaded & {"dataclasses", "inspect", "argparse", "gettext"}
+
+
+def test_usage_error_loads_argparse():
+    for out, loaded in _footprints("from lieflag import cli\nassert cli.run(['rmin']) == 2"):
+        assert out == "\n"
+        assert {"argparse", "lieflag.cli"} <= loaded
 
 
 def test_database_command_after_lazy_start_matches_golden():
