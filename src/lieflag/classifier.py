@@ -158,11 +158,16 @@ class VarietyDescriptor(NamedTuple):
     allows_fixed_point: bool = False
 
 
-# The ladder's per-record steps are pure functions of frozen values, so a
-# repeated query reuses them; an edited database gives new keys.
+# A record at n is a pure function of frozen values, so classify,
+# orbit_structure and validation share one memo of it; an edited database
+# gives new keys.
 @lru_cache(maxsize=1024)
-def _instantiate(rec: RecordSchema, n: int) -> VarietyDescriptor:
+def _instantiate(rec: RecordSchema, n: int) -> VarietyDescriptor | None:
+    """The record instantiated at n, or None where its ``requires`` fails."""
+    if not rec.applies(n):
+        return None
     env = {"n": n}
+    dim = int(eval_expr(rec.dim, env))
     orbits = tuple(
         Orbit(o.kind, int(eval_expr(o.dim, env)), _ident_label(o.ident, n) if o.ident else "",
               o.note)
@@ -170,7 +175,7 @@ def _instantiate(rec: RecordSchema, n: int) -> VarietyDescriptor:
     )
     return VarietyDescriptor(
         name=rec.name, case=rec.case, source=rec.source, item=rec.item, n=n,
-        dim=int(eval_expr(rec.dim, env)), picard=rec.picard, orbits=orbits,
+        dim=dim, picard=rec.picard, orbits=orbits,
         param_names=rec.param_names, param_constraint=rec.param_constraint,
         actions=rec.actions, note=rec.note, allows_fixed_point=rec.allows_fixed_point,
     )
@@ -209,7 +214,7 @@ def _full_list(
     records: Sequence[RecordSchema], case: str, group: GroupSpec, n: int
 ) -> ClassificationResult:
     """The records of one case that apply at n, in list order."""
-    entries = [_instantiate(r, n) for r in records if r.case == case and r.applies(n)]
+    entries = [d for r in records if r.case == case and (d := _instantiate(r, n)) is not None]
     entries.sort(key=lambda d: (d.item, d.name))
     return ClassificationResult("full_list", group, n, tuple(entries))
 
@@ -265,7 +270,8 @@ def orbit_structure(
     if case is not None:
         matches = [r for r in matches if r.case == case]
     if not matches:
-        raise UnknownVariety(f"no record named {name!r}" + (f" in case {case}" if case else ""))
+        where = f" in case {case}" if case else ""
+        raise UnknownVariety(f"no record named {shown(name)}{where}")
     if len(matches) > 1:
         cases = ", ".join(sorted({r.case for r in matches}))
         raise UnknownVariety(f"{name!r} is ambiguous between cases {cases}; pass case")
@@ -299,8 +305,8 @@ def relations(
             known.add(rel.to)
             if src == name:
                 edges.append((rel.op, rel.to))
-    if name not in known:
-        raise UnknownVariety(f"no record or instance named {name!r}")
+    if not isinstance(name, str) or name not in known:  # a list could not be hashed
+        raise UnknownVariety(f"no record or instance named {shown(name)}")
     return tuple(edges)
 
 
@@ -311,15 +317,13 @@ class Violation(NamedTuple):
     message: str
 
 
-@lru_cache(maxsize=None)
-def _probes() -> dict[str, list[tuple[int, DynkinType]]]:
-    """Probe dimensions n of each case, each with the type of the group acting there."""
-    return {
-        "SL": [(n, GroupSpec("SL", n).dynkin()) for n in range(2, 9)],
-        "Sp": [(n, GroupSpec("Sp", n).dynkin()) for n in (4, 6, 8)],
-        "Spin": [(n, GroupSpec("Spin", n + 1).dynkin()) for n in (6, 7, 8)],
-        "SL3Q": [(4, GroupSpec("SL", 3).dynkin())],
-    }
+# Probe dimensions n of each case, each with the type of the group acting there.
+_PROBES: dict[str, list[tuple[int, DynkinType]]] = {
+    "SL": [(n, GroupSpec("SL", n).dynkin()) for n in range(2, 9)],
+    "Sp": [(n, GroupSpec("Sp", n).dynkin()) for n in (4, 6, 8)],
+    "Spin": [(n, GroupSpec("Spin", n + 1).dynkin()) for n in (6, 7, 8)],
+    "SL3Q": [(4, GroupSpec("SL", 3).dynkin())],
+}
 
 
 def validate_database(db_path: str | None = None) -> list[Violation]:
@@ -356,17 +360,17 @@ def validate_records(records: Sequence[RecordSchema]) -> list[Violation]:
 def _record_violations(rec: RecordSchema) -> tuple[tuple[str, str], ...]:
     """The (rule, message) findings of one record, in order, each once."""
     found: list[tuple[str, str]] = []
-    probes = _probes().get(rec.case, [])
-    reached = [(n, acting) for n, acting in probes if rec.applies(n)]
+    probes = _PROBES.get(rec.case, [])
+    reached = [(inst, acting) for n, acting in probes if (inst := _instantiate(rec, n)) is not None]
     if not reached:
         ns = [n for n, _ in probes]
         found.append(("reach", f"requires {rec.requires!r} holds at no probe n in {ns}"))
-    for n, acting in reached:
+    for inst, acting in reached:
+        n, dim = inst.n, inst.dim
         r = r_min(acting).value
-        dim = int(eval_expr(rec.dim, {"n": n}))
         open_count = 0
-        for orb in rec.orbits:
-            odim = int(eval_expr(orb.dim, {"n": n}))
+        for orb in inst.orbits:
+            odim = orb.dim
             if orb.kind == "open":
                 open_count += 1
                 if odim != dim:
@@ -380,8 +384,8 @@ def _record_violations(rec: RecordSchema) -> tuple[tuple[str, str], ...]:
                 found.append(("shape", f"closed orbit of dim {shown(odim)} not below {shown(dim)}"))
             if 0 < odim < r:
                 found.append(("R1", f"orbit of dim {odim} below r={r} of {acting} at n={n}"))
-            if orb.kind != "fixed" and orb.ident:
-                label = _ident_label(orb.ident, n)
+            if orb.kind != "fixed" and orb.identification:
+                label = orb.identification
                 mk = named_marking(acting, label)
                 if mk is None:
                     why = f"has no flag variety under {acting} at n={n}"

@@ -176,7 +176,6 @@ def homogeneous_variety(mk: ParabolicMarking) -> HomogeneousVariety:
     )
 
 
-@lru_cache(maxsize=None)
 def minimal_homogeneous_varieties(dtype: DynkinType) -> tuple[HomogeneousVariety, ...]:
     """One variety per single node attaining the minimal codimension."""
     best = r_min(dtype)

@@ -23,10 +23,9 @@ split by ``shlex.split`` (POSIX mode, no comments): ``"..."`` with
 a backslash outside quotes escaping the next character.  Serialization
 always quotes notes, ops, targets and labels, and quotes an orbit
 ``dim`` or ``ident`` only when it contains whitespace, a quote or a
-backslash.  Record blocks, orbit and relation values, compiled
-expressions and a record's ``requires`` outcome at n are memoised in
-bounded caches; a block (its stripped lines but blanks and comments) is
-reused only while they are unchanged.
+backslash.  Record blocks, orbit and relation values (256 each) and
+compiled expressions (1,024) are memoised; a block (its stripped lines
+but blanks and comments) is reused only while they are unchanged.
 
 Serializing and validating take a record only when each value has
 exactly its declared type, subclasses refused, so two records that pass
@@ -85,8 +84,6 @@ def _compile(text: str) -> tuple[CodeType, str]:
     the whole expression or as an operand of == or != alone, so an
     expression that passes cannot fail once its names are bound.
     """
-    if not isinstance(text, str):  # checked here, on a memo miss only
-        raise DatabaseFormatError(f"expression must be a string, got {type(text).__name__}")
     try:
         tree = ast.parse(text, mode="eval")
     except (SyntaxError, ValueError, RecursionError) as exc:
@@ -127,18 +124,14 @@ def eval_expr(text: str, env: Mapping[str, int]):
     A ``text`` that is not a string or an ``env`` that is not a mapping
     raises ``DatabaseFormatError``.
     """
+    if not isinstance(text, str):  # before the memo, which could not hash a list
+        raise DatabaseFormatError(f"expression must be a string, got {type(text).__name__}")
     code, _ = _compile(text)
     mapping(env, "env", DatabaseFormatError)
     for name in code.co_names:
         if name not in env:
             raise DatabaseFormatError(f"unknown name {name!r} in {text!r}")
     return eval(code, {"__builtins__": {}}, dict(env))
-
-
-@lru_cache(maxsize=1024)
-def _holds(requires: str, n: int) -> bool:
-    """Whether a record's ``requires`` expression holds at dimension n."""
-    return bool(eval_expr(requires, {"n": n}))
 
 
 def _check_expr(text: str, kind: str, names: Sequence[str]) -> None:
@@ -183,9 +176,8 @@ class RecordSchema(NamedTuple):
     relations: tuple[RelationEdge, ...] = ()
 
     def applies(self, n: int) -> bool:
-        if type(n) is not int:  # before the memo, where 3.0 would hit as 3
-            n = integer(n, "dimension", InvalidDimension)
-        return not self.requires or _holds(self.requires, n)
+        n = integer(n, "dimension", InvalidDimension)
+        return not self.requires or bool(eval_expr(self.requires, {"n": n}))
 
     def check_params(self, values: Mapping[str, int]) -> bool:
         mapping(values, "params", ParameterViolation)

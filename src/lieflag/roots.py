@@ -42,8 +42,8 @@ class DynkinType(NamedTuple("DynkinType", [("series", str), ("rank", int)])):
 
     def __new__(cls, series: str, rank: int) -> "DynkinType":
         rank = integer(rank, "rank", InvalidRank)
-        if series not in _MIN_RANK:
-            raise InvalidRank(f"unknown series {series!r}")
+        if not isinstance(series, str) or series not in _MIN_RANK:  # a list could not be hashed
+            raise InvalidRank(f"unknown series {shown(series)}")
         if series in _FIXED_RANKS:
             if rank not in _FIXED_RANKS[series]:
                 raise InvalidRank(f"{series}{shown(rank)} is not a simple type")
@@ -70,6 +70,8 @@ class DynkinType(NamedTuple("DynkinType", [("series", str), ("rank", int)])):
 
 def dynkin_type(text: str) -> DynkinType:
     """Parse a type written as series letter plus rank, e.g. 'A3', 'G2'."""
+    if not isinstance(text, str):
+        raise InvalidRank(f"cannot parse Dynkin type {shown(text)}: not a string")
     text = text.strip()
     if len(text) < 2 or not text[0].isalpha() or not text[1:].isdigit():
         raise InvalidRank(f"cannot parse Dynkin type {text!r}")
@@ -230,7 +232,6 @@ def _enumerate_positive_roots(
     return {r: known[r] for r in sorted(known, key=lambda r: (sum(r), r))}
 
 
-@lru_cache(maxsize=None)
 def positive_roots(dtype: DynkinType) -> tuple[RootVector, ...]:
     """All positive roots as coefficient vectors, sorted by height."""
     return root_system(dtype).positive_roots

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from lieflag import classifier, parabolic, records
+from lieflag import classifier, parabolic, records, representations, roots
 from lieflag.classifier import (
     GroupSpec,
     Violation,
@@ -366,6 +366,14 @@ def test_a_record_no_probe_reaches_is_reported():
     assert validate_records(parse_records(_SPIN_RECORD.format(requires="n == 8"))) == []
 
 
+@pytest.mark.parametrize("kind", ["open", "fixed"])
+def test_validation_labels_each_identification_as_classify_does(kind):
+    exponent = "9" * 4300 + "+" + "9" * 4300  # a sum with more digits than str converts
+    text = _SPIN_RECORD.format(requires="n == 8") + f"orbit = {kind} dim=0 ident=P^{{{exponent}}}"
+    with pytest.raises(ParameterViolation, match="exponent too long to write"):
+        validate_records(parse_records(text))
+
+
 def test_raising_a_shipped_lower_bound_by_one_keeps_every_record_reached():
     # the benchmark's database variants raise `requires = n >= k` to k + 1
     text = serialize_records(load_database())
@@ -426,8 +434,9 @@ def test_memoised_instantiate_equals_a_fresh_build():
     for rec in load_database():
         for n in range(1, 13):
             assert rec.applies(n) == bool(records.eval_expr(rec.requires or "True", {"n": n}))
-            if rec.applies(n):
-                memo = classifier._instantiate(rec, n)
+            memo = classifier._instantiate(rec, n)
+            assert (memo is None) == (not rec.applies(n))
+            if memo is not None:
                 assert memo == classifier._instantiate.__wrapped__(rec, n)
                 assert classifier._instantiate(rec, n) is memo
                 checked += 1
@@ -470,10 +479,37 @@ def test_an_error_is_raised_again_not_cached():
             classify(GroupSpec("SL", 4), -huge)
 
 
-def test_every_memo_of_the_verdict_ladder_is_bounded():
-    for memo, bound in (
-        (classifier._instantiate, 1024),
-        (classifier._homogeneous_entries, 256),
-        (records._holds, 1024),
-    ):
-        assert memo.cache_info().maxsize == bound
+# Every memo of the library, with its bound (None: one entry per Dynkin type
+# or the one shipped file).  Adding or removing a cache is an edit of this table.
+CACHES = {
+    "roots.root_system": None,
+    "parabolic._supports": None,
+    "parabolic.r_min": None,
+    "parabolic._named": None,
+    "representations._coroot_chain": None,
+    "records._compile": 1024,
+    "records._parse_orbit": 256,
+    "records._parse_relation": 256,
+    "records._parse_block": 256,
+    "records._record_text": 256,
+    "classifier._load_shipped": None,
+    "classifier._load_file": 8,
+    "classifier._instantiate": 1024,
+    "classifier._homogeneous_entries": 256,
+    "classifier._record_violations": 256,
+}
+
+
+def test_the_library_memoises_exactly_the_listed_caches():
+    found = {}
+    for module in (roots, parabolic, representations, records, classifier):
+        defined = [
+            v for v in vars(module).values() if getattr(v, "__module__", "") == module.__name__
+        ]
+        for cls in [v for v in defined if isinstance(v, type)]:
+            defined += vars(cls).values()
+        for fn in defined:
+            if hasattr(fn, "cache_info"):
+                short = module.__name__.removeprefix("lieflag.")
+                found[f"{short}.{fn.__qualname__}"] = fn.cache_info().maxsize
+    assert found == CACHES

@@ -14,9 +14,17 @@ from lieflag.classifier import (
     group_spec,
     load_database,
     orbit_structure,
+    relations,
     validate_records,
 )
-from lieflag.errors import DatabaseFormatError, InvalidDimension, InvalidGroup, ParameterViolation
+from lieflag.errors import (
+    DatabaseFormatError,
+    InvalidDimension,
+    InvalidGroup,
+    InvalidRank,
+    ParameterViolation,
+    UnknownVariety,
+)
 from lieflag.records import (
     _CHECKED,
     _MAX_DEPTH,
@@ -25,7 +33,6 @@ from lieflag.records import (
     RecordSchema,
     RelationEdge,
     _compile,
-    _holds,
     _parse_block,
     _parse_orbit,
     _parse_relation,
@@ -34,6 +41,7 @@ from lieflag.records import (
     parse_records,
     serialize_records,
 )
+from lieflag.roots import DynkinType, dynkin_type
 
 SHIPPED = resources.files("lieflag").joinpath("data/classification.db").read_text()
 
@@ -76,7 +84,7 @@ def test_record_predicates():
     assert rec.applies(2) and not rec.applies(1)
     assert rec.check_params({"m": 3}) and not rec.check_params({"m": 0})
     with pytest.raises(InvalidDimension, match="got 2.0"):
-        rec.applies(2.0)  # refused, not answered from the memo entry of 2
+        rec.applies(2.0)  # refused, not truncated to 2
 
 
 @pytest.mark.parametrize("value", [1.9, 0.5, "2", None])
@@ -335,7 +343,7 @@ def test_cold_caches_give_the_warm_results(index, value):
 
 
 def _clear_parse_memos():
-    for memo in (_parse_block, _parse_orbit, _parse_relation, _compile, _holds):
+    for memo in (_parse_block, _parse_orbit, _parse_relation, _compile):
         memo.cache_clear()
 
 
@@ -471,6 +479,19 @@ def test_a_value_that_is_not_a_path_touches_no_file_descriptor(tmp_path):
          "dimension must be an integer, got '3'"),
         (parse_records(MINIMAL)[0].applies, (None,), InvalidDimension,
          "dimension must be an integer, got None"),
+        # a string argument that is not a string, checked before a memo key or
+        # a set lookup, which could not hash a list
+        (eval_expr, (["n"], {"n": 1}), DatabaseFormatError,
+         "expression must be a string, got list"),
+        (relations, (["x"],), UnknownVariety, "no record or instance named ['x']"),
+        (relations, (10**5000,), UnknownVariety,
+         "no record or instance named <integer of ~5000 digits>"),
+        (orbit_structure, (10**5000, {"n": 3}), UnknownVariety,
+         "no record named <integer of ~5000 digits>"),
+        (dynkin_type, (5,), InvalidRank, "cannot parse Dynkin type 5: not a string"),
+        (dynkin_type, (None,), InvalidRank, "cannot parse Dynkin type None: not a string"),
+        (DynkinType, (["A"], 2), InvalidRank, "unknown series ['A']"),
+        (DynkinType, (10**5000, 2), InvalidRank, "unknown series <integer of ~5000 digits>"),
     ],
 )
 def test_wrong_typed_arguments_are_domain_errors(call, args, error, message):

@@ -3,7 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-from lieflag import classifier, records
+from lieflag import classifier
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = (Path(__file__).parent / "classification_survey.txt").read_text()
@@ -15,7 +15,7 @@ def test_survey_prints_its_committed_output_cold_and_warm(capsys):
     )
     survey = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(survey)
-    for memo in (classifier._instantiate, classifier._homogeneous_entries, records._holds):
+    for memo in (classifier._instantiate, classifier._homogeneous_entries):
         memo.cache_clear()
     for run in ("cold", "warm"):
         survey.main()
