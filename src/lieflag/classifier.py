@@ -270,7 +270,8 @@ def orbit_structure(
     if case is not None:
         matches = [r for r in matches if r.case == case]
     if not matches:
-        where = f" in case {case}" if case else ""
+        shown_case = case if isinstance(case, str) else shown(case)  # a str case stays bare
+        where = f" in case {shown_case}" if case else ""
         raise UnknownVariety(f"no record named {shown(name)}{where}")
     if len(matches) > 1:
         cases = ", ".join(sorted({r.case for r in matches}))

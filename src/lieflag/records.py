@@ -8,14 +8,15 @@ ambient dimension); parameter constraints are boolean expressions over
 the declared parameter names.  An expression nests at most
 ``_MAX_DEPTH`` (100) expression nodes deep.  Parsing then serializing
 then parsing is the identity on the record list.  A record built in
-code round-trips too, unless serializing or parsing it raises
+code round-trips too, unless serializing it raises
 ``DatabaseFormatError``: serializing refuses a field value of another
 type than declared, an integer with more digits than ``str`` converts,
 a record-level value that holds a line break or starts or ends with
 whitespace, which the line split and strip would change, a ``params``
-name that is empty or holds ``,``, ``;`` or whitespace, and an unknown
-orbit kind.  A parse error names its line (``line N: ...``) or, for a
-fault of a whole record, its record (``record 'NAME': ...``).
+name that is empty or holds ``,``, ``;`` or whitespace, an unknown
+orbit kind, and any record whose text the parser refuses or reads back
+as another record.  A parse error names its line (``line N: ...``) or,
+for a fault of a whole record, its record (``record 'NAME': ...``).
 
 An ``orbit`` or ``relation`` value is a list of ``key=value`` words,
 split by ``shlex.split`` (POSIX mode, no comments): ``"..."`` with
@@ -23,16 +24,19 @@ split by ``shlex.split`` (POSIX mode, no comments): ``"..."`` with
 a backslash outside quotes escaping the next character.  Serialization
 always quotes notes, ops, targets and labels, and quotes an orbit
 ``dim`` or ``ident`` only when it contains whitespace, a quote or a
-backslash.  Record blocks, orbit and relation values (256 each) and
-compiled expressions (1,024) are memoised; a block (its stripped lines
+backslash.  Whole texts (8), record blocks, orbit and relation values
+(256 each) and compiled expressions (1,024) are memoised: a text parsed
+before gives the same record tuple, and a block (its stripped lines
 but blanks and comments) is reused only while they are unchanged.
 
 Serializing and validating take a record only when each value has
 exactly its declared type, subclasses refused, so two records that pass
-and compare equal hold identical values.  ``_CHECKED`` holds up to 256
-records that passed, by identity, and is emptied when full;
-``_record_text`` memoises the text of up to 256 records by value, and
-runs only on a record that passed.  No error is cached.
+and compare equal hold identical values, and when its text parses back
+to it, so every parse-time check applies to a record built in code.
+``_CHECKED`` holds up to 256 records that passed, by identity, and is
+emptied when full; ``_record_text`` memoises the text of up to 256
+records by value, and runs only on a record whose types passed.  No
+error is cached.
 """
 
 from __future__ import annotations
@@ -60,6 +64,8 @@ _ORBIT_KINDS = ("open", "closed", "intermediate", "fixed")
 
 # Orbit identifications P^k / Q^k, with k an integer expression in n.
 IDENT_RE = re.compile(r"^([PQ])\^\{?([0-9n+\- ]+)\}?$")
+# A params name holds no whitespace, "," or ";", so it is written back unchanged.
+_UNSAFE_PARAM = re.compile(r"[\s,;]").search
 
 # Node types an expression may hold, each operator node with its operators.
 _ALLOWED_NODES = (
@@ -268,6 +274,9 @@ def _parse_block(block: str) -> RecordSchema:
             elif key == "params":
                 names, _, constraint = value.partition(";")
                 param_names = tuple(t.strip() for t in names.split(",") if t.strip())
+                for name in param_names:
+                    if _UNSAFE_PARAM(name):  # whitespace inside; the split took "," and ";"
+                        raise DatabaseFormatError(f"bad params name {name!r}")
                 constraint = constraint.strip()
                 if constraint:
                     _check_expr(constraint, "bool", param_names)
@@ -307,11 +316,23 @@ def _parse_block(block: str) -> RecordSchema:
 _BLOCKS = re.compile(r"\n(?=record[^\S\n]*=)").split
 
 
-def parse_records(text: str) -> tuple[RecordSchema, ...]:
-    if not isinstance(text, str):
-        raise DatabaseFormatError(f"database text must be a str, got {type(text).__name__}")
+def _blocks(text: str) -> list[str]:
+    """The record blocks of a text: its stripped lines but blanks and
+    comments, joined by newlines and cut before each ``record =`` line."""
     lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
-    blocks = _BLOCKS("\n".join(lines)) if lines else []  # lines ahead of a record fail
+    return _BLOCKS("\n".join(lines)) if lines else []  # lines ahead of a record fail
+
+
+def parse_records(text: str) -> tuple[RecordSchema, ...]:
+    if not isinstance(text, str):  # before the memo, which could not hash a list
+        raise DatabaseFormatError(f"database text must be a str, got {type(text).__name__}")
+    return _parse_text(text)
+
+
+@lru_cache(maxsize=8)
+def _parse_text(text: str) -> tuple[RecordSchema, ...]:
+    """The records of a whole database text; a text parsed before is a hit."""
+    blocks = _blocks(text)
     records: list[RecordSchema] = []
     for i, block in enumerate(blocks):
         try:
@@ -346,7 +367,6 @@ _RECORD_TEXT = attrgetter(
     "name", "case", "source", "requires", "dim", "param_constraint", "note"
 )
 _RECORD_INTS = attrgetter("item", "picard", "actions")
-_UNSAFE_PARAM = re.compile(r"[\s,;]").search
 
 
 # Records that passed _check_types, by id, emptied when full.  Holding a
@@ -362,7 +382,9 @@ def _check_types(rec: RecordSchema) -> None:
     would parse back changed or could not key the per-record caches.
 
     Types must match exactly, subclasses refused: two records that pass
-    and compare equal then hold identical values.
+    and compare equal then hold identical values.  Then the record's text
+    must parse back to it, so a record built in code meets every check
+    of the parser.
     """
     if _CHECKED.get(id(rec)) is rec:
         return
@@ -389,6 +411,12 @@ def _check_types(rec: RecordSchema) -> None:
     for value in strings:
         if type(value) is not str:
             raise DatabaseFormatError(f"cannot write {shown(value)}: not a string")
+    try:  # the parser judges the record's text, so every parse-time check applies
+        back = tuple(map(_parse_block, _blocks(_record_text(rec))))
+    except _LineError as exc:
+        raise DatabaseFormatError(f"record {rec.name!r}: {exc.args[1]}") from None
+    if back != (rec,):
+        raise DatabaseFormatError(f"record {rec.name!r}: its text parses back changed")
     if len(_CHECKED) >= _CHECKED_MAX:
         _CHECKED.clear()
     _CHECKED[id(rec)] = rec

@@ -104,10 +104,6 @@ class Weight(NamedTuple("Weight", [("dynkin", DynkinType), ("coords", tuple[int,
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def scaled(self, k: int) -> "Weight":
         return Weight(self.dynkin, tuple(k * c for c in self.coords))
 
@@ -289,14 +285,3 @@ def group_dimension(dtype: DynkinType) -> int:
     """Dimension of the simple group: rank plus twice the positive roots."""
     return dtype.rank + 2 * len(positive_roots(dtype))
 
-
-def dynkin_adjacency(dtype: DynkinType) -> dict[int, set[int]]:
-    """Diagram adjacency on 1-based nodes, read off the Cartan matrix."""
-    cartan = cartan_matrix(dtype)
-    n = dtype.rank
-    adj: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
-    for i in range(n):
-        for j in range(n):
-            if i != j and cartan[i][j] != 0:
-                adj[i + 1].add(j + 1)
-    return adj

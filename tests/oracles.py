@@ -161,6 +161,23 @@ def _to_vector(etype: EuclideanType, coords) -> Vec:
     return out
 
 
+def weight_vector(series: str, n: int, coords) -> Vec:
+    """A weight given by fundamental-weight coordinates, in epsilon coordinates."""
+    return _to_vector(euclidean_type(series, n), coords)
+
+
+def diagram_edges(series: str, n: int) -> set[frozenset[int]]:
+    """Edges of the Dynkin diagram on Bourbaki-numbered nodes, drawn by hand:
+    a chain for A, B, C, F and G; D forks at node n-2; E hangs node 2 off node 4."""
+    if series == "D":
+        pairs = [(k, k + 1) for k in range(1, n - 1)] + [(n - 2, n)]
+    elif series == "E":
+        pairs = [(1, 3), (2, 4)] + [(k, k + 1) for k in range(3, n)]
+    else:
+        pairs = [(k, k + 1) for k in range(1, n)]
+    return {frozenset(p) for p in pairs}
+
+
 def _coroot_pairing(mu: Vec, alpha: Vec) -> int:
     num = 2 * dot(mu, alpha)
     den = dot(alpha, alpha)

@@ -196,6 +196,8 @@ def test_orbit_structure_parameter_checks():
         orbit_structure("Gr(2,4)", {"n": 5}, case="SL")
     with pytest.raises(UnknownVariety):
         orbit_structure("W^9", {"n": 4})
+    with pytest.raises(UnknownVariety, match=r"^no record named 'P\^n' in case 5$"):
+        orbit_structure("P^n", {"n": 3}, case=5)
     with pytest.raises(UnknownVariety):
         orbit_structure("Q^4", {"n": 4})  # ambiguous between Sp and SL3Q
 
@@ -491,6 +493,7 @@ CACHES = {
     "records._parse_orbit": 256,
     "records._parse_relation": 256,
     "records._parse_block": 256,
+    "records._parse_text": 8,
     "records._record_text": 256,
     "classifier._load_shipped": None,
     "classifier._load_file": 8,

@@ -36,6 +36,7 @@ from lieflag.records import (
     _parse_block,
     _parse_orbit,
     _parse_relation,
+    _parse_text,
     _record_text,
     eval_expr,
     parse_records,
@@ -165,6 +166,8 @@ _INTERPRETER_WORDED = {
         ("requires = n >= 2", "requires = m > 0", "line 7: unknown name 'm' in 'm > 0'"),
         ("m ; m > 0", "m ; m", "line 10: bool expected, got int in 'm'"),
         ("m ; m > 0", "m ; n > 0", "line 10: unknown name 'n' in 'n > 0'"),
+        # a params name with whitespace inside, which serializing could not write
+        ("m ; m > 0", "m, a b", "line 10: bad params name 'a b'"),
         ("open dim=n", "open dim=n==2", "line 14: int expected, got bool in 'n==2'"),
         ("open dim=n", "open dim=k", "line 14: unknown name 'k' in 'k'"),
         # orbit identification exponents are expressions in n too
@@ -337,14 +340,37 @@ def test_cold_caches_give_the_warm_results(index, value):
     text = "\n".join(lines)
     _parse_and_validate(text)
     warm = _parse_and_validate(text)
-    for memo in (_parse_block, _parse_orbit, _parse_relation, _record_violations):
+    for memo in (_parse_text, _parse_block, _parse_orbit, _parse_relation, _record_violations):
         memo.cache_clear()
     assert _parse_and_validate(text) == warm
 
 
 def _clear_parse_memos():
-    for memo in (_parse_block, _parse_orbit, _parse_relation, _compile):
+    for memo in (_parse_text, _parse_block, _parse_orbit, _parse_relation, _compile):
         memo.cache_clear()
+
+
+def test_a_text_parsed_before_gives_the_same_records():
+    _parse_text.cache_clear()
+    first = parse_records(SHIPPED)
+    copy = (SHIPPED + " ")[:-1]
+    assert copy == SHIPPED and copy is not SHIPPED
+    assert parse_records(copy) is first
+    assert _parse_text.cache_info().misses == 1
+    edited = SHIPPED.replace("item = 2", "item = 3", 1)  # one byte
+    assert parse_records(edited) != first
+    assert _parse_text.cache_info().misses == 2
+
+
+def test_a_malformed_text_fails_again_on_every_parse():
+    text = SHIPPED.replace("item = 2", "colour = red", 1)
+    lineno = SHIPPED.splitlines().index("item = 2") + 1
+    misses = _parse_text.cache_info().misses
+    for n in (1, 2):
+        with pytest.raises(DatabaseFormatError) as exc:
+            parse_records(text)
+        assert str(exc.value) == f"line {lineno}: unknown key 'colour'"
+        assert _parse_text.cache_info().misses == misses + n
 
 
 # The shipped file cut before each record line: a header, then one chunk per record.
@@ -707,6 +733,13 @@ _SHIPPED_RECORD = parse_records(SHIPPED)[0]
         (_SHIPPED_RECORD._replace(dim=5), "cannot write 5: not a string"),
         ("x", "cannot write 'x': not a RecordSchema"),
         (tuple(_SHIPPED_RECORD), "not a RecordSchema"),
+        # well typed, but the parser refuses the record's text
+        (_SHIPPED_RECORD._replace(dim="(n, 1)"),
+         "record 'P^n': int expected, got tuple in '(n, 1)'"),
+        (_SHIPPED_RECORD._replace(requires="n"), "record 'P^n': bool expected, got int in 'n'"),
+        (_SHIPPED_RECORD._replace(case="XX"), "record 'P^n': unknown case 'XX'"),
+        (_SHIPPED_RECORD._replace(orbits=(OrbitSchema("open", "n + m"),)),
+         "record 'P^n': unknown name 'm' in 'n + m'"),
     ],
 )
 def test_ill_typed_records_are_format_errors_in_both_directions(bad, message):
@@ -717,6 +750,15 @@ def test_ill_typed_records_are_format_errors_in_both_directions(bad, message):
     # a good record ahead of the bad one is refused with it
     with pytest.raises(DatabaseFormatError):
         validate_records([_SHIPPED_RECORD, bad])
+
+
+def test_a_record_whose_text_parses_back_changed_is_refused(monkeypatch):
+    other = _SHIPPED_RECORDS[1]
+    monkeypatch.setattr("lieflag.records._record_text", lambda rec: _record_text(other))
+    _CHECKED.clear()
+    with pytest.raises(DatabaseFormatError) as exc:
+        validate_records([_SHIPPED_RECORD])
+    assert str(exc.value) == f"record {_SHIPPED_RECORD.name!r}: its text parses back changed"
 
 
 def test_validate_records_reads_any_iterable_once():

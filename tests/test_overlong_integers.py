@@ -19,6 +19,7 @@ from lieflag.errors import (
     NodeOutOfRange,
     NonDominantWeight,
     ParameterViolation,
+    UnknownVariety,
     UnsupportedWeight,
     shown,
 )
@@ -82,6 +83,8 @@ def test_shown_is_repr_until_str_would_refuse():
          "'Gr(2,4)' requires 'n == 4', violated at n=<integer of ~5000 digits>"),
         (lambda: orbit_structure("P^n", {"n": Fraction(H, 3)}, case="SL"), ParameterViolation,
          "parameter 'n' must be an integer, got <Fraction holding an over-long integer>"),
+        (lambda: orbit_structure("P^n", {"n": 3}, case=H), UnknownVariety,
+         "no record named 'P^n' in case <integer of ~5000 digits>"),
         (lambda: dynkin_type("A" + "9" * 5000), InvalidRank, "cannot parse Dynkin type 'A999"),
         (lambda: dynkin_type("A²"), InvalidRank, "cannot parse Dynkin type 'A²'"),
     ],

@@ -9,7 +9,6 @@ from lieflag.roots import (
     DynkinType,
     Weight,
     cartan_matrix,
-    dynkin_adjacency,
     dynkin_type,
     fundamental_weight,
     group_dimension,
@@ -22,8 +21,10 @@ import lieflag.roots as rs_mod
 from oracles import (
     ORACLE_TYPES,
     coroot_coefficients,
+    diagram_edges,
     euclidean_type,
     roots_in_simple_coords,
+    weight_vector,
 )
 
 CLOSED_FORM = {
@@ -92,7 +93,12 @@ def test_simple_roots_included_and_distinct(dtype):
 
 @pytest.mark.parametrize("dtype", all_types(), ids=str)
 def test_root_support_connected(dtype):
-    adj = dynkin_adjacency(dtype)
+    edges = diagram_edges(dtype.series, dtype.rank)
+    cartan = cartan_matrix(dtype)
+    n = dtype.rank
+    assert edges == {frozenset((i + 1, j + 1)) for i in range(n) for j in range(n)
+                     if i != j and cartan[i][j] != 0}
+    adj = {node: {k for e in edges if node in e for k in e} - {node} for node in range(1, n + 1)}
     for root in positive_roots(dtype):
         support = {i + 1 for i, c in enumerate(root) if c}
         reached = {min(support)}
@@ -199,7 +205,7 @@ def test_weight_validation_and_flags():
     for coords in [(1.5, 0), (0, 2.0), ("1", 0)]:
         with pytest.raises(InvalidRank):
             Weight(t, coords)
-    assert Weight(t, (0, 0)).is_zero
+    assert not any(weight_vector("A", 2, Weight(t, (0, 0)).coords))
     assert Weight(t, (1, 0)).is_dominant
     assert not Weight(t, (-1, 2)).is_dominant
     assert Weight(t, (1, 2)).scaled(3).coords == (3, 6)
