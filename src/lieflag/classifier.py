@@ -13,6 +13,7 @@ import os
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
+from . import roots
 from .errors import (
     DatabaseFormatError,
     InvalidDimension,
@@ -98,25 +99,38 @@ def _load_shipped() -> tuple[RecordSchema, ...]:
 @lru_cache(maxsize=8)
 def _load_file(path: str, mtime_ns: int, size: int) -> tuple[RecordSchema, ...]:
     """Parsed file; the stat fields in the key make an edited file re-read."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_records(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatabaseFormatError(f"cannot read database {path!r}: {exc}") from None
+    return parse_records(text)
 
 
-def load_database(path: str | None = None) -> tuple[RecordSchema, ...]:
-    """Shipped records, or the file named by the argument / environment."""
+def _db_key(path: str | None) -> tuple | None:
+    """None for the shipped file, else the (path, mtime_ns, size) its load is memoised under."""
     if path is None:
         path = os.environ.get(DB_ENV_VAR) or None
     if path is None:
-        return _load_shipped()
+        return None
     try:
         path = os.fspath(path)  # an integer would be taken as a file descriptor
     except TypeError:
         raise DatabaseFormatError(f"cannot read database {shown(path)}: not a path") from None
     try:
         st = os.stat(path)
-        return _load_file(path, st.st_mtime_ns, st.st_size)
-    except (OSError, UnicodeDecodeError) as exc:
+        return path, st.st_mtime_ns, st.st_size
+    except OSError as exc:
         raise DatabaseFormatError(f"cannot read database {path!r}: {exc}") from None
+
+
+def _load(key: tuple | None) -> tuple[RecordSchema, ...]:
+    return _load_shipped() if key is None else _load_file(*key)
+
+
+def load_database(path: str | None = None) -> tuple[RecordSchema, ...]:
+    """Shipped records, or the file named by the argument / environment."""
+    return _load(_db_key(path))
 
 
 def _ident_label(ident: str, n: int) -> str:
@@ -189,34 +203,39 @@ class ClassificationResult(NamedTuple):
     reason: str = ""
 
 
+# The rungs of a group's ladder depend on the group alone; the rank cap is
+# part of the key, so a group above the cap is refused again once it is restored.
 @lru_cache(maxsize=256)
-def _homogeneous_entries(group: GroupSpec, n: int) -> tuple[VarietyDescriptor, ...]:
+def _ladder(group: GroupSpec, cap: int) -> tuple[str, int, bool, tuple[VarietyDescriptor, ...]]:
+    """Case, r, whether the group is SL(3), and the homogeneous entries at n = r."""
+    case, effective = group.resolve()
+    dtype = group.dynkin()
+    r = r_min(dtype).value
     entries = []
-    for hv in minimal_homogeneous_varieties(group.dynkin()):
+    for hv in minimal_homogeneous_varieties(dtype):
         (node,) = hv.marking.nodes
         entries.append(
             VarietyDescriptor(
                 name=hv.label(),
-                case=group.resolve()[0],
+                case=case,
                 source="Prop3.1",
                 item=0,
-                n=n,
+                n=r,
                 dim=hv.dim,
                 picard=hv.picard_rank,
                 orbits=(Orbit("open", hv.dim, hv.label()),),
                 note=f"homogeneous, marked node {node}",
             )
         )
-    return tuple(sorted(entries, key=lambda d: (d.name, d.note)))
+    homogeneous = tuple(sorted(entries, key=lambda d: (d.name, d.note)))
+    return case, r, case == "SL" and effective.parameter == 3, homogeneous
 
 
-def _full_list(
-    records: Sequence[RecordSchema], case: str, group: GroupSpec, n: int
-) -> ClassificationResult:
+@lru_cache(maxsize=256)
+def _case_entries(key: tuple | None, case: str, n: int) -> tuple[VarietyDescriptor, ...]:
     """The records of one case that apply at n, in list order."""
-    entries = [d for r in records if r.case == case and (d := _instantiate(r, n)) is not None]
-    entries.sort(key=lambda d: (d.item, d.name))
-    return ClassificationResult("full_list", group, n, tuple(entries))
+    entries = [d for r in _load(key) if r.case == case and (d := _instantiate(r, n)) is not None]
+    return tuple(sorted(entries, key=lambda d: (d.item, d.name)))
 
 
 def classify(
@@ -231,20 +250,18 @@ def classify(
     n = integer(n, "dimension", InvalidDimension)
     if n <= 0:
         raise InvalidDimension(f"dimension must be positive, got {shown(n)}")
-    case, effective = group.resolve()
-    r = r_min(group.dynkin()).value
+    case, r, sl3, homogeneous = _ladder(group, roots.MAX_CLASSICAL_RANK)
     if n < r:
         return ClassificationResult("only_trivial_action", group, n)
     if n == r:
-        return ClassificationResult(
-            "homogeneous", group, n, _homogeneous_entries(group, n)
-        )
-    records = load_database(db_path)
+        return ClassificationResult("homogeneous", group, n, homogeneous)
+    key = _db_key(db_path)
+    _load(key)  # a malformed database raises before any answer beyond r
     if n == r + 1 and case != "G2":
-        return _full_list(records, case, group, n)
-    if case == "SL" and effective.parameter == 3 and n == 4:
+        return ClassificationResult("full_list", group, n, _case_entries(key, case, n))
+    if sl3 and n == 4:
         if quasihomogeneous_only:
-            return _full_list(records, "SL3Q", group, n)
+            return ClassificationResult("full_list", group, n, _case_entries(key, "SL3Q", n))
         reason = ("dimension r+2 is covered only under a dense-orbit "
                   "hypothesis; rerun with quasihomogeneous_only")
     elif case == "G2":  # here n > r
@@ -295,20 +312,22 @@ def relations(
     name: str, db_path: str | None = None
 ) -> tuple[tuple[str, str], ...]:
     """Recorded blow-up / blow-down edges touching a record or instance."""
-    records = load_database(db_path)
-    edges = []
-    known: set[str] = set()
-    for rec in records:
-        known.add(rec.name)
-        for rel in rec.relations:
-            src = rel.label or rec.name
-            known.add(src)
-            known.add(rel.to)
-            if src == name:
-                edges.append((rel.op, rel.to))
-    if not isinstance(name, str) or name not in known:  # a list could not be hashed
+    edges = _edge_index(_db_key(db_path))
+    if not isinstance(name, str) or name not in edges:  # a list could not be hashed
         raise UnknownVariety(f"no record or instance named {shown(name)}")
-    return tuple(edges)
+    return edges[name]
+
+
+@lru_cache(maxsize=8)
+def _edge_index(key: tuple | None) -> dict[str, tuple[tuple[str, str], ...]]:
+    """Every record or instance name with the edges from it, in record order."""
+    index: dict[str, list[tuple[str, str]]] = {}
+    for rec in _load(key):
+        index.setdefault(rec.name, [])
+        for rel in rec.relations:
+            index.setdefault(rel.label or rec.name, []).append((rel.op, rel.to))
+            index.setdefault(rel.to, [])
+    return {name: tuple(edges) for name, edges in index.items()}
 
 
 class Violation(NamedTuple):

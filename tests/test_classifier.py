@@ -1,4 +1,6 @@
 import re
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +15,11 @@ from lieflag.classifier import (
     validate_records,
 )
 from lieflag.errors import (
+    DatabaseFormatError,
+    DomainError,
     InvalidDimension,
     InvalidGroup,
+    InvalidRank,
     ParameterViolation,
     UnknownVariety,
 )
@@ -417,18 +422,24 @@ def test_database_override_by_path(tmp_path):
 
 def test_repeated_classify_compiles_nothing_and_reuses_r():
     group = GroupSpec("SL", 4)
-    for n in (4, 5):
+    for n in (3, 4, 5):
         classify(group, n)
     compiled = records._compile.cache_info()
-    before = classifier._instantiate.cache_info().hits
     rmin = parabolic.r_min.cache_info()
+    ladder = classifier._ladder.cache_info()
+    entries = classifier._case_entries.cache_info()
+    instantiated = classifier._instantiate.cache_info()
     for _ in range(100):
-        for n in (4, 5):
+        for n in (3, 4, 5):
             classify(group, n)
     assert records._compile.cache_info().misses == compiled.misses
-    assert classifier._instantiate.cache_info().hits >= before + 200
-    assert parabolic.r_min.cache_info().misses == rmin.misses
-    assert parabolic.r_min.cache_info().hits >= rmin.hits + 200
+    # r is read from the group's ladder memo, so r_min is not even looked up
+    assert parabolic.r_min.cache_info() == rmin
+    assert classifier._ladder.cache_info().misses == ladder.misses
+    assert classifier._ladder.cache_info().hits == ladder.hits + 300
+    assert classifier._case_entries.cache_info().misses == entries.misses
+    assert classifier._case_entries.cache_info().hits == entries.hits + 100
+    assert classifier._instantiate.cache_info() == instantiated
 
 
 def test_memoised_instantiate_equals_a_fresh_build():
@@ -446,11 +457,15 @@ def test_memoised_instantiate_equals_a_fresh_build():
 
 
 def test_memoised_homogeneous_entries_equal_a_fresh_build():
+    cap = roots.MAX_CLASSICAL_RANK
     for group in (GroupSpec("SL", 4), GroupSpec("Sp", 4), GroupSpec("Spin", 8), GroupSpec("G2")):
-        n = parabolic.r_min(group.dynkin()).value
-        memo = classifier._homogeneous_entries(group, n)
-        assert memo == classifier._homogeneous_entries.__wrapped__(group, n)
-        assert classify(group, n).entries == memo
+        memo = classifier._ladder(group, cap)
+        assert memo == classifier._ladder.__wrapped__(group, cap)
+        case, r, sl3, entries = memo
+        assert (case, sl3) == (group.resolve()[0], False)
+        assert r == parabolic.r_min(group.dynkin()).value
+        assert classify(group, r).entries == entries
+    assert classifier._ladder(GroupSpec("SL", 3), cap)[2] is True
 
 
 def test_an_edited_database_file_changes_the_classify_answer(tmp_path):
@@ -481,6 +496,111 @@ def test_an_error_is_raised_again_not_cached():
             classify(GroupSpec("SL", 4), -huge)
 
 
+def test_the_rank_cap_holds_before_and_after_a_warm_call(monkeypatch):
+    group = GroupSpec("SL", 14)  # A13
+    default = roots.MAX_CLASSICAL_RANK
+    for _ in ("cold", "warm"):
+        with pytest.raises(InvalidRank, match="above the configured cap"):
+            classify(group, 15)
+        monkeypatch.setattr(roots, "MAX_CLASSICAL_RANK", 14)
+        assert classify(group, 15).verdict == "out_of_covered_range"
+        assert classify(group, 13).verdict == "homogeneous"
+        monkeypatch.setattr(roots, "MAX_CLASSICAL_RANK", default)
+    with pytest.raises(InvalidRank, match="above the configured cap"):
+        classify(group, 13)
+
+
+def _clear_classifier_memos():
+    for fn in vars(classifier).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
+def _answer(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _edges_by_scan(records, name):
+    """relations(name) as a scan of every record computes it, or None for an unknown name."""
+    known = {rec.name for rec in records}
+    edges = []
+    for rec in records:
+        for rel in rec.relations:
+            known |= {rel.label or rec.name, rel.to}
+            if (rel.label or rec.name) == name:
+                edges.append((rel.op, rel.to))
+    return tuple(edges) if name in known else None
+
+
+@pytest.mark.parametrize("where", ["shipped", "db_path"])
+def test_warm_answers_equal_cold_ones(where, tmp_path):
+    db_path = None
+    if where == "db_path":
+        db_path = str(tmp_path / "copy.db")
+        shutil.copyfile(Path(classifier.__file__).parent / "data" / "classification.db", db_path)
+    cap = roots.MAX_CLASSICAL_RANK
+    groups = (
+        [GroupSpec("SL", m) for m in range(2, cap + 2)]
+        + [GroupSpec("Sp", m) for m in range(4, 2 * cap + 1, 2)]
+        + [GroupSpec("Spin", m) for m in range(5, 2 * cap + 2)]
+        + [GroupSpec("G2")]
+    )
+    queries = []
+    for group in groups:
+        r = parabolic.r_min(group.dynkin()).value
+        queries += [(classify, group, n, quasi, db_path)
+                    for n in range(r - 1, r + 3) for quasi in (False, True)]
+    records = load_database(db_path)
+    names = {rec.name for rec in records}
+    for rec in records:
+        names |= {x for rel in rec.relations for x in (rel.label or rec.name, rel.to)}
+    queries += [(relations, name, db_path) for name in sorted(names) + ["no such", ["P^n"]]]
+    for query in queries:
+        _answer(*query)
+    warm = [_answer(*query) for query in queries]
+    cold = []
+    for query in queries:
+        _clear_classifier_memos()
+        cold.append(_answer(*query))
+    assert warm == cold
+    verdicts = [a.verdict for a in warm if isinstance(a, classifier.ClassificationResult)]
+    assert verdicts.count("full_list") > 40
+    for name in names:
+        assert relations(name, db_path) == _edges_by_scan(records, name), name
+
+
+def test_switching_the_database_variable_switches_the_answer(tmp_path, monkeypatch):
+    shipped = load_database()
+    first, second, bad = tmp_path / "first.db", tmp_path / "second.db", tmp_path / "bad.db"
+    first.write_text(serialize_records(shipped))
+    second.write_text(serialize_records([
+        r._replace(dim="n + 1") if r.name == "Gr(2,4)" else
+        r._replace(relations=()) if r.name == "P2xP2" else r
+        for r in shipped
+    ]))
+    bad.write_text("record = P^n\nnot a key line\n")
+    group = GroupSpec("SL", 4)
+    seen = {}
+    for _ in ("cold", "warm"):
+        for db in (first, second, first):
+            monkeypatch.setenv(classifier.DB_ENV_VAR, str(db))
+            got = classify(group, 4), relations("P2xP2")
+            assert got == (classify(group, 4, db_path=str(db)), relations("P2xP2", str(db)))
+            assert seen.setdefault(db.name, got) == got
+        monkeypatch.setenv(classifier.DB_ENV_VAR, str(bad))
+        assert classify(group, 3).verdict == "homogeneous"  # n <= r reads no database
+        for query in ((classify, group, 4), (classify, group, 5), (relations, "P^n")):
+            with pytest.raises(DatabaseFormatError):
+                query[0](*query[1:])
+    assert {d.name: d.dim for d in seen["second.db"][0].entries}["Gr(2,4)"] == 5
+    assert seen["second.db"][1] == () != seen["first.db"][1]
+    monkeypatch.delenv(classifier.DB_ENV_VAR)
+    assert (classify(group, 4), relations("P2xP2")) == seen["first.db"]
+
+
 # Every memo of the library, with its bound (None: one entry per Dynkin type
 # or the one shipped file).  Adding or removing a cache is an edit of this table.
 CACHES = {
@@ -498,7 +618,9 @@ CACHES = {
     "classifier._load_shipped": None,
     "classifier._load_file": 8,
     "classifier._instantiate": 1024,
-    "classifier._homogeneous_entries": 256,
+    "classifier._ladder": 256,
+    "classifier._case_entries": 256,
+    "classifier._edge_index": 8,
     "classifier._record_violations": 256,
 }
 

@@ -15,9 +15,15 @@ def test_survey_prints_its_committed_output_cold_and_warm(capsys):
     )
     survey = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(survey)
-    for memo in (classifier._instantiate, classifier._homogeneous_entries):
+    memos = (classifier._instantiate, classifier._ladder, classifier._case_entries)
+    for memo in memos:
         memo.cache_clear()
     for run in ("cold", "warm"):
         survey.main()
         assert capsys.readouterr().out == EXPECTED, run
-    assert classifier._instantiate.cache_info().hits > 0
+        if run == "cold":
+            misses = [memo.cache_info().misses for memo in memos]
+    # the warm run is answered from the memos and builds nothing new
+    assert [memo.cache_info().misses for memo in memos] == misses
+    assert classifier._ladder.cache_info().hits > 0
+    assert classifier._case_entries.cache_info().hits > 0
