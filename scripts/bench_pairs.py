@@ -108,6 +108,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if not args.out.is_dir():
+        ap.error(f"--out {args.out} is not a directory")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     base_rev = git("rev-parse", "--verify", args.base + "^{commit}")
