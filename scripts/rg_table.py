@@ -9,34 +9,29 @@ P(V) is itself the minimal variety.
 from __future__ import annotations
 
 import sys
-import warnings
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from lieflag.classifier import GroupSpec
 from lieflag.parabolic import minimal_homogeneous_varieties, r_min
 from lieflag.representations import check_rg_plus_one, min_nontrivial_irrep
-from lieflag.roots import DynkinType
 
 
-def rows():
-    for m in range(2, 10):
-        yield f"SL({m})", DynkinType("A", m - 1)
-    for s in range(2, 6):
-        yield f"Sp({2 * s})", DynkinType("C", s)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for m in range(7, 13):
-            series = "B" if m % 2 else "D"
-            yield f"Spin({m})", DynkinType(series, m // 2)
-    yield "G2", DynkinType("G", 2)
+GROUPS = (
+    [GroupSpec("SL", m) for m in range(2, 10)]
+    + [GroupSpec("Sp", m) for m in range(4, 11, 2)]
+    + [GroupSpec("Spin", m) for m in range(7, 13)]
+    + [GroupSpec("G2")]
+)
 
 
 def main() -> None:
     header = f"{'group':>9}  {'type':>4}  {'r':>3}  {'minimal varieties':<24}  {'min irrep':>9}  r+1?"
     print(header)
     print("-" * len(header))
-    for label, dtype in rows():
+    for group in GROUPS:
+        dtype = group.dynkin()
         best = r_min(dtype)
         varieties = ", ".join(
             hv.label() for hv in minimal_homogeneous_varieties(dtype)
@@ -44,7 +39,7 @@ def main() -> None:
         irrep = min_nontrivial_irrep(dtype)
         flag = "yes" if check_rg_plus_one(dtype) else ""
         print(
-            f"{label:>9}  {str(dtype):>4}  {best.value:>3}  {varieties:<24}  "
+            f"{group.label():>9}  {str(dtype):>4}  {best.value:>3}  {varieties:<24}  "
             f"{irrep.dim:>9}  {flag}"
         )
 

@@ -90,23 +90,6 @@ def group_spec(family: str, parameter: int = 0) -> GroupSpec:
     return GroupSpec(family, parameter)
 
 
-@lru_cache(maxsize=None)
-def _load_shipped() -> tuple[RecordSchema, ...]:
-    path = os.path.join(os.path.dirname(__file__), "data", "classification.db")
-    return parse_records(__spec__.loader.get_data(path).decode("utf-8"))
-
-
-@lru_cache(maxsize=8)
-def _load_file(path: str, mtime_ns: int, size: int) -> tuple[RecordSchema, ...]:
-    """Parsed file; the stat fields in the key make an edited file re-read."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DatabaseFormatError(f"cannot read database {path!r}: {exc}") from None
-    return parse_records(text)
-
-
 def _db_key(path: str | None) -> tuple | None:
     """None for the shipped file, else the (path, mtime_ns, size) its load is memoised under."""
     if path is None:
@@ -120,12 +103,24 @@ def _db_key(path: str | None) -> tuple | None:
     try:
         st = os.stat(path)
         return path, st.st_mtime_ns, st.st_size
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte or an unencodable name
         raise DatabaseFormatError(f"cannot read database {path!r}: {exc}") from None
 
 
+# The shipped file shares the bound with the files given by path; the stat
+# fields in a path's key make an edited file re-read.
+@lru_cache(maxsize=8)
 def _load(key: tuple | None) -> tuple[RecordSchema, ...]:
-    return _load_shipped() if key is None else _load_file(*key)
+    """The parsed records of the shipped file (key None) or of the file at key[0]."""
+    if key is None:
+        path = os.path.join(os.path.dirname(__file__), "data", "classification.db")
+        return parse_records(__spec__.loader.get_data(path).decode("utf-8"))
+    try:
+        with open(key[0], "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatabaseFormatError(f"cannot read database {key[0]!r}: {exc}") from None
+    return parse_records(text)
 
 
 def load_database(path: str | None = None) -> tuple[RecordSchema, ...]:

@@ -24,19 +24,18 @@ split by ``shlex.split`` (POSIX mode, no comments): ``"..."`` with
 a backslash outside quotes escaping the next character.  Serialization
 always quotes notes, ops, targets and labels, and quotes an orbit
 ``dim`` or ``ident`` only when it contains whitespace, a quote or a
-backslash.  Whole texts (8), record blocks, orbit and relation values
-(256 each) and compiled expressions (1,024) are memoised: a text parsed
-before gives the same record tuple, and a block (its stripped lines
-but blanks and comments) is reused only while they are unchanged.
+backslash.  Whole texts (8), record blocks and orbit values (256 each)
+and compiled expressions (1,024) are memoised: a text parsed before
+gives the same record tuple, and a block (its stripped lines but blanks
+and comments) is reused only while they are unchanged.
 
 Serializing and validating take a record only when each value has
 exactly its declared type, subclasses refused, so two records that pass
 and compare equal hold identical values, and when its text parses back
 to it, so every parse-time check applies to a record built in code.
-``_CHECKED`` holds up to 256 records that passed, by identity, and is
-emptied when full; ``_record_text`` memoises the text of up to 256
-records by value, and runs only on a record whose types passed.  No
-error is cached.
+``_CHECKED`` holds up to 256 records that passed, by identity, each
+with its text, and is emptied when full, so a record's text is built
+once per check.  No error is cached.
 """
 
 from __future__ import annotations
@@ -230,7 +229,6 @@ def _parse_orbit(value: str) -> OrbitSchema:
     return OrbitSchema(tokens[0], fields["dim"], fields["ident"], fields["note"])
 
 
-@lru_cache(maxsize=256)
 def _parse_relation(value: str) -> RelationEdge:
     try:
         tokens = shlex.split(value)
@@ -369,25 +367,27 @@ _RECORD_TEXT = attrgetter(
 _RECORD_INTS = attrgetter("item", "picard", "actions")
 
 
-# Records that passed _check_types, by id, emptied when full.  Holding a
-# record keeps its id from being reused.  An equality-keyed memo could not
-# skip the check: tuple(rec) == rec, and a record with item=True equals
-# one with item=1.
-_CHECKED: dict[int, RecordSchema] = {}
+# Records that passed _check_types with their text, by id, emptied when
+# full.  Holding a record keeps its id from being reused.  An
+# equality-keyed memo could not skip the check: tuple(rec) == rec, and a
+# record with item=True equals one with item=1.
+_CHECKED: dict[int, tuple[RecordSchema, str]] = {}
 _CHECKED_MAX = 256
 
 
-def _check_types(rec: RecordSchema) -> None:
-    """Refuse a record with a value of another type than declared, which
-    would parse back changed or could not key the per-record caches.
+def _check_types(rec: RecordSchema) -> str:
+    """The text of a record, refusing one with a value of another type
+    than declared, which would parse back changed or could not key the
+    per-record caches.
 
     Types must match exactly, subclasses refused: two records that pass
     and compare equal then hold identical values.  Then the record's text
     must parse back to it, so a record built in code meets every check
     of the parser.
     """
-    if _CHECKED.get(id(rec)) is rec:
-        return
+    checked = _CHECKED.get(id(rec))
+    if checked is not None and checked[0] is rec:
+        return checked[1]
     if type(rec) is not RecordSchema:
         raise DatabaseFormatError(f"cannot write {shown(rec)}: not a RecordSchema")
     for value in _RECORD_INTS(rec):
@@ -411,15 +411,17 @@ def _check_types(rec: RecordSchema) -> None:
     for value in strings:
         if type(value) is not str:
             raise DatabaseFormatError(f"cannot write {shown(value)}: not a string")
+    text = _record_text(rec)
     try:  # the parser judges the record's text, so every parse-time check applies
-        back = tuple(map(_parse_block, _blocks(_record_text(rec))))
+        back = tuple(map(_parse_block, _blocks(text)))
     except _LineError as exc:
         raise DatabaseFormatError(f"record {rec.name!r}: {exc.args[1]}") from None
     if back != (rec,):
         raise DatabaseFormatError(f"record {rec.name!r}: its text parses back changed")
     if len(_CHECKED) >= _CHECKED_MAX:
         _CHECKED.clear()
-    _CHECKED[id(rec)] = rec
+    _CHECKED[id(rec)] = rec, text
+    return text
 
 
 def _each(records: Iterable[RecordSchema]) -> Iterator[RecordSchema]:
@@ -432,7 +434,6 @@ def _each(records: Iterable[RecordSchema]) -> Iterator[RecordSchema]:
         ) from None
 
 
-@lru_cache(maxsize=256)
 def _record_text(rec: RecordSchema) -> str:
     """The lines of a record that passed _check_types, each ending in a line break."""
     for value in _RECORD_TEXT(rec):
@@ -485,8 +486,4 @@ def _record_text(rec: RecordSchema) -> str:
 
 
 def serialize_records(records: Iterable[RecordSchema]) -> str:
-    chunks = []
-    for rec in _each(records):
-        _check_types(rec)
-        chunks.append(_record_text(rec))
-    return "\n".join(chunks)
+    return "\n".join(map(_check_types, _each(records)))

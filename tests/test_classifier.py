@@ -601,8 +601,18 @@ def test_switching_the_database_variable_switches_the_answer(tmp_path, monkeypat
     assert (classify(group, 4), relations("P2xP2")) == seen["first.db"]
 
 
-# Every memo of the library, with its bound (None: one entry per Dynkin type
-# or the one shipped file).  Adding or removing a cache is an edit of this table.
+def test_each_database_is_loaded_once(tmp_path):
+    db_path = str(tmp_path / "copy.db")
+    shutil.copyfile(Path(classifier.__file__).parent / "data" / "classification.db", db_path)
+    classifier._load.cache_clear()
+    for loaded, path in enumerate((None, db_path), 1):
+        first = load_database(path)
+        assert load_database(path) is first
+        assert classifier._load.cache_info()[:2] == (loaded, loaded)  # (hits, misses)
+
+
+# Every memo of the library, with its bound (None: one entry per Dynkin
+# type).  Adding or removing a cache is an edit of this table.
 CACHES = {
     "roots.root_system": None,
     "parabolic._supports": None,
@@ -611,12 +621,9 @@ CACHES = {
     "representations._coroot_chain": None,
     "records._compile": 1024,
     "records._parse_orbit": 256,
-    "records._parse_relation": 256,
     "records._parse_block": 256,
     "records._parse_text": 8,
-    "records._record_text": 256,
-    "classifier._load_shipped": None,
-    "classifier._load_file": 8,
+    "classifier._load": 8,
     "classifier._instantiate": 1024,
     "classifier._ladder": 256,
     "classifier._case_entries": 256,

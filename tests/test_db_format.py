@@ -15,6 +15,7 @@ from lieflag.classifier import (
     load_database,
     orbit_structure,
     relations,
+    validate_database,
     validate_records,
 )
 from lieflag.errors import (
@@ -35,7 +36,6 @@ from lieflag.records import (
     _compile,
     _parse_block,
     _parse_orbit,
-    _parse_relation,
     _parse_text,
     _record_text,
     eval_expr,
@@ -340,13 +340,13 @@ def test_cold_caches_give_the_warm_results(index, value):
     text = "\n".join(lines)
     _parse_and_validate(text)
     warm = _parse_and_validate(text)
-    for memo in (_parse_text, _parse_block, _parse_orbit, _parse_relation, _record_violations):
+    for memo in (_parse_text, _parse_block, _parse_orbit, _record_violations):
         memo.cache_clear()
     assert _parse_and_validate(text) == warm
 
 
 def _clear_parse_memos():
-    for memo in (_parse_text, _parse_block, _parse_orbit, _parse_relation, _compile):
+    for memo in (_parse_text, _parse_block, _parse_orbit, _compile):
         memo.cache_clear()
 
 
@@ -479,6 +479,21 @@ def test_a_value_that_is_not_a_path_touches_no_file_descriptor(tmp_path):
         assert os.fstat(fd).st_size == len(MINIMAL)  # still open
     finally:
         os.close(fd)
+
+
+@pytest.mark.parametrize("path", ["a\0b", "\ud800.db"])
+def test_a_path_the_os_cannot_encode_is_a_format_error(path):
+    queries = [
+        (load_database, path),
+        (classify, group_spec("SL", 4), 4, False, path),
+        (relations, "P^n", path),
+        (orbit_structure, "P^n", {"n": 3}, "SL", path),
+        (validate_database, path),
+    ]
+    for fn, *args in queries:
+        with pytest.raises(DatabaseFormatError) as exc:
+            fn(*args)
+        assert str(exc.value).startswith(f"cannot read database {path!r}: "), fn.__name__
 
 
 @pytest.mark.parametrize(
@@ -834,11 +849,6 @@ def test_serialize_round_trips_or_refuses_record_values(data):
     assert back == (rec,)
 
 
-def _clear_record_memos():
-    _CHECKED.clear()
-    _record_text.cache_clear()
-
-
 class _Text(str):
     pass
 
@@ -864,6 +874,23 @@ def test_the_record_memos_refuse_an_equal_record_of_another_type(bad, message):
         assert message in str(exc.value)
 
 
+def test_a_record_text_is_built_once_per_check(monkeypatch):
+    built = []
+    monkeypatch.setattr(
+        "lieflag.records._record_text", lambda rec: built.append(rec) or _record_text(rec)
+    )
+    records = parse_records(SHIPPED)
+    _CHECKED.clear()
+    text = serialize_records(records)
+    assert serialize_records(records) == text
+    assert built == list(records)
+    _CHECKED.clear()
+    built.clear()
+    validate_records(records)
+    assert serialize_records(records) == text
+    assert built == list(records)
+
+
 def test_a_refused_value_is_refused_on_every_call():
     bad = _SHIPPED_RECORD._replace(note="ends in a space ")
     for _ in range(2):
@@ -873,7 +900,7 @@ def test_a_refused_value_is_refused_on_every_call():
 
 def test_serialized_shipped_records_are_pinned():
     expected = Path(__file__).with_name("shipped_serialized.db").read_text(encoding="utf-8")
-    _clear_record_memos()
+    _CHECKED.clear()
     for memo in ("cold", "warm"):
         assert serialize_records(load_database()) == expected, memo
 
@@ -884,6 +911,6 @@ def test_the_record_memos_give_the_text_they_were_cleared_of(order, keep):
     records = [_SHIPPED_RECORDS[i] for i in order[:keep]]
     serialize_records(_SHIPPED_RECORDS)
     warm = serialize_records(records)
-    _clear_record_memos()
+    _CHECKED.clear()
     assert serialize_records(records) == warm
     assert warm == "".join(serialize_records([rec]) + "\n" for rec in records)[:-1]

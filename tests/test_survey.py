@@ -1,4 +1,4 @@
-"""The classification survey script against its committed output."""
+"""The survey scripts against their committed output."""
 
 import importlib.util
 from pathlib import Path
@@ -9,12 +9,20 @@ ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = (Path(__file__).parent / "classification_survey.txt").read_text()
 
 
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rg_table_prints_its_committed_output(capsys):
+    _script("rg_table").main()
+    assert capsys.readouterr().out == (Path(__file__).parent / "rg_table.txt").read_text()
+
+
 def test_survey_prints_its_committed_output_cold_and_warm(capsys):
-    spec = importlib.util.spec_from_file_location(
-        "classification_survey", ROOT / "scripts" / "classification_survey.py"
-    )
-    survey = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(survey)
+    survey = _script("classification_survey")
     memos = (classifier._instantiate, classifier._ladder, classifier._case_entries)
     for memo in memos:
         memo.cache_clear()
