@@ -1,8 +1,10 @@
 """Regenerate the golden files compared by tests/test_cli.py.
 
-Each case runs once in text mode and once with --json; outputs land in
-tests/golden/ together with a manifest mapping case names to argv.
-Inspect the diff before committing: the goldens are the frozen contract.
+The cases are the lines of tests/golden/manifest.tsv, each a case name,
+a tab and its shell-quoted argv; a new case is one new manifest line.
+Each case runs once in text mode and once with --json, and its outputs
+land in tests/golden/ as NAME.txt and NAME.json.  Inspect the diff
+before committing: the goldens are the frozen contract.
 """
 
 from __future__ import annotations
@@ -17,38 +19,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lieflag.cli import run
 
-CASES = [
-    ("roots_C2", ["roots", "C2"]),
-    ("dim_group_G2", ["dim-group", "G2"]),
-    ("parabolic_D4_node2", ["parabolic", "D4", "--nodes", "2"]),
-    ("rmin_G2", ["rmin", "G2"]),
-    ("minimal_homogeneous_C2", ["minimal-homogeneous", "C2"]),
-    ("fano_index_B2_node1", ["fano-index", "B2", "--node", "1"]),
-    ("weyl_dim_A1_w3", ["weyl-dim", "A1", "--weight", "3"]),
-    ("min_irrep_B3", ["min-irrep", "B3"]),
-    ("bwb_B2", ["bwb", "B2", "--nodes", "1", "--weight", "1,0", "--power", "1"]),
-    ("cone_cover_2_4", ["cone-cover", "--c1", "2,4"]),
-    ("hilbert_A2", ["hilbert", "A2", "--nodes", "1", "--weight", "1,0", "--kmax", "3"]),
-    (
-        "orbits_bundle_over_P3",
-        ["orbits", "--variety", "P(O(m)+O)/P^{n-1}", "--case", "SL", "--params", "n=4,m=2"],
-    ),
-    ("relations_Y_minus1", ["relations", "--variety", "Y_{(-1)}"]),
-    ("validate_db", ["validate-db"]),
-    ("classify_SL2_n2", ["classify", "--group", "SL", "--param", "2", "--dim", "2"]),
-    ("classify_SL3_n3", ["classify", "--group", "SL", "--param", "3", "--dim", "3"]),
-    ("classify_SL4_n4", ["classify", "--group", "SL", "--param", "4", "--dim", "4"]),
-    ("classify_Sp4_n3", ["classify", "--group", "Sp", "--param", "4", "--dim", "3"]),
-    ("classify_Sp4_n4", ["classify", "--group", "Sp", "--param", "4", "--dim", "4"]),
-    ("classify_Sp6_n6", ["classify", "--group", "Sp", "--param", "6", "--dim", "6"]),
-    ("classify_Spin8_n7", ["classify", "--group", "Spin", "--param", "8", "--dim", "7"]),
-    ("classify_Spin9_n8", ["classify", "--group", "Spin", "--param", "9", "--dim", "8"]),
-    (
-        "classify_SL3_n4_quasi",
-        ["classify", "--group", "SL", "--param", "3", "--dim", "4", "--quasihomogeneous"],
-    ),
-]
-
 
 def capture(argv) -> str:
     buffer = io.StringIO()
@@ -61,14 +31,13 @@ def capture(argv) -> str:
 
 def main() -> None:
     golden = Path(__file__).resolve().parent.parent / "tests" / "golden"
-    golden.mkdir(exist_ok=True)
-    manifest = []
-    for name, argv in CASES:
+    manifest = (golden / "manifest.tsv").read_text().splitlines()
+    for line in manifest:
+        name, command = line.split("\t")
+        argv = shlex.split(command)
         (golden / f"{name}.txt").write_text(capture(argv))
         (golden / f"{name}.json").write_text(capture(argv + ["--json"]))
-        manifest.append(f"{name}\t{shlex.join(argv)}\n")
-    (golden / "manifest.tsv").write_text("".join(manifest))
-    print(f"wrote {2 * len(CASES) + 1} files under {golden}")
+    print(f"wrote {2 * len(manifest)} files under {golden}")
 
 
 if __name__ == "__main__":

@@ -55,7 +55,7 @@ class GroupSpec(NamedTuple("GroupSpec", [("family", str), ("parameter", int)])):
             if p < 5:
                 raise InvalidGroup(f"Spin needs parameter >= 5, got {shown(p)}")
         elif f != "G2":
-            raise InvalidGroup(f"unknown family {f!r}")
+            raise InvalidGroup(f"unknown family {shown(f)}")
         return super().__new__(cls, family, parameter)
 
     def resolve(self) -> tuple[str, "GroupSpec"]:
@@ -196,6 +196,10 @@ class ClassificationResult(NamedTuple):
     n: int
     entries: tuple[VarietyDescriptor, ...] = ()
     reason: str = ""
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={shown(value)}" for key, value in zip(self._fields, self))
+        return f"ClassificationResult({fields})"
 
 
 # The rungs of a group's ladder depend on the group alone; the rank cap is

@@ -3,12 +3,16 @@ r"""Line-oriented record format for the classification database.
 A database file is a sequence of records.  A record starts at a
 ``record = NAME`` line and collects the following ``key = value`` lines
 until the next record; ``#`` lines are comments and blank lines are
-ignored.  Dimensions may be closed integer expressions in ``n`` (the
-ambient dimension); parameter constraints are boolean expressions over
-the declared parameter names.  An expression nests at most
-``_MAX_DEPTH`` (100) expression nodes deep.  Parsing then serializing
-then parsing is the identity on the record list.  A record built in
-code round-trips too, unless serializing it raises
+ignored.  The record-level keys are those of the table ``_KEYS``: one
+whose field has no default is required, none may repeat (``orbit`` and
+``relation`` lines may), and ``allows_fixed_point`` is ``yes`` or
+``no``.  Serializing writes them in table order, one with a default
+only when its value differs from it.  Dimensions may be closed integer
+expressions in ``n`` (the ambient dimension); parameter constraints are
+boolean expressions over the declared parameter names.  An expression
+nests at most ``_MAX_DEPTH`` (100) expression nodes deep.  Parsing then
+serializing then parsing is the identity on the record list.  A record
+built in code round-trips too, unless serializing it raises
 ``DatabaseFormatError``: serializing refuses a field value of another
 type than declared, an integer with more digits than ``str`` converts,
 a record-level value that holds a line break or starts or ends with
@@ -240,9 +244,16 @@ def _parse_relation(value: str) -> RelationEdge:
     return RelationEdge(fields["op"], fields["to"], fields["label"])
 
 
-_PLAIN_KEYS = {
-    "case", "source", "item", "dim", "picard", "requires", "allows_fixed_point", "actions", "note"
+# The record-level keys in the order they are written, each with the
+# type of its field; "params" gives param_names and param_constraint.
+_KEYS = {
+    "case": str, "source": str, "item": int, "requires": str, "dim": str,
+    "picard": int, "params": tuple, "allows_fixed_point": bool, "actions": int, "note": str,
 }
+_SCALARS = {key: kind for key, kind in _KEYS.items() if key in RecordSchema._fields}  # not params
+_scalars = attrgetter(*_SCALARS)
+_HEADER = [(key, RecordSchema._field_defaults.get(key)) for key in _KEYS]  # None if required
+_NOUNS = {str: "a string", int: "an integer", bool: "a bool"}
 
 
 class _LineError(Exception):
@@ -258,7 +269,7 @@ def _parse_block(block: str) -> RecordSchema:
         key = key.rstrip()
         value = value.lstrip()
         if eq and key == "record":
-            fields = {"name": value, "orbits": [], "relations": []}
+            fields = {"name": value, "orbits": (), "relations": ()}
             continue
         try:
             if not eq:
@@ -266,10 +277,14 @@ def _parse_block(block: str) -> RecordSchema:
             if fields is None:
                 raise DatabaseFormatError(f"{key!r} outside a record")
             if key == "orbit":
-                fields["orbits"].append(_parse_orbit(value))
-            elif key == "relation":
-                fields["relations"].append(_parse_relation(value))
-            elif key == "params":
+                fields["orbits"] += (_parse_orbit(value),)
+                continue
+            if key == "relation":
+                fields["relations"] += (_parse_relation(value),)
+                continue
+            if key not in _KEYS:
+                raise DatabaseFormatError(f"unknown key {key!r}")
+            if key == "params":
                 names, _, constraint = value.partition(";")
                 param_names = tuple(t.strip() for t in names.split(",") if t.strip())
                 for name in param_names:
@@ -278,35 +293,37 @@ def _parse_block(block: str) -> RecordSchema:
                 constraint = constraint.strip()
                 if constraint:
                     _check_expr(constraint, "bool", param_names)
-                fields["param_names"] = param_names
-                fields["param_constraint"] = constraint
-            elif key in _PLAIN_KEYS:
-                if key == "dim":
-                    _check_expr(value, "int", ("n",))
-                elif key == "requires" and value:
-                    _check_expr(value, "bool", ("n",))
-                fields[key] = value
-            else:
-                raise DatabaseFormatError(f"unknown key {key!r}")
+                value = param_names, constraint
+            elif key == "dim":
+                _check_expr(value, "int", ("n",))
+            elif key == "requires" and value:
+                _check_expr(value, "bool", ("n",))
+            elif _KEYS[key] is bool:
+                if value not in ("yes", "no"):
+                    raise DatabaseFormatError(f"{key} must be yes or no, got {value!r}")
+                value = value == "yes"
+            if key in fields:  # after the value's own check, which names a bad value first
+                raise DatabaseFormatError(f"duplicate key {key!r}")
+            fields[key] = value
         except DatabaseFormatError as exc:
             raise _LineError(at, exc) from None
     try:
-        for key in ("case", "source", "item", "dim", "picard"):
-            if key not in fields:
+        for key in _SCALARS:
+            if key not in fields and key not in RecordSchema._field_defaults:
                 raise DatabaseFormatError(f"missing {key}")
         for key, known in (("case", _CASES), ("source", _SOURCES)):
             if fields[key] not in known:
                 raise DatabaseFormatError(f"unknown {key} {fields[key]!r}")
-        for key in ("item", "picard", "actions"):
-            try:
-                fields[key] = int(fields.get(key, 1))
-            except ValueError:
-                raise DatabaseFormatError(f"{key} {fields[key]!r} is not an integer") from None
+        for key, kind in _SCALARS.items():
+            if kind is int and key in fields:
+                try:
+                    fields[key] = int(fields[key])
+                except ValueError:
+                    raise DatabaseFormatError(f"{key} {fields[key]!r} is not an integer") from None
     except DatabaseFormatError as exc:
         raise DatabaseFormatError(f"record {fields['name']!r}: {exc}") from None
-    fields["allows_fixed_point"] = fields.get("allows_fixed_point") == "yes"
-    fields["orbits"] = tuple(fields["orbits"])
-    fields["relations"] = tuple(fields["relations"])
+    if "params" in fields:
+        fields["param_names"], fields["param_constraint"] = fields.pop("params")
     return RecordSchema(**fields)
 
 
@@ -359,14 +376,6 @@ def _word(text: str) -> str:
     return _quote(text) if _NEEDS_QUOTES(text) else text
 
 
-# The parser splits a file with str.splitlines and strips each
-# record-level value, so a value must pass both unchanged.
-_RECORD_TEXT = attrgetter(
-    "name", "case", "source", "requires", "dim", "param_constraint", "note"
-)
-_RECORD_INTS = attrgetter("item", "picard", "actions")
-
-
 # Records that passed _check_types with their text, by id, emptied when
 # full.  Holding a record keeps its id from being reused.  An
 # equality-keyed memo could not skip the check: tuple(rec) == rec, and a
@@ -390,11 +399,9 @@ def _check_types(rec: RecordSchema) -> str:
         return checked[1]
     if type(rec) is not RecordSchema:
         raise DatabaseFormatError(f"cannot write {shown(rec)}: not a RecordSchema")
-    for value in _RECORD_INTS(rec):
-        if type(value) is not int:
-            raise DatabaseFormatError(f"cannot write {shown(value)}: not an integer")
-    if type(rec.allows_fixed_point) is not bool:
-        raise DatabaseFormatError(f"cannot write {shown(rec.allows_fixed_point)}: not a bool")
+    for value, kind in zip(_scalars(rec), _SCALARS.values()):
+        if type(value) is not kind:
+            raise DatabaseFormatError(f"cannot write {shown(value)}: not {_NOUNS[kind]}")
     for parts, kind, noun in (
         (rec.param_names, str, "a string"),
         (rec.orbits, OrbitSchema, "an OrbitSchema"),
@@ -405,12 +412,10 @@ def _check_types(rec: RecordSchema) -> str:
         for part in parts:
             if type(part) is not kind:
                 raise DatabaseFormatError(f"cannot write {shown(part)}: not {noun}")
-    strings = [*_RECORD_TEXT(rec)]
-    for part in (*rec.orbits, *rec.relations):
-        strings += part
-    for value in strings:
-        if type(value) is not str:
-            raise DatabaseFormatError(f"cannot write {shown(value)}: not a string")
+    for part in ((rec.name, rec.param_constraint), *rec.orbits, *rec.relations):
+        for value in part:  # each field of an orbit or relation is a string
+            if type(value) is not str:
+                raise DatabaseFormatError(f"cannot write {shown(value)}: not a string")
     text = _record_text(rec)
     try:  # the parser judges the record's text, so every parse-time check applies
         back = tuple(map(_parse_block, _blocks(text)))
@@ -436,37 +441,27 @@ def _each(records: Iterable[RecordSchema]) -> Iterator[RecordSchema]:
 
 def _record_text(rec: RecordSchema) -> str:
     """The lines of a record that passed _check_types, each ending in a line break."""
-    for value in _RECORD_TEXT(rec):
-        if len(value.splitlines()) > 1 or value != value.strip():
+    # The parser splits a file with str.splitlines and strips each
+    # record-level value, so a value must pass both unchanged.
+    for value in (rec.name, rec.param_constraint, *_scalars(rec)):
+        if type(value) is str and (len(value.splitlines()) > 1 or value != value.strip()):
             raise DatabaseFormatError(
                 f"cannot write {value!r}: not one line without edge whitespace"
             )
     for name in rec.param_names:
         if not name or _UNSAFE_PARAM(name):
             raise DatabaseFormatError(f"cannot write params name {name!r}")
+    lines = [f"record = {rec.name}"]
     try:
-        item, picard, actions = map(str, _RECORD_INTS(rec))
-    except ValueError as exc:  # more digits than int -> str allows
+        for key, default in _HEADER:
+            if key == "params":
+                if rec.param_names or rec.param_constraint:
+                    names = ", ".join(rec.param_names)
+                    lines.append(f"params = {names} ; {rec.param_constraint}".rstrip())
+            elif (value := getattr(rec, key)) != default:
+                lines.append(f"{key} = {'yes' if value is True else value}")
+    except ValueError as exc:  # an integer with more digits than str writes
         raise DatabaseFormatError(f"cannot write an integer: {exc}") from None
-    lines = [
-        f"record = {rec.name}",
-        f"case = {rec.case}",
-        f"source = {rec.source}",
-        f"item = {item}",
-    ]
-    if rec.requires:
-        lines.append(f"requires = {rec.requires}")
-    lines.append(f"dim = {rec.dim}")
-    lines.append(f"picard = {picard}")
-    if rec.param_names or rec.param_constraint:
-        names = ", ".join(rec.param_names)
-        lines.append(f"params = {names} ; {rec.param_constraint}".rstrip())
-    if rec.allows_fixed_point:
-        lines.append("allows_fixed_point = yes")
-    if rec.actions != 1:
-        lines.append(f"actions = {actions}")
-    if rec.note:
-        lines.append(f"note = {rec.note}")
     for orb in rec.orbits:
         if orb.kind not in _ORBIT_KINDS:
             raise DatabaseFormatError(f"cannot write orbit kind {orb.kind!r}")

@@ -181,6 +181,23 @@ _INTERPRETER_WORDED = {
         ("dim = n", "dim = (1,) < n ** 2", "line 8: disallowed syntax Pow in '(1,) < n ** 2'"),
         ("dim = n", "dim = (1,) < 1.5", "line 8: non-integer constant in '(1,) < 1.5'"),
         ("dim = n", "dim = n ** 2 < f(n)", "line 8: disallowed syntax Call in 'n ** 2 < f(n)'"),
+        # a record-level key given twice, one of each type; the later line is named
+        ("dim = n", "dim = n\ndim = n + 1", "line 9: duplicate key 'dim'"),
+        ("item = 1", "item = 1\nitem = 2", "line 7: duplicate key 'item'"),
+        ("params = m ; m > 0", "params = m ; m > 0\nparams = k", "line 11: duplicate key 'params'"),
+        (
+            "actions = 2",
+            "allows_fixed_point = yes\nactions = 2\nallows_fixed_point = no",
+            "line 13: duplicate key 'allows_fixed_point'",
+        ),
+        # the value's own check comes before the duplicate check
+        ("dim = n", "dim = n\ndim = (1,2)", "line 9: int expected, got tuple in '(1,2)'"),
+        # a flag is yes or no
+        (
+            "actions = 2",
+            "actions = 2\nallows_fixed_point = Yes",
+            "line 12: allows_fixed_point must be yes or no, got 'Yes'",
+        ),
     ],
 )
 def test_parse_rejects_malformed_records(mutation):
@@ -191,6 +208,14 @@ def test_parse_rejects_malformed_records(mutation):
     for placeholder, regex in _INTERPRETER_WORDED.items():
         pattern = pattern.replace(re.escape(placeholder), regex)
     assert re.fullmatch(pattern, str(exc.value)), str(exc.value)
+
+
+def test_allows_fixed_point_no_reads_as_the_default_and_is_not_written():
+    (rec,) = parse_records(MINIMAL.replace("actions = 2", "actions = 2\nallows_fixed_point = no"))
+    assert rec == parse_records(MINIMAL)[0] and rec.allows_fixed_point is False
+    assert "allows_fixed_point" not in serialize_records([rec])
+    (flagged,) = parse_records(MINIMAL.replace("actions = 2", "allows_fixed_point = yes"))
+    assert "\nallows_fixed_point = yes\n" in serialize_records([flagged])
 
 
 def test_parse_rejects_orphan_lines():

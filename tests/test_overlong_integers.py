@@ -53,6 +53,7 @@ def test_shown_is_repr_until_str_would_refuse():
          "Sp needs an even parameter >= 4, got <integer of ~5000 digits>"),
         (lambda: GroupSpec("Spin", -H), InvalidGroup,
          "Spin needs parameter >= 5, got <negative integer of ~5000 digits>"),
+        (lambda: GroupSpec(H), InvalidGroup, "unknown family <integer of ~5000 digits>"),
         (lambda: GroupSpec("SL", (H,)), InvalidGroup,
          "group parameter must be an integer, got <tuple holding an over-long integer>"),
         (lambda: fundamental_weight(A2, H), InvalidRank,
@@ -99,6 +100,14 @@ def test_classify_at_an_over_long_dimension_is_out_of_range():
     result = classify(GroupSpec("SL", 4), H)
     assert result.verdict == "out_of_covered_range"
     assert result.reason == "no record list for SL(4) in dimension <integer of ~5000 digits>"
+
+
+def test_classification_result_repr_gives_an_over_long_dimension_by_size():
+    assert repr(classify(GroupSpec("SL", 3), H)) == (
+        "ClassificationResult(verdict='out_of_covered_range', "
+        "group=GroupSpec(family='SL', parameter=3), n=<integer of ~5000 digits>, entries=(), "
+        "reason='no record list for SL(3) in dimension <integer of ~5000 digits>')"
+    )
 
 
 def test_an_over_long_weight_still_has_its_dimension():
