@@ -7,20 +7,22 @@ ignored.  The record-level keys are those of the table ``_KEYS``: one
 whose field has no default is required, none may repeat (``orbit`` and
 ``relation`` lines may), and ``allows_fixed_point`` is ``yes`` or
 ``no``.  Serializing writes them in table order, one with a default
-only when its value differs from it.  Dimensions may be closed integer
-expressions in ``n`` (the ambient dimension); parameter constraints are
-boolean expressions over the declared parameter names.  An expression
-nests at most ``_MAX_DEPTH`` (100) expression nodes deep.  Parsing then
-serializing then parsing is the identity on the record list.  A record
-built in code round-trips too, unless serializing it raises
-``DatabaseFormatError``: serializing refuses a field value of another
-type than declared, an integer with more digits than ``str`` converts,
-a record-level value that holds a line break or starts or ends with
-whitespace, which the line split and strip would change, a ``params``
-name that is empty or holds ``,``, ``;`` or whitespace, an unknown
-orbit kind, and any record whose text the parser refuses or reads back
-as another record.  A parse error names its line (``line N: ...``) or,
-for a fault of a whole record, its record (``record 'NAME': ...``).
+only when its value differs from it.  An integer value is ASCII digits
+after an optional ``-``.  Dimensions may be closed integer expressions
+in ``n`` (the ambient dimension); parameter constraints are boolean
+expressions over the declared parameter names, each declared once.  An
+expression nests at most ``_MAX_DEPTH`` (100) expression nodes deep.
+Parsing then serializing then parsing is the identity on the record
+list.  A record built in code round-trips too, unless serializing it
+raises ``DatabaseFormatError``: serializing refuses a field value of
+another type than declared, an integer with more digits than ``str``
+converts, a record-level value that holds a line break or starts or
+ends with whitespace, which the line split and strip would change, a
+``params`` name that is empty or holds ``,``, ``;`` or whitespace, an
+unknown orbit kind, and any record whose text the parser refuses or
+reads back as another record.  A parse error names its line
+(``line N: ...``) or, for a fault of a whole record, its record
+(``record 'NAME': ...``).
 
 An ``orbit`` or ``relation`` value is a list of ``key=value`` words,
 split by ``shlex.split`` (POSIX mode, no comments): ``"..."`` with
@@ -29,9 +31,10 @@ a backslash outside quotes escaping the next character.  Serialization
 always quotes notes, ops, targets and labels, and quotes an orbit
 ``dim`` or ``ident`` only when it contains whitespace, a quote or a
 backslash.  Whole texts (8), record blocks and orbit values (256 each)
-and compiled expressions (1,024) are memoised: a text parsed before
-gives the same record tuple, and a block (its stripped lines but blanks
-and comments) is reused only while they are unchanged.
+and compiled expressions (1,024) are memoised: a text parsed before, or
+written by ``serialize_records``, gives the same record tuple, and a
+block (its stripped lines but blanks and comments) is reused only while
+they are unchanged.
 
 Serializing and validating take a record only when each value has
 exactly its declared type, subclasses refused, so two records that pass
@@ -69,6 +72,8 @@ _ORBIT_KINDS = ("open", "closed", "intermediate", "fixed")
 IDENT_RE = re.compile(r"^([PQ])\^\{?([0-9n+\- ]+)\}?$")
 # A params name holds no whitespace, "," or ";", so it is written back unchanged.
 _UNSAFE_PARAM = re.compile(r"[\s,;]").search
+# An integer value: ASCII digits, optionally after "-", as str writes it.
+_INTEGER = re.compile(r"-?[0-9]+").fullmatch
 
 # Node types an expression may hold, each operator node with its operators.
 _ALLOWED_NODES = (
@@ -290,6 +295,9 @@ def _parse_block(block: str) -> RecordSchema:
                 for name in param_names:
                     if _UNSAFE_PARAM(name):  # whitespace inside; the split took "," and ";"
                         raise DatabaseFormatError(f"bad params name {name!r}")
+                repeated = [name for i, name in enumerate(param_names) if name in param_names[:i]]
+                if repeated:
+                    raise DatabaseFormatError(f"duplicate params name {repeated[0]!r}")
                 constraint = constraint.strip()
                 if constraint:
                     _check_expr(constraint, "bool", param_names)
@@ -317,6 +325,8 @@ def _parse_block(block: str) -> RecordSchema:
         for key, kind in _SCALARS.items():
             if kind is int and key in fields:
                 try:
+                    if not _INTEGER(fields[key]):  # int() also takes "+5", "1_0" and "٣"
+                        raise ValueError
                     fields[key] = int(fields[key])
                 except ValueError:
                     raise DatabaseFormatError(f"{key} {fields[key]!r} is not an integer") from None
@@ -338,15 +348,30 @@ def _blocks(text: str) -> list[str]:
     return _BLOCKS("\n".join(lines)) if lines else []  # lines ahead of a record fail
 
 
+# The records of the last 8 database texts parsed or written, by text,
+# oldest first.  Eviction pops with a default, so threads evicting at
+# once raise nothing.
+_TEXTS: dict[str, tuple[RecordSchema, ...]] = {}
+_TEXTS_MAX = 8
+
+
+def _remember(text: str, records: tuple[RecordSchema, ...]) -> tuple[RecordSchema, ...]:
+    _TEXTS[text] = records
+    if len(_TEXTS) > _TEXTS_MAX:
+        for old in list(_TEXTS)[:-_TEXTS_MAX]:
+            _TEXTS.pop(old, None)
+    return records
+
+
 def parse_records(text: str) -> tuple[RecordSchema, ...]:
     if not isinstance(text, str):  # before the memo, which could not hash a list
         raise DatabaseFormatError(f"database text must be a str, got {type(text).__name__}")
-    return _parse_text(text)
+    records = _TEXTS.get(text)
+    return records if records is not None else _remember(text, _parse_text(text))
 
 
-@lru_cache(maxsize=8)
 def _parse_text(text: str) -> tuple[RecordSchema, ...]:
-    """The records of a whole database text; a text parsed before is a hit."""
+    """The records of a whole database text."""
     blocks = _blocks(text)
     records: list[RecordSchema] = []
     for i, block in enumerate(blocks):
@@ -355,8 +380,12 @@ def _parse_text(text: str) -> tuple[RecordSchema, ...]:
         except _LineError as exc:
             at, error = exc.args
             at += sum(b.count("\n") + 1 for b in blocks[:i])
-            lineno = [n for n, line in enumerate(map(str.strip, text.splitlines()), 1)
-                      if line and line[0] != "#"][at]
+            for lineno, line in enumerate(text.splitlines(), 1):  # to the at-th significant one
+                line = line.strip()
+                if line and line[0] != "#":
+                    if not at:
+                        break
+                    at -= 1
             raise DatabaseFormatError(f"line {lineno}: {error}") from None
     if not records:
         raise DatabaseFormatError("no records found")
@@ -481,4 +510,10 @@ def _record_text(rec: RecordSchema) -> str:
 
 
 def serialize_records(records: Iterable[RecordSchema]) -> str:
-    return "\n".join(map(_check_types, _each(records)))
+    """The text of the records, stored in the text memo: each record's text
+    parses back to it alone and none but its first line starts a block."""
+    records = tuple(_each(records))
+    text = "\n".join(map(_check_types, records))
+    if records:  # no text of no records: parsing "" raises
+        _remember(text, records)
+    return text

@@ -622,7 +622,6 @@ CACHES = {
     "records._compile": 1024,
     "records._parse_orbit": 256,
     "records._parse_block": 256,
-    "records._parse_text": 8,
     "classifier._load": 8,
     "classifier._instantiate": 1024,
     "classifier._ladder": 256,

@@ -1,6 +1,7 @@
 import os
 import re
 import signal
+from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -29,6 +30,8 @@ from lieflag.errors import (
 from lieflag.records import (
     _CHECKED,
     _MAX_DEPTH,
+    _TEXTS,
+    _TEXTS_MAX,
     IDENT_RE,
     OrbitSchema,
     RecordSchema,
@@ -198,6 +201,13 @@ _INTERPRETER_WORDED = {
             "actions = 2\nallows_fixed_point = Yes",
             "line 12: allows_fixed_point must be yes or no, got 'Yes'",
         ),
+        # only ASCII digits after an optional "-", as the writer emits
+        ("item = 1", "item = \u0663", "record 'W^n': item '\u0663' is not an integer"),
+        ("item = 1", "item = 1_0", "record 'W^n': item '1_0' is not an integer"),
+        ("picard = 1", "picard = +5", "record 'W^n': picard '+5' is not an integer"),
+        # a params name given twice; a bad name anywhere is named first
+        ("m ; m > 0", "m, m ; m > 0", "line 10: duplicate params name 'm'"),
+        ("m ; m > 0", "m, m, a b", "line 10: bad params name 'a b'"),
     ],
 )
 def test_parse_rejects_malformed_records(mutation):
@@ -208,6 +218,12 @@ def test_parse_rejects_malformed_records(mutation):
     for placeholder, regex in _INTERPRETER_WORDED.items():
         pattern = pattern.replace(re.escape(placeholder), regex)
     assert re.fullmatch(pattern, str(exc.value)), str(exc.value)
+
+
+def test_a_negative_integer_round_trips():
+    (rec,) = parse_records(MINIMAL.replace("item = 1", "item = -3"))
+    assert rec.item == -3 and "\nitem = -3\n" in serialize_records([rec])
+    assert parse_records(serialize_records([rec])) == (rec,)
 
 
 def test_allows_fixed_point_no_reads_as_the_default_and_is_not_written():
@@ -365,37 +381,82 @@ def test_cold_caches_give_the_warm_results(index, value):
     text = "\n".join(lines)
     _parse_and_validate(text)
     warm = _parse_and_validate(text)
-    for memo in (_parse_text, _parse_block, _parse_orbit, _record_violations):
+    _TEXTS.clear()
+    for memo in (_parse_block, _parse_orbit, _record_violations):
         memo.cache_clear()
     assert _parse_and_validate(text) == warm
 
 
 def _clear_parse_memos():
-    for memo in (_parse_text, _parse_block, _parse_orbit, _compile):
+    _TEXTS.clear()
+    for memo in (_parse_block, _parse_orbit, _compile):
         memo.cache_clear()
 
 
-def test_a_text_parsed_before_gives_the_same_records():
-    _parse_text.cache_clear()
+@pytest.fixture
+def parsed(monkeypatch):
+    """The texts that parse_records parses rather than reads from the text memo."""
+    texts = []
+    monkeypatch.setattr(
+        "lieflag.records._parse_text", lambda text: texts.append(text) or _parse_text(text)
+    )
+    return texts
+
+
+def test_a_text_parsed_before_gives_the_same_records(parsed):
+    _TEXTS.clear()
     first = parse_records(SHIPPED)
     copy = (SHIPPED + " ")[:-1]
     assert copy == SHIPPED and copy is not SHIPPED
     assert parse_records(copy) is first
-    assert _parse_text.cache_info().misses == 1
+    assert parsed == [SHIPPED]
     edited = SHIPPED.replace("item = 2", "item = 3", 1)  # one byte
     assert parse_records(edited) != first
-    assert _parse_text.cache_info().misses == 2
+    assert parsed == [SHIPPED, edited]
 
 
-def test_a_malformed_text_fails_again_on_every_parse():
+def test_a_malformed_text_fails_again_on_every_parse(parsed):
     text = SHIPPED.replace("item = 2", "colour = red", 1)
     lineno = SHIPPED.splitlines().index("item = 2") + 1
-    misses = _parse_text.cache_info().misses
     for n in (1, 2):
         with pytest.raises(DatabaseFormatError) as exc:
             parse_records(text)
         assert str(exc.value) == f"line {lineno}: unknown key 'colour'"
-        assert _parse_text.cache_info().misses == misses + n
+        assert parsed == [text] * n and text not in _TEXTS
+
+
+def test_the_text_memo_holds_the_last_8_texts(parsed):
+    _TEXTS.clear()
+    texts = [SHIPPED + "#" * i for i in range(_TEXTS_MAX + 2)]  # a comment line each
+    for text in texts:
+        parse_records(text)
+    assert _TEXTS_MAX == 8 and list(_TEXTS) == texts[-8:]
+    parse_records(texts[-8])  # a hit
+    parse_records(texts[0])  # evicted: parsed again
+    assert parsed == [*texts, texts[0]]
+
+
+def test_threads_that_fill_the_text_memo_at_once_keep_its_bound():
+    texts = [SHIPPED + "#" * i for i in range(40)]
+    records = parse_records(SHIPPED)
+
+    def churn(first):
+        for text in texts[first::4]:
+            assert parse_records(text) == records
+            serialize_records(records[first:])
+
+    with ThreadPoolExecutor(4) as pool:
+        list(pool.map(churn, range(4)))
+    assert 0 < len(_TEXTS) <= _TEXTS_MAX
+
+
+def test_a_file_whose_text_was_parsed_and_written_is_not_parsed_again(tmp_path, parsed):
+    db = tmp_path / "churn.db"
+    db.write_text(SHIPPED, encoding="utf-8")
+    _TEXTS.clear()
+    parse_records(serialize_records(parse_records(SHIPPED)))
+    assert validate_database(str(db)) == []
+    assert parsed == [SHIPPED]
 
 
 # The shipped file cut before each record line: a header, then one chunk per record.
@@ -441,6 +502,28 @@ def test_record_blocks_are_reused_across_comments_indentation_and_line_endings(
     assert got == expected
     assert parse_records(text) == expected  # every block a hit now
     assert len(expected) == sum(s.startswith("record") for s in map(str.strip, lines))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=_shipped_variants(), ending=_ENDINGS)
+def test_a_written_text_is_stored_with_the_records_a_cold_parse_gives(lines, ending):
+    text = serialize_records(parse_records(ending.join(lines)))
+    stored = _TEXTS[text]
+    assert parse_records(text) is stored
+    _clear_parse_memos()
+    assert parse_records(text) == stored
+
+
+def test_a_text_is_stored_only_when_serializing_succeeds():
+    _TEXTS.clear()
+    assert serialize_records([]) == ""
+    assert not _TEXTS
+    with pytest.raises(DatabaseFormatError, match="^no records found$"):
+        parse_records("")
+    bad = _SHIPPED_RECORD._replace(note="ends in a space ")
+    with pytest.raises(DatabaseFormatError):
+        serialize_records([_SHIPPED_RECORD, bad])
+    assert not _TEXTS
 
 
 _LINE_FAULTS = [
@@ -780,6 +863,8 @@ _SHIPPED_RECORD = parse_records(SHIPPED)[0]
         (_SHIPPED_RECORD._replace(case="XX"), "record 'P^n': unknown case 'XX'"),
         (_SHIPPED_RECORD._replace(orbits=(OrbitSchema("open", "n + m"),)),
          "record 'P^n': unknown name 'm' in 'n + m'"),
+        (_SHIPPED_RECORD._replace(param_names=("m", "m"), param_constraint="m > 0"),
+         "record 'P^n': duplicate params name 'm'"),
     ],
 )
 def test_ill_typed_records_are_format_errors_in_both_directions(bad, message):
