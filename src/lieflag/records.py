@@ -1,48 +1,21 @@
-r"""Line-oriented record format for the classification database.
+"""Line-oriented record format for the classification database.
 
-A database file is a sequence of records.  A record starts at a
-``record = NAME`` line and collects the following ``key = value`` lines
-until the next record; ``#`` lines are comments and blank lines are
-ignored.  The record-level keys are those of the table ``_KEYS``: one
-whose field has no default is required, none may repeat (``orbit`` and
-``relation`` lines may), and ``allows_fixed_point`` is ``yes`` or
-``no``.  Serializing writes them in table order, one with a default
-only when its value differs from it.  An integer value is ASCII digits
-after an optional ``-``.  Dimensions may be closed integer expressions
-in ``n`` (the ambient dimension); parameter constraints are boolean
-expressions over the declared parameter names, each declared once.  An
-expression nests at most ``_MAX_DEPTH`` (100) expression nodes deep.
-Parsing then serializing then parsing is the identity on the record
-list.  A record built in code round-trips too, unless serializing it
-raises ``DatabaseFormatError``: serializing refuses a field value of
-another type than declared, an integer with more digits than ``str``
-converts, a record-level value that holds a line break or starts or
-ends with whitespace, which the line split and strip would change, a
-``params`` name that is empty or holds ``,``, ``;`` or whitespace, an
-unknown orbit kind, and any record whose text the parser refuses or
-reads back as another record.  A parse error names its line
-(``line N: ...``) or, for a fault of a whole record, its record
-(``record 'NAME': ...``).
-
-An ``orbit`` or ``relation`` value is a list of ``key=value`` words,
-split by ``shlex.split`` (POSIX mode, no comments): ``"..."`` with
-``\"`` and ``\\`` as its only escapes, ``'...'`` taken literally, and
-a backslash outside quotes escaping the next character.  Serialization
-always quotes notes, ops, targets and labels, and quotes an orbit
-``dim`` or ``ident`` only when it contains whitespace, a quote or a
-backslash.  Whole texts (8), record blocks and orbit values (256 each)
-and compiled expressions (1,024) are memoised: a text parsed before, or
-written by ``serialize_records``, gives the same record tuple, and a
-block (its stripped lines but blanks and comments) is reused only while
-they are unchanged.
+The grammar is stated once, in the README section "The classification
+database", and the memos with their bounds in "Library layout".  The
+record-level keys come from the table ``_KEYS``.  Parsing then
+serializing then parsing is the identity on the record list.
 
 Serializing and validating take a record only when each value has
 exactly its declared type, subclasses refused, so two records that pass
 and compare equal hold identical values, and when its text parses back
 to it, so every parse-time check applies to a record built in code.
-``_CHECKED`` holds up to 256 records that passed, by identity, each
-with its text, and is emptied when full, so a record's text is built
-once per check.  No error is cached.
+Serializing also refuses an integer with more digits than ``str``
+converts, a record-level value that holds a line break or starts or
+ends with whitespace, which the line split and strip would change, a
+``params`` name that is empty or holds ``,``, ``;`` or whitespace, and
+an unknown orbit kind.  ``_CHECKED`` holds up to 256 records that
+passed, by identity, each with its text, and is emptied when full, so a
+record's text is built once per check.  No error is cached.
 """
 
 from __future__ import annotations
@@ -135,8 +108,9 @@ def _compile(text: str) -> tuple[CodeType, str]:
 def eval_expr(text: str, env: Mapping[str, int]):
     """Evaluate a small integer/boolean expression over named integers.
 
-    A ``text`` that is not a string or an ``env`` that is not a mapping
-    raises ``DatabaseFormatError``.
+    A ``text`` that is not a string, an ``env`` that is not a mapping or
+    a name bound to a value that is not an integer raises
+    ``DatabaseFormatError``.
     """
     if not isinstance(text, str):  # before the memo, which could not hash a list
         raise DatabaseFormatError(f"expression must be a string, got {type(text).__name__}")
@@ -145,7 +119,8 @@ def eval_expr(text: str, env: Mapping[str, int]):
     for name in code.co_names:
         if name not in env:
             raise DatabaseFormatError(f"unknown name {name!r} in {text!r}")
-    return eval(code, {"__builtins__": {}}, dict(env))
+    bound = {k: integer(env[k], f"name {k!r}", DatabaseFormatError) for k in code.co_names}
+    return eval(code, {"__builtins__": {}}, bound)
 
 
 def _check_expr(text: str, kind: str, names: Sequence[str]) -> None:
@@ -220,33 +195,34 @@ def _fields(tokens: Sequence[str], allowed: Sequence[str], what: str) -> dict[st
     return fields
 
 
+def _words(value: str, what: str) -> list[str]:
+    """The shlex words of an orbit or relation value."""
+    try:
+        return shlex.split(value)
+    except ValueError as exc:
+        raise DatabaseFormatError(f"bad {what} line: {exc}") from None
+
+
 @lru_cache(maxsize=256)
 def _parse_orbit(value: str) -> OrbitSchema:
-    try:
-        tokens = shlex.split(value)
-    except ValueError as exc:
-        raise DatabaseFormatError(f"bad orbit line: {exc}") from None
+    tokens = _words(value, "orbit")
     if not tokens or tokens[0] not in _ORBIT_KINDS:
         raise DatabaseFormatError(f"orbit kind missing in {value!r}")
-    fields = _fields(tokens[1:], ("dim", "ident", "note"), "orbit")
+    fields = _fields(tokens[1:], OrbitSchema._fields[1:], "orbit")
     if not fields["dim"]:
         raise DatabaseFormatError("orbit needs a dim")
     _check_expr(fields["dim"], "int", ("n",))
     ident = IDENT_RE.match(fields["ident"])
     if ident is not None:
         _check_expr(ident.group(2), "int", ("n",))
-    return OrbitSchema(tokens[0], fields["dim"], fields["ident"], fields["note"])
+    return OrbitSchema(tokens[0], **fields)
 
 
 def _parse_relation(value: str) -> RelationEdge:
-    try:
-        tokens = shlex.split(value)
-    except ValueError as exc:
-        raise DatabaseFormatError(f"bad relation line: {exc}") from None
-    fields = _fields(tokens, ("op", "to", "label"), "relation")
+    fields = _fields(_words(value, "relation"), RelationEdge._fields, "relation")
     if not fields["op"] or not fields["to"]:
         raise DatabaseFormatError("relation needs op and to")
-    return RelationEdge(fields["op"], fields["to"], fields["label"])
+    return RelationEdge(**fields)
 
 
 # The record-level keys in the order they are written, each with the
@@ -258,7 +234,8 @@ _KEYS = {
 _SCALARS = {key: kind for key, kind in _KEYS.items() if key in RecordSchema._fields}  # not params
 _scalars = attrgetter(*_SCALARS)
 _HEADER = [(key, RecordSchema._field_defaults.get(key)) for key in _KEYS]  # None if required
-_NOUNS = {str: "a string", int: "an integer", bool: "a bool"}
+_NOUNS = {str: "a string", int: "an integer", bool: "a bool", OrbitSchema: "an OrbitSchema",
+          RelationEdge: "a RelationEdge"}
 
 
 class _LineError(Exception):
@@ -431,16 +408,13 @@ def _check_types(rec: RecordSchema) -> str:
     for value, kind in zip(_scalars(rec), _SCALARS.values()):
         if type(value) is not kind:
             raise DatabaseFormatError(f"cannot write {shown(value)}: not {_NOUNS[kind]}")
-    for parts, kind, noun in (
-        (rec.param_names, str, "a string"),
-        (rec.orbits, OrbitSchema, "an OrbitSchema"),
-        (rec.relations, RelationEdge, "a RelationEdge"),
-    ):
+    for parts, kind in ((rec.param_names, str), (rec.orbits, OrbitSchema),
+                        (rec.relations, RelationEdge)):
         if type(parts) is not tuple:
             raise DatabaseFormatError(f"cannot write {shown(parts)}: not a tuple")
         for part in parts:
             if type(part) is not kind:
-                raise DatabaseFormatError(f"cannot write {shown(part)}: not {noun}")
+                raise DatabaseFormatError(f"cannot write {shown(part)}: not {_NOUNS[kind]}")
     for part in ((rec.name, rec.param_constraint), *rec.orbits, *rec.relations):
         for value in part:  # each field of an orbit or relation is a string
             if type(value) is not str:

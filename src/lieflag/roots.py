@@ -129,43 +129,20 @@ def fundamental_weight(dtype: DynkinType, node: int) -> Weight:
 
 def cartan_matrix(dtype: DynkinType) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix in Bourbaki numbering, rows pair against coroots."""
-    n = dtype.rank
-    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def chain(last: int) -> None:
-        for i in range(last):
-            m[i][i + 1] = -1
-            m[i + 1][i] = -1
-
-    s = dtype.series
-    if s == "A":
-        chain(n - 1)
-    elif s == "B":
-        chain(n - 1)
-        m[n - 2][n - 1] = -2  # last simple root is short
-        m[n - 1][n - 2] = -1
-    elif s == "C":
-        chain(n - 1)
-        m[n - 2][n - 1] = -1  # last simple root is long
-        m[n - 1][n - 2] = -2
-    elif s == "D":
-        chain(n - 2)
-        m[n - 3][n - 1] = -1
-        m[n - 1][n - 3] = -1
+    n, s = dtype.rank, dtype.series
+    bonds = [(i, i + 1) for i in range(n - 1)]  # the chain 1-2-...-n, 0-based
+    if s == "D":
+        bonds[-1] = (n - 3, n - 1)  # node n hangs off node n-2
     elif s == "E":
-        # chain 1-3-4-...-n with node 2 attached to node 4
-        for i, j in zip((0,) + tuple(range(2, n - 1)), range(2, n)):
-            m[i][j] = -1
-            m[j][i] = -1
-        m[1][3] = -1
-        m[3][1] = -1
-    elif s == "F":
-        chain(3)
-        m[1][2] = -2
-        m[2][1] = -1
-    elif s == "G":
-        m[0][1] = -1
-        m[1][0] = -3
+        bonds[:2] = [(0, 2), (1, 3)]  # the chain 1-3-4-...-n, node 2 on node 4
+    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in bonds:
+        m[i][j] = m[j][i] = -1
+    # The one multiple bond: entry (i, j), node j the shorter root.
+    multiple = {"B": (n - 2, n - 1, -2), "C": (n - 1, n - 2, -2), "F": (1, 2, -2), "G": (1, 0, -3)}
+    if s in multiple:
+        i, j, entry = multiple[s]
+        m[i][j] = entry
     return tuple(tuple(row) for row in m)
 
 

@@ -2,6 +2,7 @@ import os
 import re
 import signal
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -262,6 +263,23 @@ def test_eval_expr():
 def test_eval_expr_rejects_unsafe_or_unknown(expr):
     with pytest.raises(DatabaseFormatError):
         eval_expr(expr, {"n": 4})
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), "x", [1], None], ids=repr)
+def test_eval_expr_refuses_a_binding_that_is_not_an_integer(value):
+    with pytest.raises(DatabaseFormatError) as exc:
+        eval_expr("n + 1", {"n": value})
+    assert str(exc.value) == f"name 'n' must be an integer, got {value!r}"
+
+
+def test_eval_expr_binds_a_bool_and_keeps_its_error_order():
+    assert eval_expr("n + 1", {"n": True}) == 2
+    assert eval_expr("n", {"n": 4, "m": 1.5}) == 4  # a name the code does not read is not bound
+    # a bad expression is named before a bad env, an unknown name before a bad binding
+    with pytest.raises(DatabaseFormatError, match=r"^bad expression 'n \+'"):
+        eval_expr("n +", None)
+    with pytest.raises(DatabaseFormatError, match=r"^unknown name 'n' in 'm \+ n'$"):
+        eval_expr("m + n", {"m": 1.5})
 
 
 _OPERATORS = (" + ", " - ", " * ", " < ", " >= ", " == ", " != ", " and ", " or ")

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -22,6 +23,7 @@ from oracles import (
     ORACLE_TYPES,
     coroot_coefficients,
     diagram_edges,
+    dot,
     euclidean_type,
     roots_in_simple_coords,
     weight_vector,
@@ -57,6 +59,19 @@ def test_cartan_examples():
     g2 = cartan_matrix(dynkin_type("G2"))
     assert g2 == ((2, -1), (-3, 2))
     assert g2[0][0] * g2[1][1] - g2[0][1] * g2[1][0] == 1
+    # Bourbaki F4: nodes 3 and 4 short, so the double bond gives -2 in row 2
+    assert cartan_matrix(dynkin_type("F4")) == (
+        (2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)
+    )
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_cartan_entries_match_euclidean_simple_roots(oracle_rank_cap, name):
+    t = dynkin_type(name)
+    simple = euclidean_type(t.series, t.rank).simple_roots
+    assert cartan_matrix(t) == tuple(
+        tuple(Fraction(2 * dot(a, b), dot(b, b)) for b in simple) for a in simple
+    )
 
 
 @pytest.mark.parametrize("dtype", all_types(), ids=str)
