@@ -7,15 +7,13 @@ docstrings are not code, and moving prose between them changes nothing.
 A string inside code, over several lines or not, counts on every line
 it spans.
 
-    python3 scripts/loc.py [PATH ...]
+    python3 scripts/loc.py
 
-Each PATH is a module or a directory searched for modules (default:
-src/lieflag).  Prints one line per module, then the total.
+Prints one line per module of src/lieflag, then the total.
 """
 
 from __future__ import annotations
 
-import sys
 import tokenize
 from pathlib import Path
 
@@ -42,19 +40,16 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
-def counts(paths: list[Path]) -> list[tuple[str, int, int]]:
-    """(module, wc -l lines, code lines) of each module under the paths."""
-    rows = []
-    for path in paths:
-        for module in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
-            name = str(module.relative_to(path)) if path.is_dir() else str(module)
-            rows.append((name, module.read_bytes().count(b"\n"), code_lines(module)))
-    return rows
+def counts(package: Path) -> list[tuple[str, int, int]]:
+    """(module, wc -l lines, code lines) of each module under a directory."""
+    return [
+        (str(module.relative_to(package)), module.read_bytes().count(b"\n"), code_lines(module))
+        for module in sorted(package.rglob("*.py"))
+    ]
 
 
-def main(argv: list[str] | None = None) -> None:
-    args = sys.argv[1:] if argv is None else argv
-    rows = counts([Path(arg) for arg in args] or [ROOT / "src" / "lieflag"])
+def main() -> None:
+    rows = counts(ROOT / "src" / "lieflag")
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
     print(f"{'lines':>6}  {'code':>6}  module")
     for name, lines, code in rows:

@@ -112,12 +112,17 @@ def _cmd_min_irrep(args) -> dict:
     return {"dim": best.dim, "nodes": list(best.nodes), "weight": list(best.weight.coords)}
 
 
-def _cmd_bwb(args) -> dict:
+def _bundle(args, count: str) -> tuple:
+    """The marking and weight of bwb or hilbert, once its count argument is checked."""
     nodes = _parse_nodes(args.nodes, args.type, "--nodes")
     w = _parse_weight(args.weight, args.type, "--weight")
-    if args.power < 1:
-        raise UsageError("--power", "power must be >= 1")
-    mk = lieflag.marking(args.type, nodes)
+    if getattr(args, count) < 1:
+        raise UsageError(f"--{count}", f"{count} must be >= 1")
+    return lieflag.marking(args.type, nodes), w
+
+
+def _cmd_bwb(args) -> dict:
+    mk, w = _bundle(args, "power")
     return {"nodes": list(mk.nodes), "weight": list(w.coords), "power": args.power,
             "dim": lieflag.bwb_section_dim(mk, w, args.power)}
 
@@ -128,11 +133,7 @@ def _cmd_cone_cover(args) -> dict:
 
 
 def _cmd_hilbert(args) -> dict:
-    nodes = _parse_nodes(args.nodes, args.type, "--nodes")
-    w = _parse_weight(args.weight, args.type, "--weight")
-    if args.kmax < 1:
-        raise UsageError("--kmax", "kmax must be >= 1")
-    mk = lieflag.marking(args.type, nodes)
+    mk, w = _bundle(args, "kmax")
     return {"nodes": list(mk.nodes), "weight": list(w.coords),
             "kmax": args.kmax, "values": lieflag.cone_hilbert_function(mk, w, args.kmax)}
 

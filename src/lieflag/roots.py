@@ -47,19 +47,17 @@ class DynkinType(NamedTuple("DynkinType", [("series", str), ("rank", int)])):
         if series in _FIXED_RANKS:
             if rank not in _FIXED_RANKS[series]:
                 raise InvalidRank(f"{series}{shown(rank)} is not a simple type")
-        else:
-            if rank < _MIN_RANK[series]:
-                raise InvalidRank(f"series {series} needs rank >= {_MIN_RANK[series]}")
-            if rank > MAX_CLASSICAL_RANK:
-                raise InvalidRank(
-                    f"rank {shown(rank)} above the configured cap "
-                    f"{MAX_CLASSICAL_RANK} for series {series}"
-                )
+        elif rank < _MIN_RANK[series]:
+            raise InvalidRank(f"series {series} needs rank >= {_MIN_RANK[series]}")
+        elif rank > MAX_CLASSICAL_RANK:
+            raise InvalidRank(
+                f"rank {shown(rank)} above the configured cap "
+                f"{MAX_CLASSICAL_RANK} for series {series}"
+            )
         if series == "D" and rank == 3:
             warnings.warn(
                 "D3 has the same diagram as A3 (relabelled nodes); "
                 "results agree with A3 up to the node permutation",
-                UserWarning,
                 stacklevel=2,
             )
         return super().__new__(cls, series, rank)

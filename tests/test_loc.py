@@ -30,13 +30,8 @@ class C:
 '''
 
 
-def test_code_lines_leave_out_blanks_comments_and_docstrings(tmp_path, capsys):
+def test_code_lines_leave_out_blanks_comments_and_docstrings(tmp_path):
     (tmp_path / "mod.py").write_text(MODULE)
     # import, def, the two lines of text, the three of the call, class, the tuple
     assert loc.code_lines(tmp_path / "mod.py") == 9
-    loc.main([str(tmp_path)])
-    assert capsys.readouterr().out.splitlines() == [
-        " lines    code  module",
-        "    19       9  mod.py",
-        "    19       9  total",
-    ]
+    assert loc.counts(tmp_path) == [("mod.py", 19, 9)]
