@@ -13,8 +13,10 @@ disagree on the ``digest=`` line or on ``correct``, nothing is written and
 the script exits 1.  Otherwise it writes ``BENCH_<workload>.json``, or
 ``BENCH_<workload>_trace.json`` for the per-layer metrics of traced runs,
 into DIR (the repository root by default): per metric, each side's median and
-quartiles, the ratio of the medians (head over base) and the number of
-pairs the working tree won, in the direction ``BENCHMARK.json`` gives.
+quartiles, the ratio of the medians (head over base), the number of
+pairs the working tree won, in the direction ``BENCHMARK.json`` gives, and
+``gain_rule``: whether it won at least 0.9 of the pairs and its median
+differs from the base's by more than the base's interquartile range.
 Standard library and plain ``git`` only.
 """
 
@@ -80,17 +82,20 @@ def summary(runs: list[dict], directions: dict[str, str]) -> dict:
         base = [run["base"]["metrics"][name] for run in runs]
         head = [run["head"]["metrics"][name] for run in runs]
         better = directions.get(name)
-        wins = None
+        b, h = spread(base), spread(head)
+        wins = gain = None
         if better is not None:
             sign = 1 if better == "higher" else -1
-            wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
-        b_med = statistics.median(base)
+            wins = sum(sign * (y - x) > 0 for x, y in zip(base, head))
+            shift = abs(h["median"] - b["median"])
+            gain = wins >= 0.9 * len(runs) and shift > b["q3"] - b["q1"]
         metrics[name] = {
             "better": better,
-            "base": spread(base),
-            "head": spread(head),
-            "ratio": statistics.median(head) / b_med if b_med else None,
+            "base": b,
+            "head": h,
+            "ratio": h["median"] / b["median"] if b["median"] else None,
             "head_wins": wins,
+            "gain_rule": gain,
             "pairs": len(runs),
         }
     return metrics

@@ -5,7 +5,9 @@ a simply connected base is cyclic of order equal to the divisibility of
 c1(L); on G/P that class is just the character's coefficient vector on
 the marked nodes, so the order is a gcd.  The cone's coordinate ring is
 graded by the section spaces of the powers of L, which gives its Hilbert
-function directly.
+function directly: by Borel-Weil-Bott the k-th piece has dimension
+dim V(k w), and all powers come from one walk of the coroot chain, each
+further power adding <w, a^v> to every factor of the Weyl product.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterable
 
 from .errors import InvalidDimension, UnsupportedWeight, ZeroClass, shown
 from .parabolic import ParabolicMarking
-from .representations import bwb_section_dim
+from .representations import _check_line_bundle, _weyl_dims
 from .roots import Weight
 
 
@@ -37,4 +39,5 @@ def cone_hilbert_function(
     """Hilbert function of the cone ring, entries k = 0..k_max."""
     if not isinstance(k_max, int) or k_max < 1:
         raise InvalidDimension(f"k_max must be an integer >= 1, got {shown(k_max)}")
-    return [1] + [bwb_section_dim(mk, w, k) for k in range(1, k_max + 1)]
+    _check_line_bundle(mk, w)
+    return [1] + _weyl_dims(w, k_max)

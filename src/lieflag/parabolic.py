@@ -8,7 +8,6 @@ definition used throughout.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from operator import index
 from typing import Iterable, NamedTuple, Sequence
@@ -59,19 +58,24 @@ def marking(dtype: DynkinType, nodes: Iterable[int]) -> ParabolicMarking:
 
 
 @lru_cache(maxsize=None)
-def _supports(dtype: DynkinType) -> tuple[tuple[int, int], ...]:
-    """Distinct positive-root supports as node bitmasks (bit i - 1 for
-    node i), each with the number of positive roots that have it."""
-    masks = Counter(
-        sum(1 << i for i, c in enumerate(alpha) if c) for alpha in positive_roots(dtype)
+def _supports(dtype: DynkinType) -> tuple[int, ...]:
+    """Per node (entry i - 1 for node i), the bitmask of the positive roots
+    whose support holds that node (bit k for ``positive_roots[k]``)."""
+    roots = positive_roots(dtype)
+    return tuple(
+        sum(1 << k for k, alpha in enumerate(roots) if alpha[i]) for i in range(dtype.rank)
     )
-    return tuple(masks.items())
 
 
 def codim_parabolic(mk: ParabolicMarking) -> int:
     """dim G/P: positive roots supported on at least one marked node."""
-    mask = sum(1 << (i - 1) for i in mk.marked)
-    count = sum([k for support, k in _supports(mk.dynkin) if support & mask])
+    if not isinstance(mk, ParabolicMarking):
+        raise NodeOutOfRange(f"marking must be a ParabolicMarking, got {shown(mk)}")
+    masks = _supports(mk.dynkin)
+    roots = 0
+    for i in mk.marked:
+        roots |= masks[i - 1]
+    count = roots.bit_count()
     assert count >= len(mk.marked)
     return count
 

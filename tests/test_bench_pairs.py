@@ -44,6 +44,32 @@ def test_pairs_alternate_and_the_summary_counts_wins_by_direction(monkeypatch, t
     assert ops["base"]["q1"] < ops["base"]["median"] < ops["base"]["q3"]
     p50 = report["metrics"]["latency_p50_ms"]
     assert (p50["better"], p50["head_wins"], p50["ratio"]) == ("lower", 4, 0.5)
+    # 3 of 4 wins is under 0.9 of the pairs; 4 of 4 and a shift of 1.0 over
+    # an interquartile range of 0 is a gain
+    assert (ops["gain_rule"], p50["gain_rule"]) == (False, True)
+
+
+def test_the_gain_rule_needs_a_shift_beyond_the_base_quartiles(monkeypatch, tmp_path):
+    def result(seed, side):
+        ops = 100 + 10 * seed + (5 if side == "head" else 0)
+        p50 = 2.0 if side == "base" else (3.0 if seed == 4 else 1.0)
+        return {"digest": f"digest={seed}", "correct": True, "failed": 0,
+                "metrics": {"ops_per_s": ops, "latency_p50_ms": p50, "unlisted": 1.0}}
+
+    _fake_runs(monkeypatch, result)
+    argv = ["--base", "HEAD", "--workload", "lie_sweep", "--pairs", "10", "--out", str(tmp_path)]
+    assert bench_pairs.main(argv) == 0
+    metrics = json.loads((tmp_path / "BENCH_lie_sweep.json").read_text())["metrics"]
+    ops = metrics["ops_per_s"]
+    # every pair won, but the medians differ by 5 inside a base IQR of 45
+    assert (ops["head_wins"], ops["base"]["q3"] - ops["base"]["q1"]) == (10, 45.0)
+    assert ops["head"]["median"] - ops["base"]["median"] == 5
+    assert ops["gain_rule"] is False
+    # 9 of 10 wins is exactly 0.9 of the pairs, and the shift clears the IQR
+    p50 = metrics["latency_p50_ms"]
+    assert (p50["head_wins"], p50["gain_rule"]) == (9, True)
+    # a metric BENCHMARK.json does not list has no direction, so no rule
+    assert (metrics["unlisted"]["head_wins"], metrics["unlisted"]["gain_rule"]) == (None, None)
 
 
 def test_sides_that_disagree_on_a_digest_write_no_report(monkeypatch, tmp_path, capsys):

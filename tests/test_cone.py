@@ -1,15 +1,16 @@
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lieflag.cone import cone_cover_order, cone_hilbert_function
 from lieflag.errors import InvalidDimension, UnsupportedWeight, ZeroClass
-from lieflag.parabolic import marking
+from lieflag.parabolic import character_weight, marking
+from lieflag.representations import weyl_dim
 from lieflag.roots import DynkinType, dynkin_type, weight
 
-from oracles import freudenthal_dim, naive_gcd
+from oracles import ORACLE_TYPES, euclidean_type, freudenthal_dim, naive_gcd, weyl_product_dim
 
 nonzero_vectors = st.lists(
     st.integers(min_value=-40, max_value=40), min_size=1, max_size=6
@@ -102,3 +103,37 @@ def test_hilbert_rejects_bad_kmax():
     for k_max in [0, 2.5, 2.0, "2"]:
         with pytest.raises(InvalidDimension):
             cone_hilbert_function(marking(a1, (1,)), weight(a1, (1,)), k_max)
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+@settings(
+    max_examples=5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_hilbert_matches_euclidean_weyl_product(oracle_rank_cap, name, data):
+    t = dynkin_type(name)
+    nodes = data.draw(st.sets(st.integers(1, t.rank), min_size=1, max_size=2))
+    mk = marking(t, nodes)
+    coeffs = data.draw(st.lists(st.integers(1, 3), min_size=len(nodes), max_size=len(nodes)))
+    w = character_weight(mk, coeffs)
+    k_max = data.draw(st.integers(1, 4))
+    values = cone_hilbert_function(mk, w, k_max)
+    etype = euclidean_type(t.series, t.rank)
+    assert len(values) == k_max + 1 and values[0] == 1
+    for k in range(1, k_max + 1):
+        assert values[k] == weyl_product_dim(etype, w.scaled(k).coords)
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8", "F4"])
+def test_exceptional_hilbert_is_weyl_dim_of_each_power(name):
+    # no Euclidean oracle covers these types: each power is checked
+    # against its own Weyl product, walked afresh for k*w
+    t = dynkin_type(name)
+    for nodes in [(i,) for i in range(1, t.rank + 1)] + [(1, t.rank), (2, 3)]:
+        mk = marking(t, nodes)
+        w = character_weight(mk, [1 + i for i in range(len(nodes))])
+        values = cone_hilbert_function(mk, w, 4)
+        assert values[0] == 1
+        assert values[1:] == [weyl_dim(w.scaled(k)) for k in range(1, 5)]

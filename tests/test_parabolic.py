@@ -59,6 +59,28 @@ def test_codim_examples():
     assert codim_parabolic(marking(dynkin_type("D4"), (2,))) == 9
 
 
+# Single-node dim G/P in Bourbaki numbering: |Phi+| minus the positive
+# roots of the Levi, whose diagram is the type's with that node removed.
+#   E6, 36: D5 20, A5 15, A1+A4 11, A2+A1+A2 7, A4+A1 11, D5 20
+#   E7, 63: D6 30, A6 21, A1+A5 16, A2+A1+A3 10, A4+A2 13, D5+A1 21, E6 36
+#   E8, 120: D7 42, A7 28, A1+A6 22, A2+A1+A4 14, A4+A3 16, D5+A2 23,
+#            E6+A1 37, E7 63
+#   F4, 24: C3 9, A1+A2 4, A2+A1 4, B3 9
+EXCEPTIONAL_SINGLE_NODE_DIMS = {
+    "E6": (16, 21, 25, 29, 25, 16),
+    "E7": (33, 42, 47, 53, 50, 42, 27),
+    "E8": (78, 92, 98, 106, 104, 97, 83, 57),
+    "F4": (15, 20, 20, 15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXCEPTIONAL_SINGLE_NODE_DIMS))
+def test_exceptional_single_node_dims(name):
+    t = dynkin_type(name)
+    dims = tuple(codim_parabolic(marking(t, (i,))) for i in range(1, t.rank + 1))
+    assert dims == EXCEPTIONAL_SINGLE_NODE_DIMS[name]
+
+
 def test_codim_d4_node2_against_independent_roots():
     assert sum(1 for r in roots_in_simple_coords("D", 4) if r[1]) == 9
 

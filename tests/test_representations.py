@@ -7,13 +7,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lieflag.cone import cone_hilbert_function
 from lieflag.errors import (
     InvalidDimension,
     InvalidRank,
+    NodeOutOfRange,
     NonDominantWeight,
     UnsupportedWeight,
 )
-from lieflag.parabolic import marking, r_min
+from lieflag.parabolic import codim_parabolic, marking, r_min
 from lieflag.representations import (
     bwb_section_dim,
     check_rg_plus_one,
@@ -199,3 +201,35 @@ def test_weyl_dim_threadsafe_memo():
         dims = list(pool.map(weyl_dim, jobs))
     serial = [weyl_dim(w) for w in jobs]
     assert dims == serial
+
+
+A1_W = weight(DynkinType("A", 1), (1,))
+A1_MK = marking(DynkinType("A", 1), (1,))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: weyl_dim((1, 0)), UnsupportedWeight, "weight must be a Weight, got (1, 0)"),
+        (lambda: weyl_dim(None), UnsupportedWeight, "weight must be a Weight, got None"),
+        (lambda: weyl_dim(10**5000), UnsupportedWeight,
+         "weight must be a Weight, got <integer of ~5000 digits>"),
+        (lambda: bwb_section_dim("x", A1_W, 1), UnsupportedWeight,
+         "marking must be a ParabolicMarking, got 'x'"),
+        (lambda: bwb_section_dim(A1_MK, (1,), 1), UnsupportedWeight,
+         "weight must be a Weight, got (1,)"),
+        (lambda: cone_hilbert_function(None, A1_W, 2), UnsupportedWeight,
+         "marking must be a ParabolicMarking, got None"),
+        (lambda: cone_hilbert_function(A1_MK, "w", 2), UnsupportedWeight,
+         "weight must be a Weight, got 'w'"),
+        (lambda: codim_parabolic("x"), NodeOutOfRange,
+         "marking must be a ParabolicMarking, got 'x'"),
+        (lambda: codim_parabolic((DynkinType("A", 1), frozenset({1}))), NodeOutOfRange,
+         "marking must be a ParabolicMarking, got (DynkinType(series='A', rank=1), "
+         "frozenset({1}))"),
+    ],
+)
+def test_a_value_of_the_wrong_type_gives_the_named_error(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
