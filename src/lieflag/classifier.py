@@ -176,18 +176,14 @@ def _instantiate(rec: RecordSchema, n: int) -> VarietyDescriptor | None:
     if not rec.applies(n):
         return None
     env = {"n": n}
-    dim = int(eval_expr(rec.dim, env))
-    orbits = tuple(
+    fields = rec._asdict()  # every descriptor field but n is a record field
+    fields.update(n=n, dim=int(eval_expr(rec.dim, env)))
+    fields["orbits"] = tuple(
         Orbit(o.kind, int(eval_expr(o.dim, env)), _ident_label(o.ident, n) if o.ident else "",
               o.note)
         for o in rec.orbits
     )
-    return VarietyDescriptor(
-        name=rec.name, case=rec.case, source=rec.source, item=rec.item, n=n,
-        dim=dim, picard=rec.picard, orbits=orbits,
-        param_names=rec.param_names, param_constraint=rec.param_constraint,
-        actions=rec.actions, note=rec.note, allows_fixed_point=rec.allows_fixed_point,
-    )
+    return VarietyDescriptor._make(fields[key] for key in VarietyDescriptor._fields)
 
 
 class ClassificationResult(NamedTuple):

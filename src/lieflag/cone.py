@@ -36,8 +36,10 @@ def cone_cover_order(c1: Iterable[int]) -> int:
 def cone_hilbert_function(
     mk: ParabolicMarking, w: Weight, k_max: int
 ) -> list[int]:
-    """Hilbert function of the cone ring, entries k = 0..k_max."""
+    """Hilbert function of the cone ring, entries k = 0..k_max for k_max <= 10000."""
     if not isinstance(k_max, int) or k_max < 1:
         raise InvalidDimension(f"k_max must be an integer >= 1, got {shown(k_max)}")
+    if k_max > 10_000:  # every value is built before any is written
+        raise InvalidDimension(f"k_max must be at most 10000, got {shown(k_max)}")
     _check_line_bundle(mk, w)
     return [1] + _weyl_dims(w, k_max)

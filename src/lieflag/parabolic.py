@@ -137,7 +137,6 @@ class VarietyClass(NamedTuple):
         return _LABELS[self.kind].format(self.dim)
 
 
-@lru_cache(maxsize=None)
 def _named(dtype: DynkinType) -> tuple[dict, dict]:
     """The table's rows for one type, indexed by marked nodes and by label."""
     by_nodes: dict[frozenset[int], VarietyClass] = {}

@@ -357,13 +357,9 @@ def _parse_text(text: str) -> tuple[RecordSchema, ...]:
         except _LineError as exc:
             at, error = exc.args
             at += sum(b.count("\n") + 1 for b in blocks[:i])
-            for lineno, line in enumerate(text.splitlines(), 1):  # to the at-th significant one
-                line = line.strip()
-                if line and line[0] != "#":
-                    if not at:
-                        break
-                    at -= 1
-            raise DatabaseFormatError(f"line {lineno}: {error}") from None
+            significant = [no for no, line in enumerate(map(str.strip, text.splitlines()), 1)
+                           if line and line[0] != "#"]  # the number of each line _blocks keeps
+            raise DatabaseFormatError(f"line {significant[at]}: {error}") from None
     if not records:
         raise DatabaseFormatError("no records found")
     return tuple(records)

@@ -104,7 +104,7 @@ def check_rg_plus_one(dtype: DynkinType) -> bool:
 
 
 def _check_line_bundle(mk: ParabolicMarking, w: Weight) -> None:
-    """Refuse a weight that is not of the marking's type or has mass off it."""
+    """Refuse a weight that is not of the marking's type, has mass off it or is not dominant."""
     if not isinstance(mk, ParabolicMarking):
         raise UnsupportedWeight(f"marking must be a ParabolicMarking, got {shown(mk)}")
     if not isinstance(w, Weight):
@@ -114,6 +114,8 @@ def _check_line_bundle(mk: ParabolicMarking, w: Weight) -> None:
     off = [i + 1 for i, c in enumerate(w.coords) if c and (i + 1) not in mk.marked]
     if off:
         raise UnsupportedWeight(f"weight {w} has mass at unmarked node {off[0]}")
+    if not w.is_dominant:  # the caller's weight, before any power scales it
+        raise NonDominantWeight(f"weight {w} has a negative coordinate")
 
 
 def bwb_section_dim(mk: ParabolicMarking, w: Weight, power: int) -> int:

@@ -1,5 +1,7 @@
+import importlib.util
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,8 @@ from lieflag.errors import (
 from lieflag.parabolic import codim_parabolic
 from lieflag.records import parse_records, serialize_records
 from lieflag.roots import DynkinType
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_group_spec_validation():
@@ -442,6 +446,22 @@ def test_repeated_classify_compiles_nothing_and_reuses_r():
     assert classifier._instantiate.cache_info() == instantiated
 
 
+def _reference_descriptor(rec, n):
+    """The record at n with every descriptor field passed by name."""
+    env = {"n": n}
+    orbits = tuple(
+        classifier.Orbit(o.kind, int(records.eval_expr(o.dim, env)),
+                         classifier._ident_label(o.ident, n) if o.ident else "", o.note)
+        for o in rec.orbits
+    )
+    return classifier.VarietyDescriptor(
+        name=rec.name, case=rec.case, source=rec.source, item=rec.item, n=n,
+        dim=int(records.eval_expr(rec.dim, env)), picard=rec.picard, orbits=orbits,
+        param_names=rec.param_names, param_constraint=rec.param_constraint,
+        actions=rec.actions, note=rec.note, allows_fixed_point=rec.allows_fixed_point,
+    )
+
+
 def test_memoised_instantiate_equals_a_fresh_build():
     checked = 0
     for rec in load_database():
@@ -450,7 +470,8 @@ def test_memoised_instantiate_equals_a_fresh_build():
             memo = classifier._instantiate(rec, n)
             assert (memo is None) == (not rec.applies(n))
             if memo is not None:
-                assert memo == classifier._instantiate.__wrapped__(rec, n)
+                # a reference built field by field, so a field copied from the wrong one fails
+                assert memo == _reference_descriptor(rec, n)
                 assert classifier._instantiate(rec, n) is memo
                 checked += 1
     assert checked > 100
@@ -617,7 +638,6 @@ CACHES = {
     "roots.root_system": None,
     "parabolic._supports": None,
     "parabolic.r_min": None,
-    "parabolic._named": None,
     "representations._coroot_chain": None,
     "records._compile": 1024,
     "records._parse_orbit": 256,
@@ -644,3 +664,23 @@ def test_the_library_memoises_exactly_the_listed_caches():
                 short = module.__name__.removeprefix("lieflag.")
                 found[f"{short}.{fn.__qualname__}"] = fn.cache_info().maxsize
     assert found == CACHES
+
+
+def test_the_readme_lists_exactly_the_memos():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `([\w.]+)`:", layout, re.MULTILINE)
+    assert sorted(listed) == sorted([*CACHES, "records._TEXTS"])
+
+
+def test_the_memo_traffic_script_reports_every_memo(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts bench/ in front
+    monkeypatch.delitem(sys.modules, "oracles", raising=False)  # bench/ has its own
+    script = ROOT / "scripts" / "memo_traffic.py"
+    spec = importlib.util.spec_from_file_location("memo_traffic", script)
+    memo_traffic = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(memo_traffic)
+    found = memo_traffic.traffic("query_mix", ops=100)
+    assert set(found) == {*CACHES, "records._TEXTS", "records._CHECKED"}
+    hits, misses, size = found["classifier._ladder"]  # four in five query_mix ops classify
+    assert hits > 0 and size > 0

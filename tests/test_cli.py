@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -312,6 +313,15 @@ def test_domain_errors_exit_1_with_error_name(capsys, argv, error):
     code, out, err = _run(capsys, argv)
     assert code == 1
     assert error in err
+
+
+def test_hilbert_refuses_an_overlong_kmax_at_once(capsys):
+    argv = ["hilbert", "E8", "--nodes", "1", "--weight", "1,0,0,0,0,0,0,0", "--kmax", "100000000"]
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == "error: InvalidDimension: k_max must be at most 10000, got 100000000\n"
 
 
 _R2_RECORD = (

@@ -1,3 +1,4 @@
+import time
 from math import comb
 
 import pytest
@@ -103,6 +104,20 @@ def test_hilbert_rejects_bad_kmax():
     for k_max in [0, 2.5, 2.0, "2"]:
         with pytest.raises(InvalidDimension):
             cone_hilbert_function(marking(a1, (1,)), weight(a1, (1,)), k_max)
+
+
+def test_hilbert_refuses_kmax_above_10000_before_building_any_value():
+    a1 = dynkin_type("A1")
+    mk, w = marking(a1, (1,)), weight(a1, (1,))
+    assert cone_hilbert_function(mk, w, 10_000)[-1] == 10_001
+    start = time.perf_counter()
+    for k_max, message in ((10_001, "at most 10000, got 10001"),
+                           (10**8, "at most 10000, got 100000000"),
+                           (0, "an integer >= 1, got 0")):
+        with pytest.raises(InvalidDimension) as exc:
+            cone_hilbert_function(mk, w, k_max)
+        assert str(exc.value) == f"k_max must be {message}"
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)

@@ -194,6 +194,17 @@ def test_bwb_rejects_off_marking_weight():
             bwb_section_dim(marking(a2, (1,)), weight(a2, (1, 0)), power)
 
 
+def test_a_nondominant_line_bundle_quotes_the_callers_weight():
+    a2 = dynkin_type("A2")
+    mk, w = marking(a2, (1,)), weight(a2, (-1, 0))
+    # the weight is checked before the power, so a bad power does not hide it
+    for call in (lambda: bwb_section_dim(mk, w, 3), lambda: bwb_section_dim(mk, w, 0),
+                 lambda: cone_hilbert_function(mk, w, 3)):
+        with pytest.raises(NonDominantWeight) as exc:
+            call()
+        assert str(exc.value) == "weight (-1,0) has a negative coordinate"
+
+
 def test_weyl_dim_threadsafe_memo():
     t = dynkin_type("B3")
     jobs = [Weight(t, coords) for coords in product(range(3), repeat=3)] * 4
