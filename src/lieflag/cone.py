@@ -8,10 +8,14 @@ graded by the section spaces of the powers of L, which gives its Hilbert
 function directly: by Borel-Weil-Bott the k-th piece has dimension
 dim V(k w), and all powers come from one walk of the coroot chain, each
 further power adding <w, a^v> to every factor of the Weyl product.
+The values of a small k_max are memoised by (weight, k_max), since
+callers repeat those inputs, and the marking, which they do not depend
+on, is checked on every call instead.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from operator import index
 from typing import Iterable
@@ -20,6 +24,10 @@ from .errors import InvalidDimension, UnsupportedWeight, ZeroClass, shown
 from .parabolic import ParabolicMarking
 from .representations import _check_line_bundle, _weyl_dims
 from .roots import Weight
+
+# Only a k_max up to this enters the memo, so each of its entries holds at
+# most 16 values; a k_max of 10,000 on E8 alone is about 1 MB of integers.
+_MEMO_K_MAX = 16
 
 
 def cone_cover_order(c1: Iterable[int]) -> int:
@@ -42,4 +50,11 @@ def cone_hilbert_function(
     if k_max > 10_000:  # every value is built before any is written
         raise InvalidDimension(f"k_max must be at most 10000, got {shown(k_max)}")
     _check_line_bundle(mk, w)
-    return [1] + _weyl_dims(w, k_max)
+    values = _hilbert_values(w, k_max) if k_max <= _MEMO_K_MAX else _weyl_dims(w, k_max)
+    return [1, *values]
+
+
+@lru_cache(maxsize=8192)
+def _hilbert_values(w: Weight, k_max: int) -> tuple[int, ...]:
+    """dim V(k w) for k = 1..k_max, for a weight its caller has checked."""
+    return tuple(_weyl_dims(w, k_max))

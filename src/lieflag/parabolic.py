@@ -16,6 +16,7 @@ from .errors import ArityMismatch, EmptyMarking, NodeOutOfRange, NotMaximalParab
 from .roots import (
     DynkinType,
     Weight,
+    _check_type,
     _make_validated,
     positive_roots,
     root_system,
@@ -31,6 +32,7 @@ class ParabolicMarking(
     _make = _make_validated
 
     def __new__(cls, dynkin: DynkinType, marked: Iterable[int]) -> "ParabolicMarking":
+        _check_type(dynkin, "marking type")
         try:
             nodes = frozenset(map(index, marked))
         except TypeError:
@@ -219,10 +221,16 @@ def character_weight(mk: ParabolicMarking, coefficients: Sequence[int]) -> Weigh
     Coefficients are taken in increasing node order.  The result may be
     non-dominant; callers check ``is_dominant`` where it matters.
     """
+    if not isinstance(mk, ParabolicMarking):
+        raise NodeOutOfRange(f"marking must be a ParabolicMarking, got {shown(mk)}")
     nodes = mk.nodes
-    if len(coefficients) != len(nodes):
+    try:
+        count = len(coefficients)
+    except TypeError:
+        raise ArityMismatch(f"coefficients must be a sequence, got {shown(coefficients)}") from None
+    if count != len(nodes):
         raise ArityMismatch(
-            f"{len(nodes)} marked nodes but {len(coefficients)} coefficients"
+            f"{len(nodes)} marked nodes but {count} coefficients"
         )
     coords = [0] * mk.dynkin.rank
     for node, c in zip(nodes, coefficients):

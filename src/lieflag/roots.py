@@ -80,6 +80,12 @@ def dynkin_type(text: str) -> DynkinType:
     return DynkinType(text[0].upper(), rank)
 
 
+def _check_type(value, what: str) -> None:
+    """Refuse a ``value`` that is not a ``DynkinType`` with ``InvalidRank``."""
+    if not isinstance(value, DynkinType):
+        raise InvalidRank(f"{what} must be a DynkinType, got {shown(value)}")
+
+
 class Weight(NamedTuple("Weight", [("dynkin", DynkinType), ("coords", tuple[int, ...])])):
     """Integer coordinates on the fundamental weights of a fixed type."""
 
@@ -87,11 +93,12 @@ class Weight(NamedTuple("Weight", [("dynkin", DynkinType), ("coords", tuple[int,
     _make = _make_validated
 
     def __new__(cls, dynkin: DynkinType, coords: tuple[int, ...]) -> "Weight":
-        if len(coords) != dynkin.rank:
-            raise InvalidRank(
-                f"weight needs {dynkin.rank} coordinates, got {len(coords)}"
-            )
-        try:
+        _check_type(dynkin, "weight type")
+        try:  # len of a non-sequence raises TypeError too
+            if len(coords) != dynkin.rank:
+                raise InvalidRank(
+                    f"weight needs {dynkin.rank} coordinates, got {len(coords)}"
+                )
             return super().__new__(cls, dynkin, tuple(map(index, coords)))
         except TypeError:
             raise InvalidRank(
@@ -114,11 +121,16 @@ class Weight(NamedTuple("Weight", [("dynkin", DynkinType), ("coords", tuple[int,
 
 
 def weight(dtype: DynkinType, coords: Iterable[int]) -> Weight:
-    return Weight(dtype, tuple(coords))
+    try:
+        coords = tuple(coords)
+    except TypeError:
+        pass  # Weight names the error
+    return Weight(dtype, coords)
 
 
 def fundamental_weight(dtype: DynkinType, node: int) -> Weight:
     """Fundamental weight at a 1-based node."""
+    _check_type(dtype, "type")
     node = integer(node, "node", InvalidRank)
     if not 1 <= node <= dtype.rank:
         raise InvalidRank(f"node {shown(node)} out of range for {dtype}")

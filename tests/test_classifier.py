@@ -1,4 +1,5 @@
 import importlib.util
+import pkgutil
 import re
 import shutil
 import sys
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from lieflag import classifier, parabolic, records, representations, roots
+import lieflag
+from lieflag import classifier, parabolic, records, roots
 from lieflag.classifier import (
     GroupSpec,
     Violation,
@@ -639,6 +641,7 @@ CACHES = {
     "parabolic._supports": None,
     "parabolic.r_min": None,
     "representations._coroot_chain": None,
+    "cone._hilbert_values": 8192,
     "records._compile": 1024,
     "records._parse_orbit": 256,
     "records._parse_block": 256,
@@ -653,7 +656,10 @@ CACHES = {
 
 def test_the_library_memoises_exactly_the_listed_caches():
     found = {}
-    for module in (roots, parabolic, representations, records, classifier):
+    # every module of the package; importing __main__ would run the CLI
+    names = [m.name for m in pkgutil.iter_modules(lieflag.__path__) if m.name != "__main__"]
+    assert {"cone", "cli", "errors"} <= set(names)
+    for module in map(importlib.import_module, (f"lieflag.{name}" for name in names)):
         defined = [
             v for v in vars(module).values() if getattr(v, "__module__", "") == module.__name__
         ]

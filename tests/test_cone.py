@@ -5,8 +5,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lieflag import cone
 from lieflag.cone import cone_cover_order, cone_hilbert_function
-from lieflag.errors import InvalidDimension, UnsupportedWeight, ZeroClass
+from lieflag.errors import (
+    InvalidDimension,
+    NonDominantWeight,
+    UnsupportedWeight,
+    ZeroClass,
+)
 from lieflag.parabolic import character_weight, marking
 from lieflag.representations import weyl_dim
 from lieflag.roots import DynkinType, dynkin_type, weight
@@ -152,3 +158,54 @@ def test_exceptional_hilbert_is_weyl_dim_of_each_power(name):
         values = cone_hilbert_function(mk, w, 4)
         assert values[0] == 1
         assert values[1:] == [weyl_dim(w.scaled(k)) for k in range(1, 5)]
+
+
+def test_a_mutated_answer_does_not_change_the_next():
+    a2 = dynkin_type("A2")
+    mk, w = marking(a2, (1,)), weight(a2, (1, 0))
+    first = cone_hilbert_function(mk, w, 3)
+    first[1] = 99
+    first.append(0)
+    assert cone_hilbert_function(mk, w, 3) == [1, 3, 6, 10]
+
+
+def test_a_weight_cached_under_one_marking_is_refused_under_another():
+    a2 = dynkin_type("A2")
+    w = weight(a2, (1, 0))
+    assert cone_hilbert_function(marking(a2, (1,)), w, 3) == [1, 3, 6, 10]
+    for _ in range(2):  # the check runs before the memo on every call
+        with pytest.raises(UnsupportedWeight, match="mass at unmarked node 1"):
+            cone_hilbert_function(marking(a2, (2,)), w, 3)
+
+
+def test_a_non_dominant_weight_is_refused_every_time_and_not_memoised():
+    a2 = dynkin_type("A2")
+    mk, w = marking(a2, (1,)), weight(a2, (-1, 0))
+    size = cone._hilbert_values.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(NonDominantWeight, match=r"weight \(-1,0\) has a negative coordinate"):
+            cone_hilbert_function(mk, w, 3)
+    assert cone._hilbert_values.cache_info().currsize == size
+
+
+def test_a_kmax_above_16_bypasses_the_memo():
+    b3 = dynkin_type("B3")
+    mk = marking(b3, (1, 3))
+    w = character_weight(mk, (1, 2))
+    size = cone._hilbert_values.cache_info().currsize
+    long = cone_hilbert_function(mk, w, 17)
+    assert cone._hilbert_values.cache_info().currsize == size
+    assert long[:17] == cone_hilbert_function(mk, w, 16)
+    assert len(long) == 18 and long[17] == weyl_dim(w.scaled(17))
+
+
+def test_a_memo_hit_still_matches_the_oracle_at_every_power():
+    c3 = dynkin_type("C3")
+    mk = marking(c3, (2,))
+    w = character_weight(mk, (3,))
+    etype = euclidean_type("C", 3)
+    cone_hilbert_function(mk, w, 5)
+    hits = cone._hilbert_values.cache_info().hits
+    values = cone_hilbert_function(mk, w, 5)
+    assert cone._hilbert_values.cache_info().hits == hits + 1
+    assert values == [1] + [weyl_product_dim(etype, w.scaled(k).coords) for k in range(1, 6)]

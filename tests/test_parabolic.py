@@ -299,3 +299,21 @@ def test_character_weight_arity():
 def test_character_weight_refuses_fractions():
     with pytest.raises(InvalidRank):
         character_weight(marking(dynkin_type("A2"), (1,)), (2.9,))
+
+
+def test_character_weight_refuses_a_marking_that_is_not_a_marking():
+    with pytest.raises(NodeOutOfRange) as exc:
+        character_weight("x", (1,))
+    assert str(exc.value) == "marking must be a ParabolicMarking, got 'x'"
+
+
+def test_character_weight_refuses_coefficients_that_are_not_a_sequence():
+    with pytest.raises(ArityMismatch) as exc:
+        character_weight(marking(dynkin_type("A2"), (1,)), None)
+    assert str(exc.value) == "coefficients must be a sequence, got None"
+
+
+def test_marking_refuses_a_type_that_is_not_a_dynkin_type():
+    with pytest.raises(InvalidRank) as exc:
+        marking("A2", (1,))
+    assert str(exc.value) == "marking type must be a DynkinType, got 'A2'"

@@ -15,6 +15,7 @@ from lieflag.roots import (
     group_dimension,
     positive_roots,
     root_system,
+    weight,
     _enumerate_positive_roots,
 )
 import lieflag.roots as rs_mod
@@ -233,6 +234,24 @@ def test_fundamental_weight_validates_node():
     for node in [0, 3, 1.5, 2.0, "1"]:
         with pytest.raises(InvalidRank):
             fundamental_weight(t, node)
+
+
+def test_weight_refuses_a_type_that_is_not_a_dynkin_type():
+    with pytest.raises(InvalidRank) as exc:
+        weight("A2", (1, 0))
+    assert str(exc.value) == "weight type must be a DynkinType, got 'A2'"
+
+
+def test_weight_refuses_coordinates_that_are_not_a_sequence():
+    with pytest.raises(InvalidRank) as exc:
+        weight(dynkin_type("A2"), None)
+    assert str(exc.value) == "weight coordinates must be integers, got None"
+
+
+def test_fundamental_weight_refuses_a_type_that_is_not_a_dynkin_type():
+    with pytest.raises(InvalidRank) as exc:
+        fundamental_weight("A2", 1)
+    assert str(exc.value) == "type must be a DynkinType, got 'A2'"
 
 
 def test_root_system_bundle():
