@@ -14,6 +14,8 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import importlib
+import pkgutil
 import random
 import sys
 import tempfile
@@ -23,10 +25,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
+import lieflag  # noqa: E402
 import workloads  # noqa: E402  (bench/workloads.py, found through the path above)
-from lieflag import classifier, cone, parabolic, records, representations, roots  # noqa: E402
+from lieflag import records  # noqa: E402
 
-MODULES = (roots, parabolic, representations, cone, records, classifier)
 OPS, SEED = 3000, 5
 # Each workload's class, built with a scratch directory that only db_churn uses.
 WORKLOADS = {
@@ -38,13 +40,16 @@ DICTS = ("_TEXTS", "_CHECKED")  # memos of records that are plain dicts
 
 
 def memos() -> dict:
-    """Every lru_cache of lieflag by its name, ``module.function``."""
+    """Every lru_cache of lieflag by its name, ``module.function``, from
+    every module of the package (``__main__`` would run the CLI)."""
     found = {}
-    for module in MODULES:
-        short = module.__name__.removeprefix("lieflag.")
+    for info in pkgutil.iter_modules(lieflag.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"lieflag.{info.name}")
         for value in vars(module).values():
             if hasattr(value, "cache_info") and value.__module__ == module.__name__:
-                found[f"{short}.{value.__qualname__}"] = value
+                found[f"{info.name}.{value.__qualname__}"] = value
     return found
 
 

@@ -43,8 +43,7 @@ class GroupSpec(NamedTuple("GroupSpec", [("family", str), ("parameter", int)])):
     _make = _make_validated
 
     def __new__(cls, family: str, parameter: int = 0) -> "GroupSpec":
-        f, p = family, parameter
-        integer(p, "group parameter", InvalidGroup)
+        f, p = family, integer(parameter, "group parameter", InvalidGroup)
         if f == "SL":
             if p < 2:
                 raise InvalidGroup(f"SL needs parameter >= 2, got {shown(p)}")
@@ -56,7 +55,7 @@ class GroupSpec(NamedTuple("GroupSpec", [("family", str), ("parameter", int)])):
                 raise InvalidGroup(f"Spin needs parameter >= 5, got {shown(p)}")
         elif f != "G2":
             raise InvalidGroup(f"unknown family {shown(f)}")
-        return super().__new__(cls, family, parameter)
+        return super().__new__(cls, family, p)
 
     def resolve(self) -> tuple[str, "GroupSpec"]:
         """Case label plus the group after the low-rank spin aliases."""

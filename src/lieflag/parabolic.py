@@ -9,7 +9,7 @@ definition used throughout.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import index
+from operator import index, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ArityMismatch, EmptyMarking, NodeOutOfRange, NotMaximalParabolic, shown
@@ -69,10 +69,15 @@ def _supports(dtype: DynkinType) -> tuple[int, ...]:
     )
 
 
+def _check_marking(value) -> None:
+    """Refuse a ``value`` that is not a ``ParabolicMarking`` with ``NodeOutOfRange``."""
+    if not isinstance(value, ParabolicMarking):
+        raise NodeOutOfRange(f"marking must be a ParabolicMarking, got {shown(value)}")
+
+
 def codim_parabolic(mk: ParabolicMarking) -> int:
     """dim G/P: positive roots supported on at least one marked node."""
-    if not isinstance(mk, ParabolicMarking):
-        raise NodeOutOfRange(f"marking must be a ParabolicMarking, got {shown(mk)}")
+    _check_marking(mk)
     masks = _supports(mk.dynkin)
     roots = 0
     for i in mk.marked:
@@ -94,11 +99,9 @@ def r_min(dtype: DynkinType) -> RMin:
     The minimum over all nonempty markings is attained at a single node;
     this is asserted exhaustively in the test suite rather than assumed.
     """
-    codims = {
-        i: codim_parabolic(marking(dtype, (i,))) for i in range(1, dtype.rank + 1)
-    }
-    best = min(codims.values())
-    return RMin(best, tuple(i for i, c in sorted(codims.items()) if c == best))
+    codims = [m.bit_count() for m in _supports(dtype)]
+    best = min(codims)
+    return RMin(best, tuple(i for i, c in enumerate(codims, 1) if c == best))
 
 
 _LABELS = {
@@ -154,6 +157,7 @@ def _named(dtype: DynkinType) -> tuple[dict, dict]:
 
 def identify_marking(mk: ParabolicMarking) -> VarietyClass | None:
     """The named flag variety of a marking, else None."""
+    _check_marking(mk)
     return _named(mk.dynkin)[0].get(mk.marked)
 
 
@@ -183,6 +187,7 @@ def homogeneous_variety(mk: ParabolicMarking) -> HomogeneousVariety:
 
 def minimal_homogeneous_varieties(dtype: DynkinType) -> tuple[HomogeneousVariety, ...]:
     """One variety per single node attaining the minimal codimension."""
+    _check_type(dtype, "type")  # before r_min's cache, which cannot hash a list
     best = r_min(dtype)
     return tuple(homogeneous_variety(marking(dtype, (i,))) for i in best.nodes)
 
@@ -193,19 +198,15 @@ def fano_index(mk: ParabolicMarking) -> int:
     Equals the pairing of the marked simple coroot with the sum of all
     positive roots supported on the marked node (the nilradical roots).
     """
+    _check_marking(mk)
     if not mk.is_maximal:
         raise NotMaximalParabolic(
             f"fano_index needs exactly one marked node, got {sorted(mk.marked)}"
         )
     (node,) = mk.marked
-    j = node - 1
     rs = root_system(mk.dynkin)
-    sigma = [0] * mk.dynkin.rank
-    for alpha in rs.positive_roots:
-        if alpha[j]:
-            for i, c in enumerate(alpha):
-                sigma[i] += c
-    index = sum(sigma[i] * rs.cartan[i][j] for i in range(mk.dynkin.rank))
+    column = [row[node - 1] for row in rs.cartan]
+    index = sum(sum(map(mul, alpha, column)) for alpha in rs.positive_roots if alpha[node - 1])
     assert index >= 2
     return index
 
@@ -221,8 +222,7 @@ def character_weight(mk: ParabolicMarking, coefficients: Sequence[int]) -> Weigh
     Coefficients are taken in increasing node order.  The result may be
     non-dominant; callers check ``is_dominant`` where it matters.
     """
-    if not isinstance(mk, ParabolicMarking):
-        raise NodeOutOfRange(f"marking must be a ParabolicMarking, got {shown(mk)}")
+    _check_marking(mk)
     nodes = mk.nodes
     try:
         count = len(coefficients)

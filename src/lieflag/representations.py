@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import InvalidDimension, NonDominantWeight, UnsupportedWeight, shown
 from .parabolic import ParabolicMarking, r_min
-from .roots import DynkinType, Weight, fundamental_weight, root_system
+from .roots import DynkinType, Weight, _check_type, fundamental_weight, root_system
 
 
 @lru_cache(maxsize=None)
@@ -90,6 +90,7 @@ def min_nontrivial_irrep(dtype: DynkinType) -> MinimalIrrep:
     the minimum over all nonzero dominant weights is fundamental; ties
     break to the lowest node, with the full tied node set reported.
     """
+    _check_type(dtype, "type")
     dims = {
         i: weyl_dim(fundamental_weight(dtype, i)) for i in range(1, dtype.rank + 1)
     }

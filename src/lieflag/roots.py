@@ -139,6 +139,7 @@ def fundamental_weight(dtype: DynkinType, node: int) -> Weight:
 
 def cartan_matrix(dtype: DynkinType) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix in Bourbaki numbering, rows pair against coroots."""
+    _check_type(dtype, "type")  # every per-type table starts here
     n, s = dtype.rank, dtype.series
     bonds = [(i, i + 1) for i in range(n - 1)]  # the chain 1-2-...-n, 0-based
     if s == "D":
@@ -217,6 +218,7 @@ def _enumerate_positive_roots(
 
 def positive_roots(dtype: DynkinType) -> tuple[RootVector, ...]:
     """All positive roots as coefficient vectors, sorted by height."""
+    _check_type(dtype, "type")  # before root_system's cache, which cannot hash a list
     return root_system(dtype).positive_roots
 
 
@@ -270,5 +272,5 @@ def root_system(dtype: DynkinType) -> RootSystem:
 
 def group_dimension(dtype: DynkinType) -> int:
     """Dimension of the simple group: rank plus twice the positive roots."""
-    return dtype.rank + 2 * len(positive_roots(dtype))
+    return 2 * len(positive_roots(dtype)) + dtype.rank  # .rank once the type is checked
 

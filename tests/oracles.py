@@ -6,13 +6,17 @@ products are plain integer dot products (all vectors pre-scaled to clear
 denominators), and irreducible dimensions come from summing Freudenthal
 multiplicities over the full weight system.  Simple roots and fundamental
 weights are numbered the Bourbaki way so coordinate vectors can be
-compared with the package directly.
+compared with the package directly.  The valid arguments of the public
+callables, for the wrong-type walk, are the one part built from the
+package's own constructors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+from lieflag import DynkinType, GroupSpec, marking, weight
 
 Vec = tuple[int, ...]
 
@@ -144,6 +148,57 @@ ORACLE_TYPES = tuple(
     for n in range(lo, ORACLE_MAX_RANK + 1)
 ) + ("G2",)
 
+# Valid arguments, in order, of every callable of ``lieflag.__all__`` that
+# checks its input; the wrong-type walk swaps one of them at a time.
+_A2 = DynkinType("A", 2)
+_MARKING, _WEIGHT = marking(_A2, (1,)), weight(_A2, (1, 0))
+VALID_CALLS = {
+    "DynkinType": ("A", 2),
+    "GroupSpec": ("SL", 3),
+    "ParabolicMarking": (_A2, (1,)),
+    "Weight": (_A2, (1, 0)),
+    "admissible_conormal_range": (_MARKING,),
+    "bwb_section_dim": (_MARKING, _WEIGHT, 2),
+    "cartan_matrix": (_A2,),
+    "character_weight": (_MARKING, (1,)),
+    "check_rg_plus_one": (_A2,),
+    "classify": (GroupSpec("SL", 3), 3, False, None),
+    "codim_parabolic": (_MARKING,),
+    "cone_cover_order": ((1, 2),),
+    "cone_hilbert_function": (_MARKING, _WEIGHT, 3),
+    "dynkin_type": ("A2",),
+    "fano_index": (_MARKING,),
+    "fundamental_weight": (_A2, 1),
+    "group_dimension": (_A2,),
+    "group_spec": ("SL", 3),
+    "identify_marking": (_MARKING,),
+    "load_database": (None,),
+    "marking": (_A2, (1,)),
+    "min_nontrivial_irrep": (_A2,),
+    "minimal_homogeneous_varieties": (_A2,),
+    "orbit_structure": ("P^n", {"n": 3}, "SL", None),
+    "positive_roots": (_A2,),
+    "r_min": (_A2,),
+    "relations": ("P^n", None),
+    "root_system": (_A2,),
+    "validate_database": (None,),
+    "weight": (_A2, (1, 0)),
+    "weyl_dim": (_WEIGHT,),
+}
+class OnlyIndex:
+    """An integer to ``operator.index`` alone: it has no other number method."""
+
+    def __index__(self) -> int:
+        return 4
+
+
+# The public names the walk leaves out: the error base class and the
+# result types, which hold what they are given and check nothing.
+UNCHECKED = (
+    "ClassificationResult", "DomainError", "HomogeneousVariety", "MinimalIrrep", "Orbit",
+    "RMin", "RootSystem", "VarietyClass", "VarietyDescriptor", "Violation",
+)
+
 
 @lru_cache(maxsize=None)
 def euclidean_type(series: str, n: int) -> EuclideanType:
@@ -228,13 +283,33 @@ def weyl_product_dim(etype: EuclideanType, coords) -> int:
     return q
 
 
-def coroot_coefficients(etype: EuclideanType, root) -> Vec:
-    """Simple-coroot coefficients 2 (w_i, a) / (a, a) of the coroot of a
-    root given by its simple-root coefficients."""
+def _root_vector(etype: EuclideanType, root) -> Vec:
+    """A root given by its simple-root coefficients, in epsilon coordinates."""
     alpha = (0,) * len(etype.simple_roots[0])
     for c, simple in zip(root, etype.simple_roots):
         alpha = add(alpha, scale(simple, c))
+    return alpha
+
+
+def coroot_coefficients(etype: EuclideanType, root) -> Vec:
+    """Simple-coroot coefficients 2 (w_i, a) / (a, a) of the coroot of a
+    root given by its simple-root coefficients."""
+    alpha = _root_vector(etype, root)
     return tuple(_coroot_pairing(w, alpha) for w in etype.fundamental_weights)
+
+
+def fano_index_oracle(series: str, n: int, node: int) -> int:
+    """Index of G/P at one node: the sum of 2 (a, a_node) / (a_node, a_node)
+    over the positive roots a whose coefficient at the node is positive,
+    with the roots from ``roots_in_simple_coords`` and the pairing taken
+    in epsilon coordinates."""
+    etype = euclidean_type(series, n)
+    simple = etype.simple_roots[node - 1]
+    return sum(
+        _coroot_pairing(_root_vector(etype, root), simple)
+        for root in roots_in_simple_coords(series, n)
+        if root[node - 1] > 0
+    )
 
 
 def freudenthal_dim(name: str, coords) -> int:

@@ -31,6 +31,8 @@ from lieflag.parabolic import codim_parabolic
 from lieflag.records import parse_records, serialize_records
 from lieflag.roots import DynkinType
 
+from oracles import OnlyIndex
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -42,6 +44,13 @@ def test_group_spec_validation():
     for family, param in (("SL", 3.0), ("SL", 2.5), ("Sp", 4.0), ("Spin", "8"), ("G2", 0.5)):
         with pytest.raises(InvalidGroup, match="must be an integer"):
             GroupSpec(family, param)
+
+
+def test_group_spec_keeps_the_integer_it_checked():
+    spec = GroupSpec("SL", OnlyIndex())  # an integer to operator.index alone
+    assert repr(spec) == "GroupSpec(family='SL', parameter=4)"
+    assert type(spec.parameter) is int
+    assert classify(spec, 4) == classify(GroupSpec("SL", 4), 4)
 
 
 def test_group_spec_resolution_and_aliases():
@@ -213,6 +222,12 @@ def test_orbit_structure_parameter_checks():
         orbit_structure("Q^4", {"n": 4})  # ambiguous between Sp and SL3Q
 
 
+def test_orbit_structure_needs_n():
+    with pytest.raises(ParameterViolation) as exc:
+        orbit_structure("P^n", {}, case="SL")
+    assert str(exc.value) == "params must bind n"
+
+
 @pytest.mark.parametrize(
     "params, name",
     [
@@ -369,6 +384,22 @@ dim = n
 picard = 2
 orbit = open dim=n
 """
+
+
+def test_a_fixed_orbit_of_positive_dimension_is_reported():
+    text = _SPIN_RECORD.format(requires="n == 8") + "orbit = fixed dim=1\n"
+    assert validate_records(parse_records(text)) == [
+        Violation("shape", "Y", "Spin", "fixed orbit with positive dimension"),
+        Violation("R2", "Y", "Spin", "fixed point in an unflagged record"),
+        Violation("R1", "Y", "Spin", "orbit of dim 1 below r=7 of B4 at n=8"),
+    ]
+
+
+def test_a_second_open_orbit_is_reported():
+    text = _SPIN_RECORD.format(requires="n == 8") + "orbit = open dim=n\n"
+    assert validate_records(parse_records(text)) == [
+        Violation("shape", "Y", "Spin", "more than one open orbit")
+    ]
 
 
 def test_a_record_no_probe_reaches_is_reported():

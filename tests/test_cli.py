@@ -95,6 +95,12 @@ def test_usage_errors_exit_2(capsys, argv):
     assert out == ""
 
 
+def test_orbits_refuses_a_parameter_value_that_is_not_an_integer(capsys):
+    code, out, err = _run(capsys, ["orbits", "--variety", "P^n", "--params", "n=x"])
+    assert (code, out) == (2, "")
+    assert err == "usage error: --params: non-integer value in 'n=x'\n"
+
+
 _COMMANDS = (
     "{roots,dim-group,parabolic,rmin,minimal-homogeneous,fano-index,weyl-dim,min-irrep,bwb,"
     "cone-cover,hilbert,classify,orbits,relations,validate-db}"

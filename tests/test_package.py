@@ -1,5 +1,6 @@
 """The package surface: lazy re-exports, import footprint and value types."""
 
+import inspect
 import json
 import os
 import shlex
@@ -20,8 +21,10 @@ from lieflag import (
     Violation,
     Weight,
 )
-from lieflag.errors import InvalidGroup, InvalidRank, NodeOutOfRange
+from lieflag.errors import DomainError, InvalidGroup, InvalidRank, NodeOutOfRange
 from lieflag.records import parse_records
+
+from oracles import UNCHECKED, VALID_CALLS, OnlyIndex
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -255,3 +258,40 @@ def test_replace_and_make_validate_like_the_constructor():
     # a valid replacement still normalises as the constructor does
     assert w._replace(coords=[True, 0]).coords == (1, 0)
     assert lieflag.marking(a2, (1,))._replace(marked=[2, 2]).marked == frozenset({2})
+
+
+# Values of the wrong type, by test id; each replaces one valid argument.
+_WRONG = {"None": None, "str": "x", "float": 1.5, "list": [1], "tuple": (), "index": OnlyIndex()}
+# Still open: an lru_cache hashes its argument before the body can refuse
+# it, and these two must stay the cache itself (root_system's cache_info is
+# a benchmark metric; r_min's memo is measured to pay).
+_OPEN = {("root_system", "dtype", "list"), ("r_min", "dtype", "list")}
+
+
+def _walk():
+    for name, args in VALID_CALLS.items():
+        params = list(inspect.signature(getattr(lieflag, name)).parameters)
+        for position, param in enumerate(params[: len(args)]):
+            for label in _WRONG:
+                marks = ()
+                if (name, param, label) in _OPEN:
+                    marks = pytest.mark.xfail(raises=TypeError, strict=True,
+                                              reason="the cache hashes the argument first")
+                yield pytest.param(name, position, label, marks=marks,
+                                   id=f"{name}-{param}-{label}")
+
+
+def test_the_walk_covers_every_public_callable_that_checks_its_input():
+    assert sorted([*VALID_CALLS, *UNCHECKED]) == sorted(lieflag.__all__)
+    for name, args in VALID_CALLS.items():
+        repr(getattr(lieflag, name)(*args))
+
+
+@pytest.mark.parametrize("name,position,label", _walk())
+def test_a_wrong_type_returns_or_raises_a_domain_error(name, position, label):
+    args = list(VALID_CALLS[name])
+    args[position] = _WRONG[label]
+    try:
+        repr(getattr(lieflag, name)(*args))
+    except DomainError:
+        pass

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import lieflag.roots
 from lieflag.errors import (
     ArityMismatch,
     EmptyMarking,
@@ -27,7 +28,13 @@ from lieflag.parabolic import (
 )
 from lieflag.roots import DynkinType, dynkin_type, positive_roots
 
-from oracles import ORACLE_TYPES, named_flag_varieties, roots_in_simple_coords, weight_vector
+from oracles import (
+    ORACLE_TYPES,
+    fano_index_oracle,
+    named_flag_varieties,
+    roots_in_simple_coords,
+    weight_vector,
+)
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
@@ -149,6 +156,8 @@ def test_single_node_minimum_beats_all_markings(dtype):
         for sub in combinations(nodes, size)
     )
     assert full_min == best
+    singles = [i for i in nodes if codim_parabolic(marking(dtype, (i,))) == best]
+    assert r_min(dtype).nodes == tuple(singles)
 
 
 @pytest.mark.parametrize("dtype", _small_types(5), ids=str)
@@ -267,6 +276,30 @@ def test_fano_index_quadrics_and_flags():
     assert fano_index(marking(dynkin_type("A3"), (2,))) == 4
 
 
+@pytest.mark.parametrize(
+    "name", [t for t in ORACLE_TYPES if int(t[1:]) <= lieflag.roots.MAX_CLASSICAL_RANK]
+)
+def test_fano_index_matches_the_epsilon_oracle_at_every_node(name):
+    dtype = dynkin_type(name)
+    for node in range(1, dtype.rank + 1):
+        expected = fano_index_oracle(dtype.series, dtype.rank, node)
+        assert fano_index(marking(dtype, (node,))) == expected, node
+
+
+@pytest.mark.parametrize(
+    "name, indices",
+    [
+        ("E6", (12, 11, 9, 7, 9, 12)),
+        ("E7", (17, 14, 11, 8, 10, 13, 18)),
+        ("E8", (23, 17, 13, 9, 11, 14, 19, 29)),
+        ("F4", (8, 5, 7, 11)),
+    ],
+)
+def test_fano_index_of_the_exceptional_types(name, indices):
+    dtype = dynkin_type(name)
+    assert tuple(fano_index(marking(dtype, (i,))) for i in range(1, dtype.rank + 1)) == indices
+
+
 def test_fano_index_needs_single_node():
     with pytest.raises(NotMaximalParabolic):
         fano_index(marking(dynkin_type("A2"), (1, 2)))
@@ -311,6 +344,25 @@ def test_character_weight_refuses_coefficients_that_are_not_a_sequence():
     with pytest.raises(ArityMismatch) as exc:
         character_weight(marking(dynkin_type("A2"), (1,)), None)
     assert str(exc.value) == "coefficients must be a sequence, got None"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: fano_index("x"), NodeOutOfRange, "marking must be a ParabolicMarking, got 'x'"),
+        (lambda: admissible_conormal_range(None), NodeOutOfRange,
+         "marking must be a ParabolicMarking, got None"),
+        (lambda: identify_marking(()), NodeOutOfRange,
+         "marking must be a ParabolicMarking, got ()"),
+        (lambda: r_min("A2"), InvalidRank, "type must be a DynkinType, got 'A2'"),
+        (lambda: minimal_homogeneous_varieties([1]), InvalidRank,
+         "type must be a DynkinType, got [1]"),
+    ],
+)
+def test_a_value_of_the_wrong_type_is_refused_by_name(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_marking_refuses_a_type_that_is_not_a_dynkin_type():
