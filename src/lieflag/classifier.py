@@ -10,7 +10,7 @@ database covers exactly the quasihomogeneous fourfolds of SL(3).
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 from . import roots
@@ -106,25 +106,56 @@ def _db_key(path: str | None) -> tuple | None:
         raise DatabaseFormatError(f"cannot read database {path!r}: {exc}") from None
 
 
+class _Database(dict):
+    """One loaded database: its records, its relation edges, indexed on first
+    use, and as its items the sorted case lists asked for so far by
+    ``(case, n)``, so a repeated list is one dict lookup."""
+
+    def __init__(self, records: tuple[RecordSchema, ...]) -> None:
+        super().__init__()
+        self.records = records
+
+    def __missing__(self, key: tuple[str, int]) -> tuple[VarietyDescriptor, ...]:
+        """The records of case ``key[0]`` that apply at n = ``key[1]``, in list order."""
+        case, n = key
+        kept = [d for r in self.records if r.case == case and (d := _instantiate(r, n)) is not None]
+        self[key] = entries = tuple(sorted(kept, key=lambda d: (d.item, d.name)))
+        return entries
+
+    @cached_property
+    def edges(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """Every record or instance name with the edges from it, in record
+        order; built when ``relations`` first asks, so a database that is only
+        classified or validated is never indexed."""
+        index: dict[str, list[tuple[str, str]]] = {}
+        for rec in self.records:
+            index.setdefault(rec.name, [])
+            for rel in rec.relations:
+                index.setdefault(rel.label or rec.name, []).append((rel.op, rel.to))
+                index.setdefault(rel.to, [])
+        return {name: tuple(edges) for name, edges in index.items()}
+
+
 # The shipped file shares the bound with the files given by path; the stat
-# fields in a path's key make an edited file re-read.
+# fields in a path's key make an edited file re-read, and a database's case
+# lists and edges are dropped with it.
 @lru_cache(maxsize=8)
-def _load(key: tuple | None) -> tuple[RecordSchema, ...]:
-    """The parsed records of the shipped file (key None) or of the file at key[0]."""
+def _load(key: tuple | None) -> _Database:
+    """The database of the shipped file (key None) or of the file at key[0]."""
     if key is None:
         path = os.path.join(os.path.dirname(__file__), "data", "classification.db")
-        return parse_records(__spec__.loader.get_data(path).decode("utf-8"))
+        return _Database(parse_records(__spec__.loader.get_data(path).decode("utf-8")))
     try:
         with open(key[0], "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DatabaseFormatError(f"cannot read database {key[0]!r}: {exc}") from None
-    return parse_records(text)
+    return _Database(parse_records(text))
 
 
 def load_database(path: str | None = None) -> tuple[RecordSchema, ...]:
     """Shipped records, or the file named by the argument / environment."""
-    return _load(_db_key(path))
+    return _load(_db_key(path)).records
 
 
 def _ident_label(ident: str, n: int) -> str:
@@ -225,13 +256,6 @@ def _ladder(group: GroupSpec, cap: int) -> tuple[str, int, bool, tuple[VarietyDe
     return case, r, case == "SL" and effective.parameter == 3, homogeneous
 
 
-@lru_cache(maxsize=256)
-def _case_entries(key: tuple | None, case: str, n: int) -> tuple[VarietyDescriptor, ...]:
-    """The records of one case that apply at n, in list order."""
-    entries = [d for r in _load(key) if r.case == case and (d := _instantiate(r, n)) is not None]
-    return tuple(sorted(entries, key=lambda d: (d.item, d.name)))
-
-
 def classify(
     group: GroupSpec,
     n: int,
@@ -249,13 +273,12 @@ def classify(
         return ClassificationResult("only_trivial_action", group, n)
     if n == r:
         return ClassificationResult("homogeneous", group, n, homogeneous)
-    key = _db_key(db_path)
-    _load(key)  # a malformed database raises before any answer beyond r
+    db = _load(_db_key(db_path))  # a malformed database raises before any answer beyond r
     if n == r + 1 and case != "G2":
-        return ClassificationResult("full_list", group, n, _case_entries(key, case, n))
+        return ClassificationResult("full_list", group, n, db[case, n])
     if sl3 and n == 4:
         if quasihomogeneous_only:
-            return ClassificationResult("full_list", group, n, _case_entries(key, "SL3Q", n))
+            return ClassificationResult("full_list", group, n, db["SL3Q", n])
         reason = ("dimension r+2 is covered only under a dense-orbit "
                   "hypothesis; rerun with quasihomogeneous_only")
     elif case == "G2":  # here n > r
@@ -306,22 +329,10 @@ def relations(
     name: str, db_path: str | None = None
 ) -> tuple[tuple[str, str], ...]:
     """Recorded blow-up / blow-down edges touching a record or instance."""
-    edges = _edge_index(_db_key(db_path))
+    edges = _load(_db_key(db_path)).edges
     if not isinstance(name, str) or name not in edges:  # a list could not be hashed
         raise UnknownVariety(f"no record or instance named {shown(name)}")
     return edges[name]
-
-
-@lru_cache(maxsize=8)
-def _edge_index(key: tuple | None) -> dict[str, tuple[tuple[str, str], ...]]:
-    """Every record or instance name with the edges from it, in record order."""
-    index: dict[str, list[tuple[str, str]]] = {}
-    for rec in _load(key):
-        index.setdefault(rec.name, [])
-        for rel in rec.relations:
-            index.setdefault(rel.label or rec.name, []).append((rel.op, rel.to))
-            index.setdefault(rel.to, [])
-    return {name: tuple(edges) for name, edges in index.items()}
 
 
 class Violation(NamedTuple):

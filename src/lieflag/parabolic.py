@@ -18,6 +18,7 @@ from .roots import (
     Weight,
     _check_type,
     _make_validated,
+    _type_memo,
     positive_roots,
     root_system,
 )
@@ -92,7 +93,7 @@ class RMin(NamedTuple):
     nodes: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@_type_memo
 def r_min(dtype: DynkinType) -> RMin:
     """Minimal codimension of a proper parabolic, with every attaining node.
 
@@ -187,7 +188,6 @@ def homogeneous_variety(mk: ParabolicMarking) -> HomogeneousVariety:
 
 def minimal_homogeneous_varieties(dtype: DynkinType) -> tuple[HomogeneousVariety, ...]:
     """One variety per single node attaining the minimal codimension."""
-    _check_type(dtype, "type")  # before r_min's cache, which cannot hash a list
     best = r_min(dtype)
     return tuple(homogeneous_variety(marking(dtype, (i,))) for i in best.nodes)
 

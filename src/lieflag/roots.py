@@ -13,7 +13,7 @@ vector) with the j-th simple coroot is ``sum(a[i] * cartan[i][j])``.
 from __future__ import annotations
 
 import warnings
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import add, index
 from typing import Iterable, NamedTuple, Sequence
 
@@ -84,6 +84,21 @@ def _check_type(value, what: str) -> None:
     """Refuse a ``value`` that is not a ``DynkinType`` with ``InvalidRank``."""
     if not isinstance(value, DynkinType):
         raise InvalidRank(f"{what} must be a DynkinType, got {shown(value)}")
+
+
+def _type_memo(fn):
+    """``fn`` memoised per Dynkin type, its argument checked before the lookup:
+    a tuple equal to a cached type is refused, cold or warm.  The result keeps
+    the memo's ``cache_info`` and ``cache_clear``."""
+    memo = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def checked(dtype: DynkinType):
+        _check_type(dtype, "type")
+        return memo(dtype)
+
+    checked.cache_info, checked.cache_clear = memo.cache_info, memo.cache_clear
+    return checked
 
 
 class Weight(NamedTuple("Weight", [("dynkin", DynkinType), ("coords", tuple[int, ...])])):
@@ -218,7 +233,6 @@ def _enumerate_positive_roots(
 
 def positive_roots(dtype: DynkinType) -> tuple[RootVector, ...]:
     """All positive roots as coefficient vectors, sorted by height."""
-    _check_type(dtype, "type")  # before root_system's cache, which cannot hash a list
     return root_system(dtype).positive_roots
 
 
@@ -254,7 +268,7 @@ class RootSystem(NamedTuple):
     rho: Weight
 
 
-@lru_cache(maxsize=None)
+@_type_memo
 def root_system(dtype: DynkinType) -> RootSystem:
     cartan = cartan_matrix(dtype)
     pairings = _enumerate_positive_roots(cartan)

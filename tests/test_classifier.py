@@ -16,6 +16,7 @@ from lieflag.classifier import (
     load_database,
     orbit_structure,
     relations,
+    validate_database,
     validate_records,
 )
 from lieflag.errors import (
@@ -461,21 +462,24 @@ def test_repeated_classify_compiles_nothing_and_reuses_r():
     group = GroupSpec("SL", 4)
     for n in (3, 4, 5):
         classify(group, n)
+    entries = classify(group, 4).entries  # r = 3, so n = 4 is the full list
     compiled = records._compile.cache_info()
     rmin = parabolic.r_min.cache_info()
     ladder = classifier._ladder.cache_info()
-    entries = classifier._case_entries.cache_info()
+    loads = classifier._load.cache_info()
     instantiated = classifier._instantiate.cache_info()
     for _ in range(100):
-        for n in (3, 4, 5):
-            classify(group, n)
+        classify(group, 3)
+        assert classify(group, 4).entries is entries  # the case list the database holds
+        classify(group, 5)
     assert records._compile.cache_info().misses == compiled.misses
     # r is read from the group's ladder memo, so r_min is not even looked up
     assert parabolic.r_min.cache_info() == rmin
     assert classifier._ladder.cache_info().misses == ladder.misses
     assert classifier._ladder.cache_info().hits == ladder.hits + 300
-    assert classifier._case_entries.cache_info().misses == entries.misses
-    assert classifier._case_entries.cache_info().hits == entries.hits + 100
+    # one database lookup per answer beyond r (n = 4 and 5), none at or below it
+    assert classifier._load.cache_info().misses == loads.misses
+    assert classifier._load.cache_info().hits == loads.hits + 200
     assert classifier._instantiate.cache_info() == instantiated
 
 
@@ -659,10 +663,15 @@ def test_each_database_is_loaded_once(tmp_path):
     db_path = str(tmp_path / "copy.db")
     shutil.copyfile(Path(classifier.__file__).parent / "data" / "classification.db", db_path)
     classifier._load.cache_clear()
+    group = GroupSpec("SL", 4)
     for loaded, path in enumerate((None, db_path), 1):
         first = load_database(path)
         assert load_database(path) is first
-        assert classifier._load.cache_info()[:2] == (loaded, loaded)  # (hits, misses)
+        entries = classify(group, 4, db_path=path).entries  # n = r + 1
+        assert classify(group, 4, db_path=path).entries is entries
+        assert relations("P2xP2", path) and validate_database(path) == []
+        # (hits, misses): every read of the file after the first is a hit
+        assert classifier._load.cache_info()[:2] == (5 * loaded, loaded)
 
 
 # Every memo of the library, with its bound (None: one entry per Dynkin
@@ -679,8 +688,6 @@ CACHES = {
     "classifier._load": 8,
     "classifier._instantiate": 1024,
     "classifier._ladder": 256,
-    "classifier._case_entries": 256,
-    "classifier._edge_index": 8,
     "classifier._record_violations": 256,
 }
 
@@ -721,3 +728,5 @@ def test_the_memo_traffic_script_reports_every_memo(monkeypatch):
     assert set(found) == {*CACHES, "records._TEXTS", "records._CHECKED"}
     hits, misses, size = found["classifier._ladder"]  # four in five query_mix ops classify
     assert hits > 0 and size > 0
+    hits, misses, size = found["classifier._load"]  # case lists and edges are read from it
+    assert hits > 0 and misses == 0 and size > 0

@@ -83,6 +83,7 @@ def test_specific_numbers_agree_between_modes(capsys):
         ["weyl-dim", "A2", "--weight", "1"],
         ["weyl-dim", "A2", "--weight", "1,2,3"],
         ["fano-index", "B2", "--node", "5"],
+        ["fano-index", "B2", "--node", "x"],
         ["bwb", "A2", "--nodes", "1", "--weight", "1,0", "--power", "0"],
         ["hilbert", "A2", "--nodes", "1", "--weight", "1,0", "--kmax", "0"],
         ["classify", "--group", "SO", "--param", "4", "--dim", "3"],
@@ -439,6 +440,10 @@ def test_module_entry_point(tmp_path):
     bad = tmp_path / "bad.db"
     bad.write_text(_R2_RECORD)
     assert lieflag("--db", str(bad), "validate-db").returncode == 1
+    done = lieflag("--db", str(tmp_path), "validate-db")  # a directory
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: DatabaseFormatError: cannot read database ")
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize(

@@ -583,12 +583,27 @@ def test_edited_database_file_is_reread(tmp_path):
 
 
 def test_unreadable_database_file_is_a_format_error(tmp_path):
-    db = tmp_path / "binary.db"
-    db.write_bytes(b"record = \xff\xfe\n")
-    with pytest.raises(DatabaseFormatError):
-        load_database(str(db))
-    with pytest.raises(DatabaseFormatError):
-        load_database(str(tmp_path))
+    binary, directory, empty = tmp_path / "binary.db", tmp_path / "dir.db", tmp_path / "empty.db"
+    binary.write_bytes(b"record = \xff\xfe\n")  # not UTF-8
+    directory.mkdir()
+    empty.write_bytes(b"")
+    for db, message in [
+        (binary, f"cannot read database {str(binary)!r}: 'utf-8' codec can't decode"),
+        (directory, f"cannot read database {str(directory)!r}: "),
+        (empty, "no records found"),
+    ]:
+        path = str(db)
+        queries = [
+            (load_database, path),
+            (classify, group_spec("SL", 4), 4, False, path),  # r = 3, so n = 4 reads the file
+            (relations, "P^n", path),
+            (orbit_structure, "P^n", {"n": 3}, "SL", path),
+            (validate_database, path),
+        ]
+        for fn, *args in queries:
+            with pytest.raises(DatabaseFormatError) as exc:
+                fn(*args)
+            assert str(exc.value).startswith(message), (db.name, fn.__name__)
 
 
 def test_a_value_that_is_not_a_path_touches_no_file_descriptor(tmp_path):

@@ -262,10 +262,6 @@ def test_replace_and_make_validate_like_the_constructor():
 
 # Values of the wrong type, by test id; each replaces one valid argument.
 _WRONG = {"None": None, "str": "x", "float": 1.5, "list": [1], "tuple": (), "index": OnlyIndex()}
-# Still open: an lru_cache hashes its argument before the body can refuse
-# it, and these two must stay the cache itself (root_system's cache_info is
-# a benchmark metric; r_min's memo is measured to pay).
-_OPEN = {("root_system", "dtype", "list"), ("r_min", "dtype", "list")}
 
 
 def _walk():
@@ -273,12 +269,7 @@ def _walk():
         params = list(inspect.signature(getattr(lieflag, name)).parameters)
         for position, param in enumerate(params[: len(args)]):
             for label in _WRONG:
-                marks = ()
-                if (name, param, label) in _OPEN:
-                    marks = pytest.mark.xfail(raises=TypeError, strict=True,
-                                              reason="the cache hashes the argument first")
-                yield pytest.param(name, position, label, marks=marks,
-                                   id=f"{name}-{param}-{label}")
+                yield pytest.param(name, position, label, id=f"{name}-{param}-{label}")
 
 
 def test_the_walk_covers_every_public_callable_that_checks_its_input():
@@ -295,3 +286,17 @@ def test_a_wrong_type_returns_or_raises_a_domain_error(name, position, label):
         repr(getattr(lieflag, name)(*args))
     except DomainError:
         pass
+
+
+@pytest.mark.parametrize(
+    "name", ["root_system", "positive_roots", "r_min", "minimal_homogeneous_varieties"]
+)
+def test_a_tuple_equal_to_a_type_is_refused_cold_and_warm(name):
+    lieflag.root_system.cache_clear()
+    lieflag.r_min.cache_clear()
+    for state in ("cold", "warm"):
+        with pytest.raises(InvalidRank) as exc:
+            getattr(lieflag, name)(("A", 2))
+        assert str(exc.value) == "type must be a DynkinType, got ('A', 2)", state
+        # ("A", 2) now equals a key of the per-type memos and hashes alike
+        getattr(lieflag, name)(DynkinType("A", 2))

@@ -23,15 +23,18 @@ def test_rg_table_prints_its_committed_output(capsys):
 
 def test_survey_prints_its_committed_output_cold_and_warm(capsys):
     survey = _script("classification_survey")
-    memos = (classifier._instantiate, classifier._ladder, classifier._case_entries)
+    memos = (classifier._instantiate, classifier._ladder, classifier._load)
     for memo in memos:
-        memo.cache_clear()
+        memo.cache_clear()  # clearing _load drops the shipped database's case lists too
     for run in ("cold", "warm"):
         survey.main()
         assert capsys.readouterr().out == EXPECTED, run
         if run == "cold":
             misses = [memo.cache_info().misses for memo in memos]
+            cases = dict(classifier._load(None))  # the shipped database's case lists
     # the warm run is answered from the memos and builds nothing new
     assert [memo.cache_info().misses for memo in memos] == misses
     assert classifier._ladder.cache_info().hits > 0
-    assert classifier._case_entries.cache_info().hits > 0
+    # every full list of the warm run is a case list the cold run stored
+    assert cases and classifier._load(None).keys() == cases.keys()
+    assert all(classifier._load(None)[key] is value for key, value in cases.items())
