@@ -158,11 +158,14 @@ def _cmd_orbits(args) -> dict:
     params: dict[str, int] = {}
     if args.params:
         for item in args.params.split(","):
-            if "=" not in item:
+            key, eq, value = item.partition("=")
+            key = key.strip()
+            if not (eq and key):
                 raise UsageError("--params", f"expected k=v, got {item!r}")
-            key, value = item.split("=", 1)
+            if key in params:
+                raise UsageError("--params", f"key {key!r} given twice")
             try:
-                params[key.strip()] = int(value)
+                params[key] = int(value)
             except ValueError:
                 raise UsageError("--params", f"non-integer value in {item!r}") from None
     orbits = lieflag.orbit_structure(args.variety, params, case=args.case, db_path=args.db)

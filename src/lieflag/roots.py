@@ -8,13 +8,15 @@ Node numbering is Bourbaki for every series (see the table in README.md).
 Convention: ``cartan[i][j]`` is the pairing of the i-th simple root with
 the j-th simple coroot, so the pairing of a root ``a`` (coefficient
 vector) with the j-th simple coroot is ``sum(a[i] * cartan[i][j])``.
+Roots and coroots come together from the Cartan matrix alone, by closing
+the simple roots under the simple reflections that raise a root.
 """
 
 from __future__ import annotations
 
 import warnings
 from functools import lru_cache, wraps
-from operator import add, index
+from operator import index, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidRank, integer, shown
@@ -172,86 +174,41 @@ def cartan_matrix(dtype: DynkinType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
-def simple_root_length_sq(dtype: DynkinType) -> tuple[int, ...]:
-    """Relative squared lengths of the simple roots (ratios matter only)."""
-    n = dtype.rank
-    s = dtype.series
-    if s in ("A", "D", "E"):
-        return (2,) * n
-    if s == "B":
-        return (2,) * (n - 1) + (1,)
-    if s == "C":
-        return (1,) * (n - 1) + (2,)
-    if s == "F":
-        return (2, 2, 1, 1)
-    return (1, 3)  # G2
-
-
 def _enumerate_positive_roots(
     cartan: Sequence[Sequence[int]], node_order: Sequence[int] | None = None
 ) -> dict[RootVector, RootVector]:
-    """Close the simple roots under root strings, level by level.
+    """Every positive root, sorted by height, mapped to its coroot.
 
-    Returns every positive root, sorted by height, mapped to its pairing
-    vector ``(<alpha, a_1^v>, ..., <alpha, a_r^v>)``.  A candidate
-    ``alpha + a_j`` is a root iff the alpha_j-string through alpha
-    continues upward, i.e. ``p - <alpha, a_j^v> > 0`` where p counts how
-    far the string extends downward inside the set built so far.
-    Processing by height makes the downward part always already known.
-    The pairing vector of ``alpha + a_j`` is that of alpha plus row j of
-    the Cartan matrix, so no pairing is ever summed from scratch.
+    Each root carries its pairing vector ``(<alpha, a_1^v>, ...)``.  Where
+    entry j is c < 0, ``s_j(alpha) = alpha - c a_j`` is a higher positive
+    root, its pairing vector is alpha's minus c times Cartan row j, and
+    its coroot is ``alpha^v - <a_j, alpha^v> a_j^v``.  This reaches every
+    positive root: a non-simple one beta has some j with
+    ``<beta, a_j^v> > 0``, and ``s_j(beta)`` is a lower positive root.
     """
     rank = len(cartan)
     order = list(node_order) if node_order is not None else list(range(rank))
     rows = [tuple(row) for row in cartan]
-    known: dict[RootVector, RootVector] = {
-        tuple(1 if i == k else 0 for i in range(rank)): rows[k] for k in range(rank)
-    }
-    level = list(known)
-    while level:
-        nxt: list[RootVector] = []
-        for alpha in level:
-            pairing = known[alpha]
-            for j in order:
-                p = 0
-                if alpha[j]:
-                    lower = list(alpha)
-                    while True:
-                        lower[j] -= 1
-                        if tuple(lower) in known:
-                            p += 1
-                        else:
-                            break
-                if p > pairing[j]:
-                    cand = alpha[:j] + (alpha[j] + 1,) + alpha[j + 1 :]
-                    if cand not in known:
-                        known[cand] = tuple(map(add, pairing, rows[j]))
-                        nxt.append(cand)
-        level = nxt
-    return {r: known[r] for r in sorted(known, key=lambda r: (sum(r), r))}
+    units = [tuple(1 if i == k else 0 for i in range(rank)) for k in range(rank)]
+    known = {unit: (row, unit) for unit, row in zip(units, rows)}  # root: (pairing, coroot)
+    todo = units
+    for alpha in todo:  # the list grows while it is read
+        pairing, coroot = known[alpha]
+        for j in order:
+            c = pairing[j]
+            if c < 0:
+                beta = alpha[:j] + (alpha[j] - c,) + alpha[j + 1 :]
+                if beta not in known:
+                    d = sum(map(mul, coroot, rows[j]))  # <a_j, alpha^v>
+                    known[beta] = (tuple(p - c * a for p, a in zip(pairing, rows[j])),
+                                   coroot[:j] + (coroot[j] - d,) + coroot[j + 1 :])
+                    todo.append(beta)
+    return {r: known[r][1] for r in sorted(known, key=lambda r: (sum(r), r))}
 
 
 def positive_roots(dtype: DynkinType) -> tuple[RootVector, ...]:
     """All positive roots as coefficient vectors, sorted by height."""
     return root_system(dtype).positive_roots
-
-
-def _coroot_vector(
-    alpha: Sequence[int], pairing: Sequence[int], len2: Sequence[int]
-) -> RootVector:
-    """Coefficients of alpha's coroot over the simple coroots.
-
-    With (a_j, a_j) = len2[j], ``norm = sum(alpha[j] * pairing[j] * len2[j])``
-    is 2(alpha, alpha), and coefficient j is 2 alpha[j] len2[j] / norm.
-    """
-    norm = sum(a * p * ell for a, p, ell in zip(alpha, pairing, len2))
-    out = []
-    for a, ell in zip(alpha, len2):
-        c, r = divmod(2 * a * ell, norm)
-        if r:
-            raise AssertionError(f"non-integral coroot coefficient for {alpha}")
-        out.append(c)
-    return tuple(out)
 
 
 class RootSystem(NamedTuple):
@@ -271,15 +228,12 @@ class RootSystem(NamedTuple):
 @_type_memo
 def root_system(dtype: DynkinType) -> RootSystem:
     cartan = cartan_matrix(dtype)
-    pairings = _enumerate_positive_roots(cartan)
-    len2 = simple_root_length_sq(dtype)
-    roots = tuple(pairings)
-    coroots = tuple(_coroot_vector(a, pairings[a], len2) for a in roots)
+    coroots = _enumerate_positive_roots(cartan)
     return RootSystem(
         dynkin=dtype,
         cartan=cartan,
-        positive_roots=roots,
-        coroots=coroots,
+        positive_roots=tuple(coroots),
+        coroots=tuple(coroots.values()),
         rho=Weight(dtype, (1,) * dtype.rank),
     )
 

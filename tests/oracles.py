@@ -14,7 +14,9 @@ package's own constructors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from lieflag import DynkinType, GroupSpec, marking, weight
 
@@ -137,6 +139,63 @@ EUCLIDEAN = {
     "D3": type_D(3),
     "G2": type_G2(),
 }
+
+
+@lru_cache(maxsize=None)
+def exceptional_model(name: str) -> tuple[tuple[Vec, ...], frozenset[Vec]]:
+    """Bourbaki simple roots and all roots of E6, E7, E8 or F4 in doubled
+    epsilon coordinates, so every coordinate is an integer.  E8's roots are
+    +-2e_i +- 2e_j and (+-1, ..., +-1) with an even number of minus signs;
+    E7 and E6 take the first 7 and 6 of its simple roots.  F4's roots are
+    +-2e_i, +-2e_i +- 2e_j and (+-1, +-1, +-1, +-1)."""
+    dim = 4 if name == "F4" else 8
+    roots = {
+        add(_unit(dim, i, 2 * s), _unit(dim, j, 2 * t))
+        for i in range(dim) for j in range(i + 1, dim) for s in (1, -1) for t in (1, -1)
+    }
+    signs = set(product((1, -1), repeat=dim))
+    if name == "F4":
+        roots |= signs | {_unit(dim, i, v) for i in range(dim) for v in (2, -2)}
+        simple = ((0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1))
+    else:
+        roots |= {v for v in signs if v.count(-1) % 2 == 0}
+        simple = ((1, -1, -1, -1, -1, -1, -1, 1), (2, 2, 0, 0, 0, 0, 0, 0)) + tuple(
+            add(_unit(dim, k - 2, 2), _unit(dim, k - 3, -2)) for k in range(3, 9)
+        )
+        simple = simple[: int(name[1:])]
+    return simple, frozenset(roots)
+
+
+def _inverse(m) -> list[list[Fraction]]:
+    """Inverse of an invertible square integer matrix, by Gauss-Jordan elimination."""
+    n = len(m)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+@lru_cache(maxsize=None)
+def _model_positive_roots(name: str) -> frozenset[tuple[int, ...]]:
+    """The positive roots of an exceptional model as simple-root coefficient
+    vectors: each model root in the span of the simple roots, solved for its
+    coefficients through the inverse Gram matrix, kept when none is negative."""
+    simple, roots = exceptional_model(name)
+    gram_inverse = _inverse([[dot(a, b) for b in simple] for a in simple])
+    out = set()
+    for v in roots:
+        pairings = [dot(a, v) for a in simple]
+        coeffs = [dot(row, pairings) for row in gram_inverse]
+        if root_vector(simple, coeffs) == v and min(coeffs) >= 0:
+            assert all(c.denominator == 1 for c in coeffs), "non-integral root"
+            out.add(tuple(map(int, coeffs)))
+    return frozenset(out)
 
 
 # Types the Euclidean oracles cover, up to rank 16 (above the default
@@ -283,10 +342,11 @@ def weyl_product_dim(etype: EuclideanType, coords) -> int:
     return q
 
 
-def _root_vector(etype: EuclideanType, root) -> Vec:
-    """A root given by its simple-root coefficients, in epsilon coordinates."""
-    alpha = (0,) * len(etype.simple_roots[0])
-    for c, simple in zip(root, etype.simple_roots):
+def root_vector(simple_roots, root) -> Vec:
+    """A root given by its coefficients over ``simple_roots``, in the
+    coordinates those simple roots are written in."""
+    alpha = (0,) * len(simple_roots[0])
+    for c, simple in zip(root, simple_roots):
         alpha = add(alpha, scale(simple, c))
     return alpha
 
@@ -294,7 +354,7 @@ def _root_vector(etype: EuclideanType, root) -> Vec:
 def coroot_coefficients(etype: EuclideanType, root) -> Vec:
     """Simple-coroot coefficients 2 (w_i, a) / (a, a) of the coroot of a
     root given by its simple-root coefficients."""
-    alpha = _root_vector(etype, root)
+    alpha = root_vector(etype.simple_roots, root)
     return tuple(_coroot_pairing(w, alpha) for w in etype.fundamental_weights)
 
 
@@ -302,11 +362,13 @@ def fano_index_oracle(series: str, n: int, node: int) -> int:
     """Index of G/P at one node: the sum of 2 (a, a_node) / (a_node, a_node)
     over the positive roots a whose coefficient at the node is positive,
     with the roots from ``roots_in_simple_coords`` and the pairing taken
-    in epsilon coordinates."""
-    etype = euclidean_type(series, n)
-    simple = etype.simple_roots[node - 1]
+    in (doubled, for E and F) epsilon coordinates."""
+    if series in "EF":
+        simple_roots = exceptional_model(f"{series}{n}")[0]
+    else:
+        simple_roots = euclidean_type(series, n).simple_roots
     return sum(
-        _coroot_pairing(_root_vector(etype, root), simple)
+        _coroot_pairing(root_vector(simple_roots, root), simple_roots[node - 1])
         for root in roots_in_simple_coords(series, n)
         if root[node - 1] > 0
     )
@@ -348,7 +410,8 @@ def roots_in_simple_coords(series: str, n: int) -> set[tuple[int, ...]]:
 
     Derived from the epsilon-coordinate shapes independently of any
     closure algorithm: intervals for A, interval-plus-doubled-tail for B
-    and C, the fork bookkeeping for D, and the six G2 vectors.
+    and C, the fork bookkeeping for D, the six G2 vectors, and for E and F
+    the doubled models of ``exceptional_model`` solved for coefficients.
     """
 
     def vec(pairs) -> tuple[int, ...]:
@@ -404,6 +467,8 @@ def roots_in_simple_coords(series: str, n: int) -> set[tuple[int, ...]]:
                 )
     elif series == "G":
         roots = {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
+    elif series in "EF":
+        roots = set(_model_positive_roots(f"{series}{n}"))
     else:
         raise ValueError(f"no independent construction for series {series}")
     return roots

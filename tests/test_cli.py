@@ -102,6 +102,15 @@ def test_orbits_refuses_a_parameter_value_that_is_not_an_integer(capsys):
     assert err == "usage error: --params: non-integer value in 'n=x'\n"
 
 
+def test_orbits_refuses_a_repeated_or_an_empty_parameter_key(capsys):
+    code, out, err = _run(capsys, ["orbits", "--variety", "P^n", "--params", "n=4,m=2,n=5"])
+    assert (code, out) == (2, "")
+    assert err == "usage error: --params: key 'n' given twice\n"
+    code, out, err = _run(capsys, ["orbits", "--variety", "P^n", "--params", "n=4,m=2,=7"])
+    assert (code, out) == (2, "")
+    assert err == "usage error: --params: expected k=v, got '=7'\n"
+
+
 _COMMANDS = (
     "{roots,dim-group,parabolic,rmin,minimal-homogeneous,fano-index,weyl-dim,min-irrep,bwb,"
     "cone-cover,hilbert,classify,orbits,relations,validate-db}"
@@ -295,6 +304,73 @@ def _argvs(draw):
 @given(argv=st.one_of(_argvs(), st.lists(_WORDS, max_size=6)))
 def test_plain_args_agree_with_the_full_parser(argv):
     _check_plain(argv)
+
+
+# The CLI walk: each argument of a command takes a value that fits it or one
+# from a hostile pool; --power and --kmax stay at 20 or less, so that no
+# example computes for long.
+_LONG = "9" * 4301  # more digits than int() converts
+_HOSTILE = ["x", "1.5", "-3", "1_0", _LONG, "", "A0", "Z2", "E9", "A13", "D" + _LONG]
+_FITTING = {
+    "type": ["A1", "A2", "B2", "G2", "a2"],
+    "--nodes": ["1", "2", "1,2"],
+    "--weight": ["1", "1,0", "0,2", "1,1,1"],
+    "--node": ["1", "2"],
+    "--power": ["1", "3", "20"],
+    "--kmax": ["1", "5", "20"],
+    "--dim": ["2", "3", "4"],
+    "--param": ["3", "4"],
+    "--c1": ["1", "1,2", "0,0"],
+    "--variety": ["P^n", "Q^n", "FlagSL3", "Gr(2,4)"],
+    "--params": ["n=4", "n=4,m=2", "n=4,m=2,n=5", "n=4,m=2,=7", "n", "n=x", "n=" + _LONG],
+}
+
+
+def _hostile_argv(draw, command):
+    """The command with each of its arguments, or most of them, in either value form."""
+    argv = [command] + draw(st.sampled_from([[], ["--json"]]))
+    for name in cli.COMMANDS[command].arguments.split():
+        if draw(st.integers(0, 9)) == 0:
+            continue
+        spec = cli._ARGUMENTS[name]
+        if spec.get("action") == "store_true":
+            argv.append(name)
+            continue
+        fitting = st.sampled_from(spec.get("choices") or _FITTING[name])
+        value = draw(st.one_of(fitting, st.sampled_from(_HOSTILE)))
+        if name == "type":
+            argv.append(value)
+        else:
+            argv += draw(st.sampled_from([[name, value], [f"{name}={value}"]]))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def unreadable_databases(tmp_path_factory):
+    """LIEFLAG_DB unset (None), then naming a directory, an empty file and a
+    file that is not UTF-8."""
+    root = tmp_path_factory.mktemp("unreadable")
+    (root / "empty.db").write_text("")
+    (root / "binary.db").write_bytes(b"record = \xff\xfe\n")  # not UTF-8
+    return [None, root, root / "empty.db", root / "binary.db"]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_cli_walk_exits_0_1_or_2_without_a_traceback(unreadable_databases, command, data):
+    argv = _hostile_argv(data.draw, command)
+    db = data.draw(st.sampled_from(unreadable_databases))
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        if db is None:
+            mp.delenv("LIEFLAG_DB", raising=False)
+        else:
+            mp.setenv("LIEFLAG_DB", str(db))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
 
 
 @pytest.mark.parametrize(

@@ -277,7 +277,9 @@ def test_fano_index_quadrics_and_flags():
 
 
 @pytest.mark.parametrize(
-    "name", [t for t in ORACLE_TYPES if int(t[1:]) <= lieflag.roots.MAX_CLASSICAL_RANK]
+    "name",
+    [t for t in ORACLE_TYPES if int(t[1:]) <= lieflag.roots.MAX_CLASSICAL_RANK]
+    + ["E6", "E7", "E8", "F4"],  # doubled epsilon coordinates
 )
 def test_fano_index_matches_the_epsilon_oracle_at_every_node(name):
     dtype = dynkin_type(name)

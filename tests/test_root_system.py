@@ -26,6 +26,8 @@ from oracles import (
     diagram_edges,
     dot,
     euclidean_type,
+    exceptional_model,
+    root_vector,
     roots_in_simple_coords,
     weight_vector,
 )
@@ -129,11 +131,36 @@ def test_root_support_connected(dtype):
 
 
 @pytest.mark.parametrize(
-    "series,rank", [("A", 4), ("B", 3), ("C", 4), ("D", 5), ("G", 2)]
+    "series,rank",
+    [(s, n) for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 29)]
+    + [("G", 2)],
 )
-def test_matches_independent_series_construction(series, rank):
-    dtype = DynkinType(series, rank)
-    assert set(positive_roots(dtype)) == roots_in_simple_coords(series, rank)
+def test_matches_independent_series_construction(monkeypatch, series, rank):
+    monkeypatch.setattr(rs_mod, "MAX_CLASSICAL_RANK", 28)  # the ranks lie_sweep meets cold
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the D3 notice
+        dtype = DynkinType(series, rank)
+    roots = set(positive_roots(dtype))
+    assert roots == roots_in_simple_coords(series, rank)
+    assert len(roots) == CLOSED_FORM[series](rank)
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8", "F4"])
+def test_exceptional_types_match_the_doubled_epsilon_model(name):
+    t = dynkin_type(name)
+    rs = root_system(t)
+    simple, model_roots = exceptional_model(name)
+    vectors = [root_vector(simple, alpha) for alpha in rs.positive_roots]
+    assert len(set(vectors)) == len(vectors) == CLOSED_FORM[t.series](t.rank)
+    assert set(vectors) <= model_roots
+    assert set(rs.positive_roots) == roots_in_simple_coords(t.series, t.rank)
+    assert rs.cartan == tuple(
+        tuple(Fraction(2 * dot(a, b), dot(b, b)) for b in simple) for a in simple
+    )
+    for alpha, v, coroot in zip(rs.positive_roots, vectors, rs.coroots):
+        assert coroot == tuple(
+            Fraction(c * dot(a, a), dot(v, v)) for c, a in zip(alpha, simple)
+        ), alpha
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
@@ -145,20 +172,38 @@ def test_coroots_match_euclidean_formula(oracle_rank_cap, name):
         assert coroot == coroot_coefficients(etype, alpha), alpha
 
 
+def _assert_order_independent(name, order):
+    """The closure in any node order gives the same roots with the same coroots."""
+    cartan = cartan_matrix(dynkin_type(name))
+    assert _enumerate_positive_roots(cartan, order) == _enumerate_positive_roots(cartan)
+
+
 @given(st.permutations(list(range(4))))
 def test_closure_order_independent_d4(order):
-    cartan = cartan_matrix(DynkinType("D", 4))
-    assert set(_enumerate_positive_roots(cartan, order)) == set(
-        _enumerate_positive_roots(cartan)
-    )
+    _assert_order_independent("D4", order)
 
 
 @given(st.permutations(list(range(4))))
 def test_closure_order_independent_f4(order):
-    cartan = cartan_matrix(DynkinType("F", 4))
-    assert set(_enumerate_positive_roots(cartan, order)) == set(
-        _enumerate_positive_roots(cartan)
-    )
+    _assert_order_independent("F4", order)
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "G2"])
+@given(data=st.data())
+def test_closure_order_independent_where_a_reflection_jumps_levels(name, data):
+    # one reflection raises the height by 2 in B3 and C3, and by up to 3 in G2
+    order = data.draw(st.permutations(list(range(int(name[1:])))))
+    _assert_order_independent(name, order)
+
+
+@pytest.mark.parametrize(
+    "dtype",
+    [t for t in all_types(rs_mod.MAX_CLASSICAL_RANK) if t.series in "ADE"],
+    ids=str,
+)
+def test_simply_laced_coroots_are_the_roots(dtype):
+    rs = root_system(dtype)
+    assert rs.coroots == rs.positive_roots
 
 
 def test_group_dimension_examples():
