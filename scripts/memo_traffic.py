@@ -1,6 +1,6 @@
 """Hits, misses and size of every memo of lieflag on one benchmark workload.
 
-    python3 scripts/memo_traffic.py {query_mix,lie_sweep,db_churn}
+    python3 scripts/memo_traffic.py {query_mix,lie_sweep,db_churn} [--ops N]
 
 Runs the workload's class from bench/workloads.py in this process: its
 ``warm()``, then 3,000 ops of its seeded stream (seed 5), each run and
@@ -8,6 +8,9 @@ checked as the benchmark checks it, so a wrong answer stops the script.
 Prints one line per ``lru_cache`` of lieflag with the hits and misses of
 those ops alone (the counts after ``warm()`` are subtracted) and the
 size at the end, then the sizes of the two dict memos of ``records``.
+With ``--ops N`` it runs N ops and then a second window of the next N
+ops of the stream, and prints a table for each window, so a memo that
+fills over many inputs shows its steady state in the second one.
 Standard library only.
 """
 
@@ -53,41 +56,56 @@ def memos() -> dict:
     return found
 
 
-def traffic(workload: str, ops: int = OPS) -> dict[str, tuple]:
-    """(hits, misses, size) of each memo over ``ops`` checked ops after
-    ``warm()``; hits and misses are None for a dict memo."""
+def traffic(workload: str, ops: int = OPS, windows: int = 1) -> list[dict[str, tuple]]:
+    """Per window of ``ops`` checked ops after ``warm()``, one after the other
+    on the same stream: (hits, misses, size) of each memo, hits and misses
+    within the window and size at its end; hits and misses are None for a
+    dict memo."""
+    found = []
     with tempfile.TemporaryDirectory() as work:
         wl = WORKLOADS[workload](Path(work))
         wl.warm()
         caches = memos()
-        before = {name: fn.cache_info() for name, fn in caches.items()}
         stream = wl.ops(random.Random(SEED))
-        for _ in range(ops):
-            op = next(stream)
-            answer = error = None
-            try:
-                answer = wl.run(op)
-            except Exception as exc:  # judged by the workload's check
-                error = exc
-            wl.check(op, answer, error)
-    found = {}
-    for name, fn in caches.items():
-        info = fn.cache_info()
-        found[name] = (info.hits - before[name].hits, info.misses - before[name].misses,
-                       info.currsize)
-    for name in DICTS:
-        found[f"records.{name}"] = (None, None, len(getattr(records, name)))
+        for _ in range(windows):
+            before = {name: fn.cache_info() for name, fn in caches.items()}
+            for _ in range(ops):
+                op = next(stream)
+                answer = error = None
+                try:
+                    answer = wl.run(op)
+                except Exception as exc:  # judged by the workload's check
+                    error = exc
+                wl.check(op, answer, error)
+            window = {}
+            for name, fn in caches.items():
+                info = fn.cache_info()
+                window[name] = (info.hits - before[name].hits,
+                                info.misses - before[name].misses, info.currsize)
+            for name in DICTS:
+                window[f"records.{name}"] = (None, None, len(getattr(records, name)))
+            found.append(window)
     return found
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("workload", choices=sorted(WORKLOADS))
+    ap.add_argument("--ops", type=int, help="ops per window, then a second window of as many")
     args = ap.parse_args()
-    print(f"{'memo':<32}  {'hits':>7}  {'misses':>7}  {'size':>5}")
-    for name, (hits, misses, size) in traffic(args.workload).items():
-        hits, misses = ("-" if v is None else v for v in (hits, misses))
-        print(f"{name:<32}  {hits:>7}  {misses:>7}  {size:>5}")
+    if args.ops is not None and args.ops < 1:
+        ap.error(f"--ops must be at least 1, got {args.ops}")
+    windows = traffic(args.workload, args.ops or OPS, 1 if args.ops is None else 2)
+    for number, window in enumerate(windows):
+        if number:
+            print()
+        if len(windows) > 1:
+            first = number * args.ops + 1
+            print(f"window {number + 1}: ops {first}-{first + args.ops - 1}")
+        print(f"{'memo':<32}  {'hits':>7}  {'misses':>7}  {'size':>5}")
+        for name, (hits, misses, size) in window.items():
+            hits, misses = ("-" if v is None else v for v in (hits, misses))
+            print(f"{name:<32}  {hits:>7}  {misses:>7}  {size:>5}")
     return 0
 
 

@@ -55,7 +55,7 @@ class GroupSpec(NamedTuple("GroupSpec", [("family", str), ("parameter", int)])):
                 raise InvalidGroup(f"Spin needs parameter >= 5, got {shown(p)}")
         elif f != "G2":
             raise InvalidGroup(f"unknown family {shown(f)}")
-        return super().__new__(cls, family, p)
+        return tuple.__new__(cls, (family, p))
 
     def resolve(self) -> tuple[str, "GroupSpec"]:
         """Case label plus the group after the low-rank spin aliases."""

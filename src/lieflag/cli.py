@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 domain errors (named on stderr), 2 usage errors.
 from __future__ import annotations
 
 import sys
+import warnings
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -387,10 +388,14 @@ def run(argv: Sequence[str] | None = None) -> int:
         payload = {}
         # parsed here for every command that has one; its payload opens with it
         if hasattr(args, "type"):
-            try:
-                args.type = dynkin_type(args.type)
-            except DomainError as exc:
-                raise UsageError("TYPE", str(exc)) from None
+            with warnings.catch_warnings(record=True) as caught:  # the D3 notice, as one line
+                warnings.simplefilter("always")
+                try:
+                    args.type = dynkin_type(args.type)
+                except DomainError as exc:
+                    raise UsageError("TYPE", str(exc)) from None
+            for notice in caught:
+                print(f"warning: {notice.message}", file=sys.stderr)
             payload["type"] = str(args.type)
         payload.update(COMMANDS[args.command].handler(args))
         try:

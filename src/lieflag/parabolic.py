@@ -40,12 +40,12 @@ class ParabolicMarking(
             raise NodeOutOfRange(f"marked nodes must be integers, got {shown(marked)}") from None
         if not nodes:
             raise EmptyMarking("a parabolic marking needs at least one node")
-        bad = [i for i in nodes if not 1 <= i <= dynkin.rank]
-        if bad:
+        if min(nodes) < 1 or max(nodes) > dynkin.rank:
+            bad = [i for i in nodes if not 1 <= i <= dynkin.rank]
             raise NodeOutOfRange(
                 f"node {shown(min(bad))} out of range 1..{dynkin.rank} for {dynkin}"
             )
-        return super().__new__(cls, dynkin, nodes)
+        return tuple.__new__(cls, (dynkin, nodes))
 
     @property
     def is_maximal(self) -> bool:

@@ -5,12 +5,13 @@ over positive roots of <w + rho, a^v> / <rho, a^v>, evaluated as one big
 integer quotient.  Every positive coroot of height > 1 is a smaller
 positive coroot plus one simple coroot, so, visited in coroot-height
 order, each numerator factor is an earlier factor plus <w + rho, a_j^v> =
-w_j + 1: one addition per positive root.  The chain of (earlier coroot,
-simple node) steps, the heights <rho, a^v> and the constant denominator
-are built once per type from the coroots of ``root_system``; no rounding
+w_j + 1: one addition per positive root.  Those additions, compiled as
+one function, the heights <rho, a^v> and the constant denominator are
+built once per type from the coroots of ``root_system``; no rounding
 can occur.  The powers k*w share one walk: <k w + rho, a^v> is
 <(k - 1) w + rho, a^v> plus <w, a^v>, so each further power adds the
-fixed vector ``factors - heights`` to the factors and takes one product.
+fixed vector ``factors - heights`` to the factors.  ``math.prod`` takes
+each product eight factors a block, on machine words until one overflows.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import prod
 from operator import add, sub
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import InvalidDimension, NonDominantWeight, UnsupportedWeight, shown
 from .parabolic import ParabolicMarking, r_min
@@ -26,29 +27,33 @@ from .roots import DynkinType, Weight, _check_type, fundamental_weight, root_sys
 
 
 @lru_cache(maxsize=None)
-def _coroot_chain(dtype: DynkinType) -> tuple[tuple, tuple[int, ...], int]:
-    """(parent, node) steps for the non-simple coroots, the height <rho, a^v>
-    of every coroot in chain order, and the product of the heights.
+def _coroot_chain(dtype: DynkinType) -> tuple[Callable, tuple[int, ...], int]:
+    """The compiled walk from the simple factors to all factors, the height
+    <rho, a^v> of every coroot in walk order, and the product of the heights.
 
-    Coroot k >= rank is coroot ``parent`` plus simple coroot ``node``;
-    coroots 0..rank-1 are the simple coroots in node order.
+    Coroots 0..rank-1 are the simple ones in node order; coroot k >= rank,
+    an earlier coroot plus a simple one, gets the line ``fk = fparent + fnode``.
+    Straight-line code runs 1.5-2x as fast as a loop over the pairs.
     """
     rank = dtype.rank
     coroots = root_system(dtype).coroots
     chain = [tuple(1 if i == k else 0 for i in range(rank)) for k in range(rank)]
     chain += sorted((cv for cv in coroots if sum(cv) > 1), key=sum)
     index = {cv: k for k, cv in enumerate(chain)}
-    steps = []
-    for cv in chain[rank:]:
+    lines = [f"def walk({', '.join(f'f{k}' for k in range(rank))}):"]
+    for k, cv in enumerate(chain[rank:], rank):
         for node, c in enumerate(cv):
             parent = index.get(cv[:node] + (c - 1,) + cv[node + 1 :]) if c else None
             if parent is not None:
-                steps.append((parent, node))
+                lines.append(f"    f{k} = f{parent} + f{node}")
                 break
         else:
             raise AssertionError(f"coroot {cv} has no parent coroot")
+    lines.append(f"    return [{', '.join(f'f{k}' for k in range(len(chain)))}]")
+    namespace = {}  # the source holds only the names f0, f1, ...
+    exec("\n".join(lines), namespace)
     heights = tuple(map(sum, chain))
-    return tuple(steps), heights, prod(heights)
+    return namespace["walk"], heights, prod(heights)
 
 
 def _weyl_dims(w: Weight, k_max: int) -> list[int]:
@@ -57,14 +62,13 @@ def _weyl_dims(w: Weight, k_max: int) -> list[int]:
         raise UnsupportedWeight(f"weight must be a Weight, got {shown(w)}")
     if not w.is_dominant:
         raise NonDominantWeight(f"weight {w} has a negative coordinate")
-    steps, heights, den = _coroot_chain(w.dynkin)
-    factors = [c + 1 for c in w.coords]
-    for parent, node in steps:
-        factors.append(factors[parent] + factors[node])
+    walk, heights, den = _coroot_chain(w.dynkin)
+    factors = walk(*[c + 1 for c in w.coords])
     step = list(map(sub, factors, heights)) if k_max > 1 else None  # <w, a^v>
     dims = []
     while True:
-        q, r = divmod(prod(factors), den)
+        blocks = map(prod, zip(*[iter(factors)] * 8))
+        q, r = divmod(prod(blocks, start=prod(factors[len(factors) & ~7 :])), den)
         assert r == 0, "Weyl product must clear to an integer"
         dims.append(q)
         if len(dims) == k_max:
@@ -112,9 +116,12 @@ def _check_line_bundle(mk: ParabolicMarking, w: Weight) -> None:
         raise UnsupportedWeight(f"weight must be a Weight, got {shown(w)}")
     if w.dynkin != mk.dynkin:
         raise UnsupportedWeight(f"weight type {w.dynkin} != marking type {mk.dynkin}")
-    off = [i + 1 for i, c in enumerate(w.coords) if c and (i + 1) not in mk.marked]
-    if off:
-        raise UnsupportedWeight(f"weight {w} has mass at unmarked node {off[0]}")
+    off = list(w.coords)
+    for i in mk.marked:
+        off[i - 1] = 0
+    if any(off):
+        node = next(i for i, c in enumerate(off, 1) if c)
+        raise UnsupportedWeight(f"weight {w} has mass at unmarked node {node}")
     if not w.is_dominant:  # the caller's weight, before any power scales it
         raise NonDominantWeight(f"weight {w} has a negative coordinate")
 

@@ -62,7 +62,7 @@ class DynkinType(NamedTuple("DynkinType", [("series", str), ("rank", int)])):
                 "results agree with A3 up to the node permutation",
                 stacklevel=2,
             )
-        return super().__new__(cls, series, rank)
+        return tuple.__new__(cls, (series, rank))
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
@@ -116,7 +116,7 @@ class Weight(NamedTuple("Weight", [("dynkin", DynkinType), ("coords", tuple[int,
                 raise InvalidRank(
                     f"weight needs {dynkin.rank} coordinates, got {len(coords)}"
                 )
-            return super().__new__(cls, dynkin, tuple(map(index, coords)))
+            return tuple.__new__(cls, (dynkin, tuple(map(index, coords))))
         except TypeError:
             raise InvalidRank(
                 f"weight coordinates must be integers, got {shown(coords)}"
@@ -124,7 +124,7 @@ class Weight(NamedTuple("Weight", [("dynkin", DynkinType), ("coords", tuple[int,
 
     @property
     def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.coords)
+        return min(self.coords) >= 0  # a weight has rank >= 1 coordinates
 
     def scaled(self, k: int) -> "Weight":
         return Weight(self.dynkin, tuple(k * c for c in self.coords))

@@ -261,10 +261,27 @@ UNCHECKED = (
 
 @lru_cache(maxsize=None)
 def euclidean_type(series: str, n: int) -> EuclideanType:
-    """Epsilon-coordinate data of A_n, B_n, C_n, D_n (any rank) or G2."""
+    """Epsilon-coordinate data of A_n, B_n, C_n, D_n (any rank) or G2, and
+    the doubled coordinates of E6, E7, E8 and F4."""
     if series == "G":
         return type_G2()
+    if series in "EF":
+        return _exceptional_type(f"{series}{n}")
     return {"A": type_A, "B": type_B, "C": type_C, "D": type_D}[series](n)
+
+
+def _exceptional_type(name: str) -> EuclideanType:
+    """An exceptional model with its positive roots and fundamental weights.
+    Weight i is sum_k c_ik a_k with (w_i, a_j) = delta_ij (a_j, a_j) / 2, so
+    c_ik = (a_i, a_i) / 2 * (Gram^-1)_ik: its coordinates are Fractions."""
+    simple, _ = exceptional_model(name)
+    gram_inverse = _inverse([[dot(a, b) for b in simple] for a in simple])
+    weights = tuple(
+        root_vector(simple, [Fraction(dot(a, a), 2) * c for c in row])
+        for a, row in zip(simple, gram_inverse)
+    )
+    roots = tuple(root_vector(simple, root) for root in sorted(_model_positive_roots(name)))
+    return EuclideanType(name, simple, weights, roots)
 
 
 def _to_vector(etype: EuclideanType, coords) -> Vec:

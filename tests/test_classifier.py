@@ -1,4 +1,6 @@
+import functools
 import importlib.util
+import itertools
 import pkgutil
 import re
 import shutil
@@ -717,16 +719,62 @@ def test_the_readme_lists_exactly_the_memos():
     assert sorted(listed) == sorted([*CACHES, "records._TEXTS"])
 
 
-def test_the_memo_traffic_script_reports_every_memo(monkeypatch):
+def test_the_memo_traffic_script_reports_every_memo(monkeypatch, capsys):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts bench/ in front
     monkeypatch.delitem(sys.modules, "oracles", raising=False)  # bench/ has its own
     script = ROOT / "scripts" / "memo_traffic.py"
     spec = importlib.util.spec_from_file_location("memo_traffic", script)
     memo_traffic = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(memo_traffic)
-    found = memo_traffic.traffic("query_mix", ops=100)
+    (found,) = memo_traffic.traffic("query_mix", ops=100)
     assert set(found) == {*CACHES, "records._TEXTS", "records._CHECKED"}
     hits, misses, size = found["classifier._ladder"]  # four in five query_mix ops classify
     assert hits > 0 and size > 0
     hits, misses, size = found["classifier._load"]  # case lists and edges are read from it
     assert hits > 0 and misses == 0 and size > 0
+    monkeypatch.setattr(roots, "MAX_CLASSICAL_RANK", roots.MAX_CLASSICAL_RANK)  # warm() raises it
+    first, second = memo_traffic.traffic("lie_sweep", ops=200, windows=2)
+    assert set(first) == set(second) == set(found)
+    for name in CACHES:  # no memo of lieflag shrinks on this stream
+        assert second[name][2] >= first[name][2] and None not in second[name], name
+
+    # A workload whose one memo sees op i % 50: each window counts its own ops.
+    seen = functools.lru_cache(maxsize=None)(lambda value: value)
+
+    class Stream:
+        def __init__(self, work):
+            pass
+
+        def warm(self):
+            seen(-1)
+
+        def ops(self, rng):
+            return itertools.count()
+
+        def run(self, op):
+            return seen(op % 50)
+
+        def check(self, op, answer, error):
+            assert answer == op % 50 and error is None
+
+    monkeypatch.setitem(memo_traffic.WORKLOADS, "stream", Stream)
+    monkeypatch.setattr(memo_traffic, "memos", lambda: {"stream.seen": seen})
+    first, second = memo_traffic.traffic("stream", ops=30, windows=2)
+    assert first["stream.seen"] == (0, 30, 31)  # ops 0..29, all new
+    assert second["stream.seen"] == (10, 20, 51)  # 30..49 new, then 0..9 again
+    seen.cache_clear()
+    monkeypatch.setattr(sys, "argv", ["memo_traffic.py", "stream", "--ops", "30"])
+    assert memo_traffic.main() == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "window 1: ops 1-30" and "window 2: ops 31-60" in out
+    assert [line.split()[1:] for line in out if line.startswith("stream.seen")] == [
+        ["0", "30", "31"], ["10", "20", "51"]
+    ]
+    seen.cache_clear()
+    monkeypatch.setattr(sys, "argv", ["memo_traffic.py", "stream"])  # 3,000 ops, one table
+    assert memo_traffic.main() == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split() == ["memo", "hits", "misses", "size"]
+    assert [line.split()[1:] for line in out if "window" in line or "seen" in line] == [
+        ["2950", "50", "51"]
+    ]

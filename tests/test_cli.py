@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -312,7 +313,7 @@ def test_plain_args_agree_with_the_full_parser(argv):
 _LONG = "9" * 4301  # more digits than int() converts
 _HOSTILE = ["x", "1.5", "-3", "1_0", _LONG, "", "A0", "Z2", "E9", "A13", "D" + _LONG]
 _FITTING = {
-    "type": ["A1", "A2", "B2", "G2", "a2"],
+    "type": ["A1", "A2", "B2", "G2", "a2", "D3"],
     "--nodes": ["1", "2", "1,2"],
     "--weight": ["1", "1,0", "0,2", "1,1,1"],
     "--node": ["1", "2"],
@@ -520,6 +521,37 @@ def test_module_entry_point(tmp_path):
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("error: DatabaseFormatError: cannot read database ")
     assert "Traceback" not in done.stderr
+
+
+_D3_NOTICE = (
+    "warning: D3 has the same diagram as A3 (relabelled nodes); "
+    "results agree with A3 up to the node permutation\n"
+)
+
+
+@pytest.mark.parametrize("argv", [["roots", "D3"], ["roots", "D3", "--json"], ["rmin", "d3"]])
+def test_d3_gives_one_warning_line_even_when_warnings_are_errors(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, _D3_NOTICE)
+    assert out.startswith('{\n  "type": "D3"' if "--json" in argv else "type=D3 ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the library still warns; the answer is the same
+        assert _run(capsys, argv) == (0, out, _D3_NOTICE)
+
+
+def test_d3_under_w_error_in_a_fresh_interpreter(capsys):
+    env = {k: v for k, v in os.environ.items() if k != "LIEFLAG_DB"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "lieflag", "roots", "D3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, _D3_NOTICE)
+    assert done.stdout.startswith("type=D3 count=6\n")
+    assert done.stdout == _run(capsys, ["roots", "D3"])[1]
 
 
 @pytest.mark.parametrize(

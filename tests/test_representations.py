@@ -77,6 +77,27 @@ def test_weyl_dim_matches_euclidean_product(oracle_rank_cap, name, data):
     assert weyl_dim(Weight(t, coords)) == expected
 
 
+# |Phi+| = 1, 3, 4, 6, 9, 10, 12, 16, 21, 63: every residue mod 8, so the
+# Weyl product, taken eight factors a block, meets every tail length.
+BLOCK_TYPES = ("A1", "A2", "B2", "G2", "B3", "A4", "D4", "B4", "A6", "E7")
+_COORD = st.one_of(st.integers(0, 3), st.integers(0, 10**30))  # big ones overflow a block
+
+
+@pytest.mark.parametrize("name", BLOCK_TYPES)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_the_blocked_weyl_product_is_exact_beyond_the_machine_word(name, data):
+    t = dynkin_type(name)
+    etype = euclidean_type(t.series, t.rank)
+    coords = data.draw(st.tuples(*[_COORD] * t.rank))
+    w = Weight(t, coords)
+    assert weyl_dim(w) == weyl_product_dim(etype, coords)
+    k_max = data.draw(st.integers(1, 16))
+    values = cone_hilbert_function(marking(t, range(1, t.rank + 1)), w, k_max)
+    assert values[1:] == [weyl_dim(w.scaled(k)) for k in range(1, k_max + 1)]
+    assert values[k_max] == weyl_product_dim(etype, [k_max * c for c in coords])
+
+
 # Bourbaki numbering; the standard tables of fundamental representations.
 EXCEPTIONAL_FUNDAMENTAL_DIMS = {
     "E6": (27, 78, 351, 2925, 351, 27),
