@@ -30,7 +30,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import lieflag  # noqa: E402
 import workloads  # noqa: E402  (bench/workloads.py, found through the path above)
-from lieflag import records  # noqa: E402
+from lieflag import records, roots  # noqa: E402
 
 OPS, SEED = 3000, 5
 # Each workload's class, built with a scratch directory that only db_churn uses.
@@ -60,31 +60,35 @@ def traffic(workload: str, ops: int = OPS, windows: int = 1) -> list[dict[str, t
     """Per window of ``ops`` checked ops after ``warm()``, one after the other
     on the same stream: (hits, misses, size) of each memo, hits and misses
     within the window and size at its end; hits and misses are None for a
-    dict memo."""
+    dict memo.  The classical rank cap is put back afterwards."""
     found = []
-    with tempfile.TemporaryDirectory() as work:
-        wl = WORKLOADS[workload](Path(work))
-        wl.warm()
-        caches = memos()
-        stream = wl.ops(random.Random(SEED))
-        for _ in range(windows):
-            before = {name: fn.cache_info() for name, fn in caches.items()}
-            for _ in range(ops):
-                op = next(stream)
-                answer = error = None
-                try:
-                    answer = wl.run(op)
-                except Exception as exc:  # judged by the workload's check
-                    error = exc
-                wl.check(op, answer, error)
-            window = {}
-            for name, fn in caches.items():
-                info = fn.cache_info()
-                window[name] = (info.hits - before[name].hits,
-                                info.misses - before[name].misses, info.currsize)
-            for name in DICTS:
-                window[f"records.{name}"] = (None, None, len(getattr(records, name)))
-            found.append(window)
+    cap = roots.MAX_CLASSICAL_RANK  # lie_sweep's warm() raises it for its run
+    try:
+        with tempfile.TemporaryDirectory() as work:
+            wl = WORKLOADS[workload](Path(work))
+            wl.warm()
+            caches = memos()
+            stream = wl.ops(random.Random(SEED))
+            for _ in range(windows):
+                before = {name: fn.cache_info() for name, fn in caches.items()}
+                for _ in range(ops):
+                    op = next(stream)
+                    answer = error = None
+                    try:
+                        answer = wl.run(op)
+                    except Exception as exc:  # judged by the workload's check
+                        error = exc
+                    wl.check(op, answer, error)
+                window = {}
+                for name, fn in caches.items():
+                    info = fn.cache_info()
+                    window[name] = (info.hits - before[name].hits,
+                                    info.misses - before[name].misses, info.currsize)
+                for name in DICTS:
+                    window[f"records.{name}"] = (None, None, len(getattr(records, name)))
+                found.append(window)
+    finally:
+        roots.MAX_CLASSICAL_RANK = cap
     return found
 
 

@@ -732,8 +732,9 @@ def test_the_memo_traffic_script_reports_every_memo(monkeypatch, capsys):
     assert hits > 0 and size > 0
     hits, misses, size = found["classifier._load"]  # case lists and edges are read from it
     assert hits > 0 and misses == 0 and size > 0
-    monkeypatch.setattr(roots, "MAX_CLASSICAL_RANK", roots.MAX_CLASSICAL_RANK)  # warm() raises it
+    cap = roots.MAX_CLASSICAL_RANK
     first, second = memo_traffic.traffic("lie_sweep", ops=200, windows=2)
+    assert roots.MAX_CLASSICAL_RANK == cap  # lie_sweep's warm() raised it for the run only
     assert set(first) == set(second) == set(found)
     for name in CACHES:  # no memo of lieflag shrinks on this stream
         assert second[name][2] >= first[name][2] and None not in second[name], name

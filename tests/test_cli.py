@@ -500,24 +500,26 @@ def test_text_forms_without_golden(capsys, tmp_path, db, argv, text, payload, ex
     assert _run(capsys, argv + ["--json"]) == (exit_code, json.dumps(payload, indent=2) + "\n", "")
 
 
-def test_module_entry_point(tmp_path):
+def _lieflag(*argv, flags=()):
+    """``python [flags] -m lieflag argv`` in a fresh interpreter on this
+    checkout's src, with LIEFLAG_DB unset."""
     env = {k: v for k, v in os.environ.items() if k != "LIEFLAG_DB"}
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "lieflag", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
-    def lieflag(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "lieflag", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
 
-    done = lieflag("rmin", "G2")
+def test_module_entry_point(tmp_path):
+    done = _lieflag("rmin", "G2")
     assert done.returncode == 0
     assert done.stdout == (GOLDEN / "rmin_G2.txt").read_text()
     bad = tmp_path / "bad.db"
     bad.write_text(_R2_RECORD)
-    assert lieflag("--db", str(bad), "validate-db").returncode == 1
-    done = lieflag("--db", str(tmp_path), "validate-db")  # a directory
+    assert _lieflag("--db", str(bad), "validate-db").returncode == 1
+    done = _lieflag("--db", str(tmp_path), "validate-db")  # a directory
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("error: DatabaseFormatError: cannot read database ")
     assert "Traceback" not in done.stderr
@@ -537,18 +539,12 @@ def test_d3_gives_one_warning_line_even_when_warnings_are_errors(capsys, argv):
     assert (code, err) == (0, _D3_NOTICE)
     assert out.startswith('{\n  "type": "D3"' if "--json" in argv else "type=D3 ")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the library still warns; the answer is the same
+        warnings.simplefilter("ignore")  # an outer filter changes nothing: the CLI prints it
         assert _run(capsys, argv) == (0, out, _D3_NOTICE)
 
 
 def test_d3_under_w_error_in_a_fresh_interpreter(capsys):
-    env = {k: v for k, v in os.environ.items() if k != "LIEFLAG_DB"}
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "lieflag", "roots", "D3"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    done = _lieflag("roots", "D3", flags=("-W", "error"))
     assert (done.returncode, done.stderr) == (0, _D3_NOTICE)
     assert done.stdout.startswith("type=D3 count=6\n")
     assert done.stdout == _run(capsys, ["roots", "D3"])[1]
