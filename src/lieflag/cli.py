@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 domain errors (named on stderr), 2 usage errors.
 
 from __future__ import annotations
 
+import os
 import sys
 import warnings
 from types import SimpleNamespace
@@ -23,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 import lieflag
 
 from .errors import AnswerTooLong, DomainError, shown
-from .roots import DynkinType, Weight, dynkin_type  # on every command's path
+from .roots import Weight, dynkin_type  # on every command's path
 
 if TYPE_CHECKING:
     import argparse
@@ -40,19 +41,12 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
         raise UsageError(flag, f"expected comma-separated integers, got {text!r}") from None
 
 
-def _parse_nodes(text: str, dtype: DynkinType, flag: str) -> tuple[int, ...]:
-    nodes = _parse_ints(text, flag)
-    for i in nodes:
-        if not 1 <= i <= dtype.rank:
-            raise UsageError(flag, f"node {i} out of range 1..{dtype.rank} for {dtype}")
-    return nodes
-
-
-def _parse_weight(text: str, dtype: DynkinType, flag: str) -> Weight:
-    coords = _parse_ints(text, flag)
-    if len(coords) != dtype.rank:
-        raise UsageError(flag, f"{dtype} needs {dtype.rank} coordinates, got {len(coords)}")
-    return Weight(dtype, coords)
+def _checked(flag: str, build: Callable, *values):
+    """``build(*values)``, a DomainError it raises reported as a usage error of flag."""
+    try:
+        return build(*values)
+    except DomainError as exc:
+        raise UsageError(flag, str(exc)) from None
 
 
 # Every argument a command can take; a command names the ones it takes, in order.
@@ -78,7 +72,7 @@ def _cmd_dim_group(args) -> dict:
 
 
 def _cmd_parabolic(args) -> dict:
-    mk = lieflag.marking(args.type, _parse_nodes(args.nodes, args.type, "--nodes"))
+    mk = _checked("--nodes", lieflag.marking, args.type, _parse_ints(args.nodes, "--nodes"))
     hv = lieflag.parabolic.homogeneous_variety(mk)
     return {"nodes": list(mk.nodes), "dim": hv.dim, "picard": hv.picard_rank,
             "identification": hv.identification.label() if hv.identification else None}
@@ -97,14 +91,13 @@ def _cmd_minimal_homogeneous(args) -> dict:
 
 
 def _cmd_fano_index(args) -> dict:
-    (node,) = _parse_nodes(str(args.node), args.type, "--node")
-    mk = lieflag.marking(args.type, (node,))
-    return {"node": node, "index": lieflag.fano_index(mk),
+    mk = _checked("--node", lieflag.marking, args.type, (args.node,))
+    return {"node": args.node, "index": lieflag.fano_index(mk),
             "conormal_range": list(lieflag.admissible_conormal_range(mk))}
 
 
 def _cmd_weyl_dim(args) -> dict:
-    w = _parse_weight(args.weight, args.type, "--weight")
+    w = _checked("--weight", Weight, args.type, _parse_ints(args.weight, "--weight"))
     return {"weight": list(w.coords), "dim": lieflag.weyl_dim(w)}
 
 
@@ -115,11 +108,11 @@ def _cmd_min_irrep(args) -> dict:
 
 def _bundle(args, count: str) -> tuple:
     """The marking and weight of bwb or hilbert, once its count argument is checked."""
-    nodes = _parse_nodes(args.nodes, args.type, "--nodes")
-    w = _parse_weight(args.weight, args.type, "--weight")
+    mk = _checked("--nodes", lieflag.marking, args.type, _parse_ints(args.nodes, "--nodes"))
+    w = _checked("--weight", Weight, args.type, _parse_ints(args.weight, "--weight"))
     if getattr(args, count) < 1:
         raise UsageError(f"--{count}", f"{count} must be >= 1")
-    return lieflag.marking(args.type, nodes), w
+    return mk, w
 
 
 def _cmd_bwb(args) -> dict:
@@ -390,10 +383,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         if hasattr(args, "type"):
             with warnings.catch_warnings(record=True) as caught:  # the D3 notice, as one line
                 warnings.simplefilter("always")
-                try:
-                    args.type = dynkin_type(args.type)
-                except DomainError as exc:
-                    raise UsageError("TYPE", str(exc)) from None
+                args.type = _checked("TYPE", dynkin_type, args.type)
             for notice in caught:
                 print(f"warning: {notice.message}", file=sys.stderr)
             payload["type"] = str(args.type)
@@ -418,7 +408,13 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # here, so a closed pipe is not met again at exit
+    except BrokenPipeError:  # the reader left; exit as the Python docs' SIGPIPE note does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -72,29 +72,38 @@ def test_specific_numbers_agree_between_modes(capsys):
     assert json.loads(out)["dim"] == 4
 
 
+# The exact stderr, or None where it is argparse's (test_usage_texts_exact pins those).
+# Type, node and weight texts are the library's DomainError messages.
 @pytest.mark.parametrize(
-    "argv",
+    "argv,err",
     [
-        ["no-such-command"],
-        ["roots"],
-        ["roots", "Z9"],
-        ["roots", "A0"],
-        ["parabolic", "A2", "--nodes", "1,2,3"],
-        ["parabolic", "A2", "--nodes", "x"],
-        ["weyl-dim", "A2", "--weight", "1"],
-        ["weyl-dim", "A2", "--weight", "1,2,3"],
-        ["fano-index", "B2", "--node", "5"],
-        ["fano-index", "B2", "--node", "x"],
-        ["bwb", "A2", "--nodes", "1", "--weight", "1,0", "--power", "0"],
-        ["hilbert", "A2", "--nodes", "1", "--weight", "1,0", "--kmax", "0"],
-        ["classify", "--group", "SO", "--param", "4", "--dim", "3"],
-        ["orbits", "--variety", "P^n", "--params", "n-4"],
+        (["no-such-command"], None),
+        (["roots"], None),
+        (["roots", "Z9"], "TYPE: unknown series 'Z'"),
+        (["roots", "A0"], "TYPE: series A needs rank >= 1"),
+        (["parabolic", "A2", "--nodes", "1,2,3"], "--nodes: node 3 out of range 1..2 for A2"),
+        (["parabolic", "A4", "--nodes", "5,0"], "--nodes: node 0 out of range 1..4 for A4"),
+        (["parabolic", "A2", "--nodes", "x"],
+         "--nodes: expected comma-separated integers, got 'x'"),
+        (["weyl-dim", "A2", "--weight", "1"], "--weight: weight needs 2 coordinates, got 1"),
+        (["weyl-dim", "A2", "--weight", "1,2,3"], "--weight: weight needs 2 coordinates, got 3"),
+        (["fano-index", "B2", "--node", "5"], "--node: node 5 out of range 1..2 for B2"),
+        (["fano-index", "B2", "--node", "x"], None),
+        (["bwb", "A2", "--nodes", "1", "--weight", "1,0", "--power", "0"],
+         "--power: power must be >= 1"),
+        (["bwb", "A2", "--nodes", "3", "--weight", "1,0,0", "--power", "0"],
+         "--nodes: node 3 out of range 1..2 for A2"),
+        (["hilbert", "A2", "--nodes", "1", "--weight", "1,0", "--kmax", "0"],
+         "--kmax: kmax must be >= 1"),
+        (["classify", "--group", "SO", "--param", "4", "--dim", "3"], None),
+        (["orbits", "--variety", "P^n", "--params", "n-4"], "--params: expected k=v, got 'n-4'"),
     ],
 )
-def test_usage_errors_exit_2(capsys, argv):
-    code, out, err = _run(capsys, argv)
-    assert code == 2
-    assert out == ""
+def test_usage_errors_exit_2(capsys, argv, err):
+    code, out, stderr = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    if err is not None:
+        assert stderr == f"usage error: {err}\n"
 
 
 def test_orbits_refuses_a_parameter_value_that_is_not_an_integer(capsys):
@@ -500,15 +509,15 @@ def test_text_forms_without_golden(capsys, tmp_path, db, argv, text, payload, ex
     assert _run(capsys, argv + ["--json"]) == (exit_code, json.dumps(payload, indent=2) + "\n", "")
 
 
-def _lieflag(*argv, flags=()):
+def _lieflag(*argv, flags=(), stdout=subprocess.PIPE, **environ):
     """``python [flags] -m lieflag argv`` in a fresh interpreter on this
-    checkout's src, with LIEFLAG_DB unset."""
-    env = {k: v for k, v in os.environ.items() if k != "LIEFLAG_DB"}
+    checkout's src, with LIEFLAG_DB unset and the given environment variables set."""
+    env = {k: v for k, v in os.environ.items() if k != "LIEFLAG_DB"} | environ
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *flags, "-m", "lieflag", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
     )
 
 
@@ -523,6 +532,19 @@ def test_module_entry_point(tmp_path):
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("error: DatabaseFormatError: cannot read database ")
     assert "Traceback" not in done.stderr
+
+
+# Unbuffered, print() in run meets the closed pipe; buffered, the flush in main does.
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_pipe_exits_1_without_a_traceback(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _lieflag("hilbert", "A3", "--nodes", "1", "--weight", "1,0,0", "--kmax", "3",
+                        stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 _D3_NOTICE = (
