@@ -4,6 +4,7 @@ variety lists, from the trivial range up to the database-backed cases.
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -42,4 +43,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # here, so a closed pipe is not met again at exit
+    except BrokenPipeError:  # the reader left; exit as the Python docs' SIGPIPE note does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -14,6 +14,8 @@ Prints one line per module of src/lieflag, then the total.
 
 from __future__ import annotations
 
+import os
+import sys
 import tokenize
 from pathlib import Path
 
@@ -57,4 +59,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # here, so a closed pipe is not met again at exit
+    except BrokenPipeError:  # the reader left; exit as the Python docs' SIGPIPE note does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import pkgutil
 import random
 import sys
@@ -114,4 +115,10 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # here, so a closed pipe is not met again at exit
+    except BrokenPipeError:  # the reader left; exit as the Python docs' SIGPIPE note does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

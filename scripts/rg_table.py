@@ -8,6 +8,7 @@ P(V) is itself the minimal variety.
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -45,4 +46,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # here, so a closed pipe is not met again at exit
+    except BrokenPipeError:  # the reader left; exit as the Python docs' SIGPIPE note does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -352,22 +352,13 @@ _PROBES: dict[str, list[tuple[int, DynkinType]]] = {
 
 
 def validate_database(db_path: str | None = None) -> list[Violation]:
-    records = load_database(db_path)
-    return validate_records(records)
+    return validate_records(load_database(db_path))
 
 
 def validate_records(records: Sequence[RecordSchema]) -> list[Violation]:
-    """Run the structural rules over every record at probe dimensions.
-
-    R1  no orbit of dimension strictly between 0 and r of the acting group
-    R2  fixed points only in records flagged as the linear-extension case
-    R3  identified orbits, other than fixed points, match a flag variety of their dimension
-    R4  quasihomogeneous fourfold records have exactly one open orbit
-    R5  Spin-series records of Picard rank one are only P^n and Q^n
-    plus shape checks: open orbits fill the space, closed ones do not;
-    and reach: a record whose ``requires`` holds at no probe n of its
-    case would be checked by no rule, so it is reported instead.
-    """
+    """Run ``_ORBIT_RULES`` and ``_INSTANCE_RULES`` over every record at the probe
+    dimensions of its case, and reach: a record whose ``requires`` holds at no
+    probe n would be checked by no rule, so it is reported instead."""
     records = tuple(_each(records))
     for rec in records:
         _check_types(rec)
@@ -379,49 +370,57 @@ def validate_records(records: Sequence[RecordSchema]) -> list[Violation]:
     return list(dict.fromkeys(found))
 
 
+def _misidentified(orb: Orbit, inst: VarietyDescriptor, acting: DynkinType) -> str | None:
+    """Why an identified orbit is no flag variety of its dimension under the acting type."""
+    label = orb.identification
+    mk = named_marking(acting, label)
+    if mk is None:
+        return f"identification {label} has no flag variety under {acting} at n={inst.n}"
+    if (dim := codim_parabolic(mk)) != orb.dim:
+        return f"identification {label} has dim {dim} but orbit recorded at {shown(orb.dim)}"
+    return None
+
+
+# The rules of validate_records, in the order their findings are listed.  At each
+# probe n an orbit rule reads (orbit, record at n, acting type, its r), an instance
+# rule (count of open orbits, record at n); each gives a message or a false value.
+_ORBIT_RULES = (
+    ("shape", lambda o, d, t, r: o.kind == "open" and o.dim != d.dim
+        and f"open orbit of dim {shown(o.dim)} != {shown(d.dim)}"),
+    ("shape", lambda o, d, t, r: o.kind == "fixed" and o.dim != 0
+        and "fixed orbit with positive dimension"),
+    ("R2", lambda o, d, t, r: o.kind == "fixed" and not d.allows_fixed_point
+        and "fixed point in an unflagged record"),
+    ("shape", lambda o, d, t, r: o.kind not in ("open", "fixed") and o.dim >= d.dim
+        and f"closed orbit of dim {shown(o.dim)} not below {shown(d.dim)}"),
+    ("R1", lambda o, d, t, r: 0 < o.dim < r
+        and f"orbit of dim {o.dim} below r={r} of {t} at n={d.n}"),
+    ("R3", lambda o, d, t, r: o.kind != "fixed" and o.identification and _misidentified(o, d, t)),
+)
+_INSTANCE_RULES = (
+    ("shape", lambda opens, d: opens > 1 and "more than one open orbit"),
+    ("R4", lambda opens, d: d.case == "SL3Q" and opens != 1
+        and f"{opens} open orbits in a quasihomogeneous record"),
+    ("R5", lambda opens, d: d.case == "Spin" and d.picard == 1
+        and d.name not in ("P^n", "Q^n") and f"Picard-rank-one Spin entry {d.name!r}"),
+)
+
+
 # Every check of validate_records reads one frozen record, so its findings
 # are memoised per record: a reloaded file reuses those of its unchanged records.
 @lru_cache(maxsize=256)
 def _record_violations(rec: RecordSchema) -> tuple[tuple[str, str], ...]:
     """The (rule, message) findings of one record, in order, each once."""
-    found: list[tuple[str, str]] = []
     probes = _PROBES.get(rec.case, [])
     reached = [(inst, acting) for n, acting in probes if (inst := _instantiate(rec, n)) is not None]
     if not reached:
         ns = [n for n, _ in probes]
-        found.append(("reach", f"requires {rec.requires!r} holds at no probe n in {ns}"))
+        return (("reach", f"requires {rec.requires!r} holds at no probe n in {ns}"),)
+    found = []
     for inst, acting in reached:
-        n, dim = inst.n, inst.dim
         r = r_min(acting).value
-        open_count = 0
-        for orb in inst.orbits:
-            odim = orb.dim
-            if orb.kind == "open":
-                open_count += 1
-                if odim != dim:
-                    found.append(("shape", f"open orbit of dim {shown(odim)} != {shown(dim)}"))
-            elif orb.kind == "fixed":
-                if odim != 0:
-                    found.append(("shape", "fixed orbit with positive dimension"))
-                if not rec.allows_fixed_point:
-                    found.append(("R2", "fixed point in an unflagged record"))
-            elif odim >= dim:
-                found.append(("shape", f"closed orbit of dim {shown(odim)} not below {shown(dim)}"))
-            if 0 < odim < r:
-                found.append(("R1", f"orbit of dim {odim} below r={r} of {acting} at n={n}"))
-            if orb.kind != "fixed" and orb.identification:
-                label = orb.identification
-                mk = named_marking(acting, label)
-                if mk is None:
-                    why = f"has no flag variety under {acting} at n={n}"
-                    found.append(("R3", f"identification {label} {why}"))
-                elif codim_parabolic(mk) != odim:
-                    why = f"has dim {codim_parabolic(mk)} but orbit recorded at {shown(odim)}"
-                    found.append(("R3", f"identification {label} {why}"))
-        if open_count > 1:
-            found.append(("shape", "more than one open orbit"))
-        if rec.case == "SL3Q" and open_count != 1:
-            found.append(("R4", f"{open_count} open orbits in a quasihomogeneous record"))
-        if rec.case == "Spin" and rec.picard == 1 and rec.name not in ("P^n", "Q^n"):
-            found.append(("R5", f"Picard-rank-one Spin entry {rec.name!r}"))
+        found += [(rule, m) for orb in inst.orbits for rule, check in _ORBIT_RULES
+                  if (m := check(orb, inst, acting, r))]
+        opens = sum(orb.kind == "open" for orb in inst.orbits)
+        found += [(rule, m) for rule, check in _INSTANCE_RULES if (m := check(opens, inst))]
     return tuple(dict.fromkeys(found))

@@ -205,7 +205,7 @@ ORACLE_TYPES = tuple(
     f"{series}{n}"
     for series, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
     for n in range(lo, ORACLE_MAX_RANK + 1)
-) + ("G2",)
+) + ("E6", "E7", "E8", "F4", "G2")
 
 # Valid arguments, in order, of every callable of ``lieflag.__all__`` that
 # checks its input; the wrong-type walk swaps one of them at a time.

@@ -391,11 +391,16 @@ orbit = open dim=n
 
 def test_a_fixed_orbit_of_positive_dimension_is_reported():
     text = _SPIN_RECORD.format(requires="n == 8") + "orbit = fixed dim=1\n"
-    assert validate_records(parse_records(text)) == [
+    found = [
         Violation("shape", "Y", "Spin", "fixed orbit with positive dimension"),
         Violation("R2", "Y", "Spin", "fixed point in an unflagged record"),
         Violation("R1", "Y", "Spin", "orbit of dim 1 below r=7 of B4 at n=8"),
     ]
+    assert validate_records(parse_records(text)) == found
+    # findings are listed orbit by orbit, not rule by rule: the closed orbit's
+    # shape finding follows the fixed orbit's R2 and R1
+    closed = Violation("shape", "Y", "Spin", "closed orbit of dim 8 not below 8")
+    assert validate_records(parse_records(text + "orbit = closed dim=n\n")) == [*found, closed]
 
 
 def test_a_second_open_orbit_is_reported():
@@ -434,7 +439,9 @@ def test_rule_r4_fires_on_missing_open_orbit():
         'orbit = closed dim=3 ident=FlagSL3 note="locus of square tensors"\norbit = open dim=4',
         'orbit = closed dim=3 ident=FlagSL3 note="locus of square tensors"',
     )
-    assert "R4" in _rules_fired(text)
+    assert validate_records(parse_records(text)) == [
+        Violation("R4", "P(S2T P2)", "SL3Q", "0 open orbits in a quasihomogeneous record")
+    ]
 
 
 def test_rule_r5_fires_on_rank_one_spin_extra():
@@ -446,7 +453,9 @@ def test_rule_r5_fires_on_rank_one_spin_extra():
     )
     assert spin_block in text
     text = text.replace(spin_block, spin_block.replace("picard = 2", "picard = 1"), 1)
-    assert "R5" in _rules_fired(text)
+    assert validate_records(parse_records(text)) == [
+        Violation("R5", "Q^{n-1} x R", "Spin", "Picard-rank-one Spin entry 'Q^{n-1} x R'")
+    ]
 
 
 def test_database_override_by_path(tmp_path):
@@ -717,6 +726,14 @@ def test_the_readme_lists_exactly_the_memos():
     layout = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
     listed = re.findall(r"^- `([\w.]+)`:", layout, re.MULTILINE)
     assert sorted(listed) == sorted([*CACHES, "records._TEXTS"])
+
+
+def test_the_readme_lists_exactly_the_rules():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    database = readme.split("\n## The classification database\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `(\w+)`:", database, re.MULTILINE)
+    table = classifier._ORBIT_RULES + classifier._INSTANCE_RULES
+    assert sorted(listed) == sorted({rule for rule, _ in table} | {"reach"})
 
 
 def test_the_memo_traffic_script_reports_every_memo(monkeypatch, capsys):

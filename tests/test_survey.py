@@ -1,7 +1,13 @@
-"""The survey scripts against their committed output."""
+"""The survey scripts against their committed output, and the printing
+scripts on a closed pipe."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from lieflag import classifier
 
@@ -38,3 +44,23 @@ def test_survey_prints_its_committed_output_cold_and_warm(capsys):
     # every full list of the warm run is a case list the cold run stored
     assert cases and classifier._load(None).keys() == cases.keys()
     assert all(classifier._load(None)[key] is value for key, value in cases.items())
+
+
+@pytest.mark.parametrize("argv", [
+    ["loc.py"],
+    ["rg_table.py"],
+    ["classification_survey.py"],
+    ["memo_traffic.py", "query_mix", "--ops", "10"],
+], ids=lambda argv: argv[0])
+def test_a_closed_stdout_pipe_ends_a_script_with_exit_1_and_no_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "LIEFLAG_DB"}
+    try:
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
