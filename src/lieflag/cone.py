@@ -6,8 +6,8 @@ c1(L); on G/P that class is just the character's coefficient vector on
 the marked nodes, so the order is a gcd.  The cone's coordinate ring is
 graded by the section spaces of the powers of L, which gives its Hilbert
 function directly: by Borel-Weil-Bott the k-th piece has dimension
-dim V(k w), and all powers come from one walk of the coroot chain, each
-further power adding <w, a^v> to every factor of the Weyl product.
+dim V(k w).  All powers go through one compiled Weyl numerator: each
+factor <k w + rho, a^v> is linear in k w, and the simple ones are k w_j + 1.
 The values of a small k_max are memoised by (weight, k_max), since
 callers repeat those inputs, and the marking, which they do not depend
 on, is checked on every call instead.

@@ -5,20 +5,18 @@ over positive roots of <w + rho, a^v> / <rho, a^v>, evaluated as one big
 integer quotient.  Every positive coroot of height > 1 is a smaller
 positive coroot plus one simple coroot, so, visited in coroot-height
 order, each numerator factor is an earlier factor plus <w + rho, a_j^v> =
-w_j + 1: one addition per positive root.  Those additions, compiled as
-one function, the heights <rho, a^v> and the constant denominator are
-built once per type from the coroots of ``root_system``; no rounding
-can occur.  The powers k*w share one walk: <k w + rho, a^v> is
-<(k - 1) w + rho, a^v> plus <w, a^v>, so each further power adds the
-fixed vector ``factors - heights`` to the factors.  ``math.prod`` takes
-each product eight factors a block, on machine words until one overflows.
+w_j + 1: one addition per positive root.  Those additions and the product
+of all factors, taken as a balanced tree of pairwise products, are
+compiled as one function per type from the coroots of ``root_system``,
+next to the constant denominator; no rounding can occur.  Every factor is
+linear in the simple ones, so the powers k*w go through the same function:
+their simple factors are <k w + rho, a_j^v> = k w_j + 1.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
-from operator import add, sub
 from typing import Callable, NamedTuple
 
 from .errors import InvalidDimension, NonDominantWeight, UnsupportedWeight, shown
@@ -27,12 +25,14 @@ from .roots import DynkinType, Weight, _check_type, fundamental_weight, root_sys
 
 
 @lru_cache(maxsize=None)
-def _coroot_chain(dtype: DynkinType) -> tuple[Callable, tuple[int, ...], int]:
-    """The compiled walk from the simple factors to all factors, the height
-    <rho, a^v> of every coroot in walk order, and the product of the heights.
+def _coroot_chain(dtype: DynkinType) -> tuple[Callable, int]:
+    """The compiled Weyl numerator of the type and its denominator, the
+    product of the heights <rho, a^v> of the positive coroots.
 
-    Coroots 0..rank-1 are the simple ones in node order; coroot k >= rank,
-    an earlier coroot plus a simple one, gets the line ``fk = fparent + fnode``.
+    The numerator takes the factors of the simple coroots, in node order;
+    coroot k >= rank, an earlier coroot plus a simple one, gets the line
+    ``fk = fparent + fnode``, and the product of all factors is a balanced
+    tree of pairwise products, so each product's operands are alike in size.
     Straight-line code runs 1.5-2x as fast as a loop over the pairs.
     """
     rank = dtype.rank
@@ -40,7 +40,7 @@ def _coroot_chain(dtype: DynkinType) -> tuple[Callable, tuple[int, ...], int]:
     chain = [tuple(1 if i == k else 0 for i in range(rank)) for k in range(rank)]
     chain += sorted((cv for cv in coroots if sum(cv) > 1), key=sum)
     index = {cv: k for k, cv in enumerate(chain)}
-    lines = [f"def walk({', '.join(f'f{k}' for k in range(rank))}):"]
+    lines = [f"def numerator({', '.join(f'f{k}' for k in range(rank))}):"]
     for k, cv in enumerate(chain[rank:], rank):
         for node, c in enumerate(cv):
             parent = index.get(cv[:node] + (c - 1,) + cv[node + 1 :]) if c else None
@@ -49,11 +49,13 @@ def _coroot_chain(dtype: DynkinType) -> tuple[Callable, tuple[int, ...], int]:
                 break
         else:
             raise AssertionError(f"coroot {cv} has no parent coroot")
-    lines.append(f"    return [{', '.join(f'f{k}' for k in range(len(chain)))}]")
+    terms = [f"f{k}" for k in range(len(chain))]
+    while len(terms) > 1:  # pair neighbours; an odd last term waits a level
+        terms = [f"({a} * {b})" for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
+    lines.append(f"    return {terms[0]}")
     namespace = {}  # the source holds only the names f0, f1, ...
     exec("\n".join(lines), namespace)
-    heights = tuple(map(sum, chain))
-    return namespace["walk"], heights, prod(heights)
+    return namespace["numerator"], prod(map(sum, chain))
 
 
 def _weyl_dims(w: Weight, k_max: int) -> list[int]:
@@ -62,18 +64,13 @@ def _weyl_dims(w: Weight, k_max: int) -> list[int]:
         raise UnsupportedWeight(f"weight must be a Weight, got {shown(w)}")
     if not w.is_dominant:
         raise NonDominantWeight(f"weight {w} has a negative coordinate")
-    walk, heights, den = _coroot_chain(w.dynkin)
-    factors = walk(*[c + 1 for c in w.coords])
-    step = list(map(sub, factors, heights)) if k_max > 1 else None  # <w, a^v>
+    numerator, den = _coroot_chain(w.dynkin)
     dims = []
-    while True:
-        blocks = map(prod, zip(*[iter(factors)] * 8))
-        q, r = divmod(prod(blocks, start=prod(factors[len(factors) & ~7 :])), den)
+    for k in range(1, k_max + 1):  # <k w + rho, a_j^v> = k w_j + 1
+        q, r = divmod(numerator(*[k * c + 1 for c in w.coords]), den)
         assert r == 0, "Weyl product must clear to an integer"
         dims.append(q)
-        if len(dims) == k_max:
-            return dims
-        factors = list(map(add, factors, step))
+    return dims
 
 
 def weyl_dim(w: Weight) -> int:

@@ -380,15 +380,63 @@ def fano_index_oracle(series: str, n: int, node: int) -> int:
     over the positive roots a whose coefficient at the node is positive,
     with the roots from ``roots_in_simple_coords`` and the pairing taken
     in (doubled, for E and F) epsilon coordinates."""
-    if series in "EF":
-        simple_roots = exceptional_model(f"{series}{n}")[0]
-    else:
-        simple_roots = euclidean_type(series, n).simple_roots
+    simple_roots = _simple_roots(series, n)
     return sum(
         _coroot_pairing(root_vector(simple_roots, root), simple_roots[node - 1])
         for root in roots_in_simple_coords(series, n)
         if root[node - 1] > 0
     )
+
+
+def _simple_roots(series: str, n: int) -> tuple[Vec, ...]:
+    """The Bourbaki simple roots in (doubled, for E and F) epsilon coordinates."""
+    if series in "EF":
+        return exceptional_model(f"{series}{n}")[0]
+    return euclidean_type(series, n).simple_roots
+
+
+def _shape_root_count(cartan, nodes) -> int:
+    """N, the number of positive roots, of the connected diagram on ``nodes``,
+    read off its shape: A_k k(k+1)/2, B_k and C_k k^2, D_k k(k-1),
+    E6/E7/E8 36/63/120, F4 24 and G2 6."""
+    k = len(nodes)
+    bonds = {  # pair: 1, 2 or 3 lines
+        (i, j): m for i in nodes for j in nodes if i < j and (m := cartan[i][j] * cartan[j][i])
+    }
+    degree = {i: sum(i in pair for pair in bonds) for i in nodes}
+    multiple = [pair for pair, m in bonds.items() if m > 1]
+    if multiple:
+        ((i, j),) = multiple
+        if bonds[i, j] == 3:
+            return 6
+        return 24 if degree[i] == degree[j] == 2 else k * k  # F4 bonds two inner nodes
+    fork = [i for i in nodes if degree[i] == 3]
+    if not fork:
+        return k * (k + 1) // 2
+    ends = sum(degree[j] == 1 for pair in bonds if fork[0] in pair for j in pair)
+    return k * (k - 1) if ends >= 2 else {6: 36, 7: 63, 8: 120}[k]  # D forks by two ends
+
+
+def levi_codim(series: str, n: int, marked) -> int:
+    """dim G/P as N(G) minus N of each component of the unmarked diagram.
+
+    The diagram is the Cartan matrix <a_i, a_j^v> of the simple roots, and each
+    N is read off a component's shape by ``_shape_root_count``: no other root
+    is used."""
+    simple = _simple_roots(series, n)
+    cartan = [[_coroot_pairing(a, b) for b in simple] for a in simple]
+    left = set(range(n)) - {i - 1 for i in marked}
+    dim = _shape_root_count(cartan, range(n))
+    while left:
+        component, todo = [], [left.pop()]
+        while todo:
+            i = todo.pop()
+            component.append(i)
+            near = {j for j in left if cartan[i][j]}
+            left -= near
+            todo += near
+        dim -= _shape_root_count(cartan, component)
+    return dim
 
 
 def freudenthal_dim(name: str, coords) -> int:

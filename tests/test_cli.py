@@ -357,8 +357,8 @@ def _hostile_argv(draw, command):
 
 @pytest.fixture(scope="module")
 def unreadable_databases(tmp_path_factory):
-    """LIEFLAG_DB unset (None), then naming a directory, an empty file and a
-    file that is not UTF-8."""
+    """No database given (None), then a directory, an empty file and a file
+    that is not UTF-8, each named by LIEFLAG_DB or by --db."""
     root = tmp_path_factory.mktemp("unreadable")
     (root / "empty.db").write_text("")
     (root / "binary.db").write_bytes(b"record = \xff\xfe\n")  # not UTF-8
@@ -371,9 +371,13 @@ def unreadable_databases(tmp_path_factory):
 def test_the_cli_walk_exits_0_1_or_2_without_a_traceback(unreadable_databases, command, data):
     argv = _hostile_argv(data.draw, command)
     db = data.draw(st.sampled_from(unreadable_databases))
+    given_as = data.draw(st.sampled_from(["LIEFLAG_DB", "--db V", "--db=V"]))
+    if db is not None and given_as != "LIEFLAG_DB":
+        at = data.draw(st.sampled_from([0, len(argv)]))  # before the command or after it
+        argv[at:at] = ["--db", str(db)] if given_as == "--db V" else [f"--db={db}"]
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        if db is None:
+        if db is None or given_as != "LIEFLAG_DB":
             mp.delenv("LIEFLAG_DB", raising=False)
         else:
             mp.setenv("LIEFLAG_DB", str(db))

@@ -147,6 +147,28 @@ def test_hilbert_matches_euclidean_weyl_product(oracle_rank_cap, name, data):
         assert values[k] == weyl_product_dim(etype, w.scaled(k).coords)
 
 
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+@settings(
+    max_examples=3,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_hilbert_above_the_memo_bound_matches_euclidean_weyl_product(oracle_rank_cap, name, data):
+    t = dynkin_type(name)
+    nodes = data.draw(st.sets(st.integers(1, t.rank), min_size=1, max_size=2))
+    mk = marking(t, nodes)
+    coeffs = data.draw(st.lists(st.integers(1, 3), min_size=len(nodes), max_size=len(nodes)))
+    w = character_weight(mk, coeffs)
+    k_max = data.draw(st.integers(cone._MEMO_K_MAX + 1, 40))
+    size = cone._hilbert_values.cache_info().currsize
+    values = cone_hilbert_function(mk, w, k_max)
+    assert cone._hilbert_values.cache_info().currsize == size  # no memo entry is made
+    etype = euclidean_type(t.series, t.rank)
+    powers = range(1, k_max + 1)
+    assert values == [1] + [weyl_product_dim(etype, w.scaled(k).coords) for k in powers]
+
+
 @pytest.mark.parametrize("name", ["E6", "E7", "E8", "F4"])
 def test_exceptional_hilbert_is_weyl_dim_of_each_power(name):
     # no Euclidean oracle covers these types: each power is checked

@@ -31,6 +31,7 @@ from lieflag.roots import DynkinType, dynkin_type, positive_roots
 from oracles import (
     ORACLE_TYPES,
     fano_index_oracle,
+    levi_codim,
     named_flag_varieties,
     roots_in_simple_coords,
     weight_vector,
@@ -51,6 +52,19 @@ def test_codim_is_roots_minus_levi_roots(oracle_rank_cap, name, data):
     levi = [a for a in roots if not any(a[i - 1] for i in nodes)]
     mk = marking(t, nodes)
     assert codim_parabolic(mk) == len(roots) - len(levi)
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_codim_is_the_levi_count(oracle_rank_cap, name, data):
+    t = dynkin_type(name)
+    nodes = data.draw(st.sets(st.integers(1, t.rank), min_size=1))
+    assert codim_parabolic(marking(t, nodes)) == levi_codim(t.series, t.rank, nodes)
 
 
 def test_codim_projective_space_series():
@@ -85,6 +99,13 @@ EXCEPTIONAL_SINGLE_NODE_DIMS = {
 def test_exceptional_single_node_dims(name):
     t = dynkin_type(name)
     dims = tuple(codim_parabolic(marking(t, (i,))) for i in range(1, t.rank + 1))
+    assert dims == EXCEPTIONAL_SINGLE_NODE_DIMS[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXCEPTIONAL_SINGLE_NODE_DIMS))
+def test_the_levi_count_gives_the_exceptional_single_node_dims(name):
+    t = dynkin_type(name)
+    dims = tuple(levi_codim(t.series, t.rank, (i,)) for i in range(1, t.rank + 1))
     assert dims == EXCEPTIONAL_SINGLE_NODE_DIMS[name]
 
 

@@ -77,16 +77,19 @@ def test_weyl_dim_matches_euclidean_product(oracle_rank_cap, name, data):
     assert weyl_dim(Weight(t, coords)) == expected
 
 
-# |Phi+| = 1, 3, 4, 6, 9, 10, 12, 16, 21, 63: every residue mod 8, so the
-# Weyl product, taken eight factors a block, meets every tail length.
+# |Phi+| = 1, 3, 4, 6, 9, 10, 12, 16, 21, 63.  The Weyl product pairs its
+# factors level by level and an odd last term waits a level, so these give a
+# lone factor, whole trees (4, 16) and an odd leftover at each of the first
+# four levels: 3, 9, 21, 63 at the factors; 6, 9, 10, 21 one level up;
+# 9, 10, 12 two up; 21 three up.
 BLOCK_TYPES = ("A1", "A2", "B2", "G2", "B3", "A4", "D4", "B4", "A6", "E7")
-_COORD = st.one_of(st.integers(0, 3), st.integers(0, 10**30))  # big ones overflow a block
+_COORD = st.one_of(st.integers(0, 3), st.integers(0, 10**30))  # big ones overflow a word
 
 
 @pytest.mark.parametrize("name", BLOCK_TYPES)
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
-def test_the_blocked_weyl_product_is_exact_beyond_the_machine_word(name, data):
+def test_the_weyl_product_tree_is_exact_beyond_the_machine_word(name, data):
     t = dynkin_type(name)
     etype = euclidean_type(t.series, t.rank)
     coords = data.draw(st.tuples(*[_COORD] * t.rank))
