@@ -4,12 +4,12 @@ variety lists, from the trivial range up to the database-backed cases.
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from lieflag import cli
 from lieflag.classifier import GroupSpec, classify
 from lieflag.parabolic import r_min
 
@@ -43,9 +43,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-        sys.stdout.flush()  # here, so a closed pipe is not met again at exit
-    except BrokenPipeError:  # the reader left; exit as the Python docs' SIGPIPE note does
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+    cli.main(main)

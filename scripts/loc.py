@@ -14,7 +14,6 @@ Prints one line per module of src/lieflag, then the total.
 
 from __future__ import annotations
 
-import os
 import sys
 import tokenize
 from pathlib import Path
@@ -59,9 +58,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-        sys.stdout.flush()  # here, so a closed pipe is not met again at exit
-    except BrokenPipeError:  # the reader left; exit as the Python docs' SIGPIPE note does
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+    sys.path.insert(0, str(ROOT / "src"))  # for the exit path alone; counting imports no lieflag
+    from lieflag import cli
+
+    cli.main(main)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import os
 import pkgutil
 import random
 import sys
@@ -31,7 +30,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import lieflag  # noqa: E402
 import workloads  # noqa: E402  (bench/workloads.py, found through the path above)
-from lieflag import records, roots  # noqa: E402
+from lieflag import cli, records, roots  # noqa: E402
 
 OPS, SEED = 3000, 5
 # Each workload's class, built with a scratch directory that only db_churn uses.
@@ -115,10 +114,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        code = main()
-        sys.stdout.flush()  # here, so a closed pipe is not met again at exit
-    except BrokenPipeError:  # the reader left; exit as the Python docs' SIGPIPE note does
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
-    sys.exit(code)
+    cli.main(main)

@@ -17,13 +17,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lieflag.cli import run
+from lieflag import cli
 
 
 def capture(argv) -> str:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = run(argv)
+        code = cli.run(argv)
     if code != 0:
         raise SystemExit(f"{argv} exited {code}")
     return buffer.getvalue()
@@ -41,4 +41,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    cli.main(main)

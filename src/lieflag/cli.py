@@ -407,9 +407,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     return 1 if args.command == "validate-db" and payload["violations"] else 0
 
 
-def main() -> None:
+def main(entry: Callable[[], int | None] = run) -> None:
+    """Exit with entry()'s code (None is 0), or with 1 if stdout's reader has gone."""
     try:
-        code = run()
+        code = entry()
         sys.stdout.flush()  # here, so a closed pipe is not met again at exit
     except BrokenPipeError:  # the reader left; exit as the Python docs' SIGPIPE note does
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -9,13 +9,14 @@ import subprocess
 import sys
 import time
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieflag import cli
+from lieflag import cli, load_database
 from lieflag.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -549,6 +550,60 @@ def test_a_closed_stdout_pipe_exits_1_without_a_traceback(unbuffered):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("returned, status", [(None, 0), (0, 0), (3, 3)])
+def test_main_exits_with_the_code_its_entry_returns(returned, status):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(lambda: returned)
+    assert (exc.value.code or 0) == status
+
+
+def _reordered(text: str) -> str:
+    """The records in reverse order, a comment after each record line, CRLF endings."""
+    header, *records = re.split(r"\n(?=record = )", text.rstrip("\n"))
+    records = [r.replace("\n", "\n# a comment inside the record\n", 1) for r in records]
+    return "\n".join([header, *reversed(records)]).replace("\n", "\r\n") + "\r\n"
+
+
+def _requote(word: str) -> str:
+    key, eq, value = word.partition("=")
+    if not eq:  # the orbit kind
+        return word
+    if key == "note":  # single-quoted
+        assert "'" not in value
+        return f"{key}='{value}'"
+    if " " in value:  # bare, with backslash-escaped spaces
+        return key + "=" + re.sub(r"""([\s'"\\])""", r"\\\1", value)
+    return '"' + word.replace("\\", "\\\\").replace('"', '\\"') + '"'  # whole-word double quotes
+
+
+def _requoted(text: str) -> str:
+    """Every orbit and relation word quoted another way, the records unchanged."""
+    lines = []
+    for line in text.split("\n"):
+        key, sep, value = line.partition(" = ")
+        if key in ("orbit", "relation"):
+            line = key + sep + " ".join(map(_requote, shlex.split(value)))
+        lines.append(line)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("variant, step, marks", [
+    (_reordered, -1, ["\r\n# a comment inside the record\r\n"]),
+    (_requoted, 1, ['"dim=n-1"', "note='", r"op=blow-up\ diagonal"]),
+], ids=["reordered", "requoted"])
+def test_the_shipped_records_written_another_way_give_the_golden_answers(
+        capsys, tmp_path, variant, step, marks):
+    text = variant(resources.files("lieflag").joinpath("data/classification.db").read_text())
+    assert all(mark in text for mark in marks)
+    db = tmp_path / "variant.db"
+    db.write_bytes(text.encode())
+    assert load_database(str(db)) == load_database()[::step]
+    assert _run(capsys, ["--json", "--db", str(db), "validate-db"]) == (
+        0, (GOLDEN / "validate_db.json").read_text(), "")
+    assert _run(capsys, ["classify", "--group", "SL", "--param", "4", "--dim", "4",
+                         "--db", str(db)]) == (0, (GOLDEN / "classify_SL4_n4.txt").read_text(), "")
 
 
 _D3_NOTICE = (

@@ -52,10 +52,13 @@ def test_survey_prints_its_committed_output_cold_and_warm(capsys):
     ["classification_survey.py"],
     ["memo_traffic.py", "query_mix", "--ops", "10"],
 ], ids=lambda argv: argv[0])
-def test_a_closed_stdout_pipe_ends_a_script_with_exit_1_and_no_traceback(argv):
+# Unbuffered, a script's print() meets the closed pipe; buffered, the flush in cli.main does.
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_pipe_ends_a_script_with_exit_1_and_no_traceback(argv, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = {k: v for k, v in os.environ.items() if k != "LIEFLAG_DB"}
+    env["PYTHONUNBUFFERED"] = unbuffered
     try:
         done = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
