@@ -107,9 +107,9 @@ def _db_key(path: str | None) -> tuple | None:
 
 
 class _Database(dict):
-    """One loaded database: its records, its relation edges, indexed on first
-    use, and as its items the sorted case lists asked for so far by
-    ``(case, n)``, so a repeated list is one dict lookup."""
+    """One loaded database: its records, its name index, built on first use,
+    and as its items the sorted case lists asked for so far by ``(case, n)``,
+    so a repeated list is one dict lookup."""
 
     def __init__(self, records: tuple[RecordSchema, ...]) -> None:
         super().__init__()
@@ -123,22 +123,22 @@ class _Database(dict):
         return entries
 
     @cached_property
-    def edges(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        """Every record or instance name with the edges from it, in record
-        order; built when ``relations`` first asks, so a database that is only
+    def by_name(self) -> dict[str, tuple[tuple[RecordSchema, ...], tuple[tuple[str, str], ...]]]:
+        """Every record or instance name with its records and the edges from it,
+        in record order; built on first use, so a database that is only
         classified or validated is never indexed."""
-        index: dict[str, list[tuple[str, str]]] = {}
+        index: dict[str, tuple[list, list]] = {}
         for rec in self.records:
-            index.setdefault(rec.name, [])
+            index.setdefault(rec.name, ([], []))[0].append(rec)
             for rel in rec.relations:
-                index.setdefault(rel.label or rec.name, []).append((rel.op, rel.to))
-                index.setdefault(rel.to, [])
-        return {name: tuple(edges) for name, edges in index.items()}
+                index.setdefault(rel.label or rec.name, ([], []))[1].append((rel.op, rel.to))
+                index.setdefault(rel.to, ([], []))
+        return {name: (tuple(recs), tuple(edges)) for name, (recs, edges) in index.items()}
 
 
 # The shipped file shares the bound with the files given by path; the stat
 # fields in a path's key make an edited file re-read, and a database's case
-# lists and edges are dropped with it.
+# lists and name index are dropped with it.
 @lru_cache(maxsize=8)
 def _load(key: tuple | None) -> _Database:
     """The database of the shipped file (key None) or of the file at key[0]."""
@@ -299,8 +299,8 @@ def orbit_structure(
     ``params`` must bind ``n`` plus every declared parameter of the
     record; ``case`` disambiguates names that occur in several series.
     """
-    records = load_database(db_path)
-    matches = [r for r in records if r.name == name]
+    by_name = _load(_db_key(db_path)).by_name
+    matches = by_name[name][0] if isinstance(name, str) and name in by_name else ()
     if case is not None:
         matches = [r for r in matches if r.case == case]
     if not matches:
@@ -329,10 +329,10 @@ def relations(
     name: str, db_path: str | None = None
 ) -> tuple[tuple[str, str], ...]:
     """Recorded blow-up / blow-down edges touching a record or instance."""
-    edges = _load(_db_key(db_path)).edges
-    if not isinstance(name, str) or name not in edges:  # a list could not be hashed
+    by_name = _load(_db_key(db_path)).by_name
+    if not isinstance(name, str) or name not in by_name:  # a list could not be hashed
         raise UnknownVariety(f"no record or instance named {shown(name)}")
-    return edges[name]
+    return by_name[name][1]
 
 
 class Violation(NamedTuple):

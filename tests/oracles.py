@@ -128,19 +128,6 @@ def type_G2() -> EuclideanType:
     return EuclideanType("G2", simple, weights, roots)
 
 
-EUCLIDEAN = {
-    "A1": type_A(1),
-    "A2": type_A(2),
-    "A3": type_A(3),
-    "B2": type_B(2),
-    "B3": type_B(3),
-    "C2": type_C(2),
-    "C3": type_C(3),
-    "D3": type_D(3),
-    "G2": type_G2(),
-}
-
-
 @lru_cache(maxsize=None)
 def exceptional_model(name: str) -> tuple[tuple[Vec, ...], frozenset[Vec]]:
     """Bourbaki simple roots and all roots of E6, E7, E8 or F4 in doubled
@@ -380,19 +367,12 @@ def fano_index_oracle(series: str, n: int, node: int) -> int:
     over the positive roots a whose coefficient at the node is positive,
     with the roots from ``roots_in_simple_coords`` and the pairing taken
     in (doubled, for E and F) epsilon coordinates."""
-    simple_roots = _simple_roots(series, n)
+    simple_roots = euclidean_type(series, n).simple_roots
     return sum(
         _coroot_pairing(root_vector(simple_roots, root), simple_roots[node - 1])
         for root in roots_in_simple_coords(series, n)
         if root[node - 1] > 0
     )
-
-
-def _simple_roots(series: str, n: int) -> tuple[Vec, ...]:
-    """The Bourbaki simple roots in (doubled, for E and F) epsilon coordinates."""
-    if series in "EF":
-        return exceptional_model(f"{series}{n}")[0]
-    return euclidean_type(series, n).simple_roots
 
 
 def _shape_root_count(cartan, nodes) -> int:
@@ -423,7 +403,7 @@ def levi_codim(series: str, n: int, marked) -> int:
     The diagram is the Cartan matrix <a_i, a_j^v> of the simple roots, and each
     N is read off a component's shape by ``_shape_root_count``: no other root
     is used."""
-    simple = _simple_roots(series, n)
+    simple = euclidean_type(series, n).simple_roots
     cartan = [[_coroot_pairing(a, b) for b in simple] for a in simple]
     left = set(range(n)) - {i - 1 for i in marked}
     dim = _shape_root_count(cartan, range(n))
@@ -441,7 +421,7 @@ def levi_codim(series: str, n: int, marked) -> int:
 
 def freudenthal_dim(name: str, coords) -> int:
     """Dimension by Freudenthal's multiplicity recursion, summed over weights."""
-    etype = EUCLIDEAN[name]
+    etype = euclidean_type(name[0], int(name[1:]))
     assert len(coords) == len(etype.fundamental_weights)
     assert all(c >= 0 for c in coords)
     lam = _to_vector(etype, coords)

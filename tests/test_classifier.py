@@ -225,6 +225,14 @@ def test_orbit_structure_parameter_checks():
         orbit_structure("Q^4", {"n": 4})  # ambiguous between Sp and SL3Q
 
 
+@pytest.mark.parametrize("name", ["Y_{(-1)}", "X_{(0,1)}", ["P^n"]])
+def test_orbit_structure_knows_record_names_only(name):
+    # an edge endpoint has edges but no record, and a list is no name
+    with pytest.raises(UnknownVariety) as exc:
+        orbit_structure(name, {"n": 4})
+    assert str(exc.value) == f"no record named {name!r}"
+
+
 def test_orbit_structure_needs_n():
     with pytest.raises(ParameterViolation) as exc:
         orbit_structure("P^n", {}, case="SL")
@@ -626,7 +634,8 @@ def test_warm_answers_equal_cold_ones(where, tmp_path):
     names = {rec.name for rec in records}
     for rec in records:
         names |= {x for rel in rec.relations for x in (rel.label or rec.name, rel.to)}
-    queries += [(relations, name, db_path) for name in sorted(names) + ["no such", ["P^n"]]]
+    for name in sorted(names) + ["no such", ["P^n"]]:
+        queries += [(relations, name, db_path), (orbit_structure, name, {"n": 4}, None, db_path)]
     for query in queries:
         _answer(*query)
     warm = [_answer(*query) for query in queries]
@@ -685,6 +694,23 @@ def test_each_database_is_loaded_once(tmp_path):
         assert classifier._load.cache_info()[:2] == (5 * loaded, loaded)
 
 
+def test_the_name_index_equals_a_scan_and_is_built_on_first_use(tmp_path):
+    db_path = str(tmp_path / "copy.db")
+    shutil.copyfile(Path(classifier.__file__).parent / "data" / "classification.db", db_path)
+    classify(GroupSpec("SL", 4), 4, db_path=db_path)
+    assert validate_database(db_path) == []
+    db = classifier._load(classifier._db_key(db_path))
+    assert "by_name" not in vars(db)  # classified and validated only
+    records = db.records
+    names = {rec.name for rec in records}
+    for rec in records:
+        names |= {x for rel in rec.relations for x in (rel.label or rec.name, rel.to)}
+    assert set(db.by_name) == names
+    for name, (recs, edges) in db.by_name.items():
+        assert recs == tuple(r for r in records if r.name == name), name
+        assert edges == _edges_by_scan(records, name), name
+
+
 # Every memo of the library, with its bound (None: one entry per Dynkin
 # type).  Adding or removing a cache is an edit of this table.
 CACHES = {
@@ -725,7 +751,7 @@ def test_the_readme_lists_exactly_the_memos():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     layout = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
     listed = re.findall(r"^- `([\w.]+)`:", layout, re.MULTILINE)
-    assert sorted(listed) == sorted([*CACHES, "records._TEXTS"])
+    assert sorted(listed) == sorted({*CACHES, "records._TEXTS", "records._CHECKED"})
 
 
 def test_the_readme_lists_exactly_the_rules():
@@ -747,7 +773,7 @@ def test_the_memo_traffic_script_reports_every_memo(monkeypatch, capsys):
     assert set(found) == {*CACHES, "records._TEXTS", "records._CHECKED"}
     hits, misses, size = found["classifier._ladder"]  # four in five query_mix ops classify
     assert hits > 0 and size > 0
-    hits, misses, size = found["classifier._load"]  # case lists and edges are read from it
+    hits, misses, size = found["classifier._load"]  # case lists and names are read from it
     assert hits > 0 and misses == 0 and size > 0
     cap = roots.MAX_CLASSICAL_RANK
     first, second = memo_traffic.traffic("lie_sweep", ops=200, windows=2)

@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieflag import cli, load_database
+from lieflag.classifier import GroupSpec
 from lieflag.cli import run
+from lieflag.records import _CASES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -270,6 +272,13 @@ def test_every_golden_argv_is_plain(name, argv):
     ):
         plain = _check_plain(variant)
         assert plain is not None and (plain.json, plain.db) == (json_, db), variant
+
+
+def test_the_cli_choices_are_the_library_vocabularies():
+    # spelled out in cli, so a command that reads no database imports neither module
+    assert cli._ARGUMENTS["--case"]["choices"] == _CASES
+    for family in cli._ARGUMENTS["--group"]["choices"]:
+        assert GroupSpec(family, 8).family == family
 
 
 # Words for the differential: option names exact and abbreviated, values that
