@@ -1,11 +1,13 @@
 import functools
 import importlib.util
 import itertools
+import os
 import pkgutil
 import re
 import shutil
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -677,6 +679,53 @@ def test_switching_the_database_variable_switches_the_answer(tmp_path, monkeypat
     assert seen["second.db"][1] == () != seen["first.db"][1]
     monkeypatch.delenv(classifier.DB_ENV_VAR)
     assert (classify(group, 4), relations("P2xP2")) == seen["first.db"]
+
+
+def test_the_variable_is_read_as_os_environ_holds_it_after_every_write(tmp_path, monkeypatch):
+    good, bad = tmp_path / "good.db", tmp_path / "bad.db"
+    good.write_text(serialize_records(load_database()[:3]))
+    bad.write_text("record = P^n\nnot a key line\n")
+    var, env = classifier.DB_ENV_VAR, os.environ
+    monkeypatch.setenv(var, "")  # restored after the test
+
+    def read_as_public(expected):
+        public = env.get(var) or None
+        assert public == expected
+        assert classifier._db_key(None) == classifier._db_key(public)
+        try:
+            records = load_database(public)
+        except DatabaseFormatError as exc:
+            with pytest.raises(DatabaseFormatError, match=f"^{re.escape(str(exc))}$"):
+                load_database()
+        else:
+            assert load_database() == records
+
+    read_as_public(None)
+    env[var] = str(good)
+    read_as_public(str(good))
+    env[var] = ""
+    read_as_public(None)
+    env[var] = str(bad)
+    read_as_public(str(bad))
+    del env[var]
+    read_as_public(None)
+    env.update({var: str(bad)})
+    read_as_public(str(bad))
+    env.pop(var)
+    read_as_public(None)
+    env.setdefault(var, str(good))
+    read_as_public(str(good))
+    with mock.patch.dict(env, clear=True):
+        read_as_public(None)
+        env[var] = str(bad)
+        read_as_public(str(bad))
+    read_as_public(str(good))
+    if os.name == "posix":  # a name that is not UTF-8 reads back through surrogateescape
+        odd = os.path.join(os.fsencode(tmp_path), b"caf\xe9.db")
+        shutil.copyfile(good, odd)
+        os.environb[os.fsencode(var)] = odd
+        read_as_public(os.fsdecode(odd))
+        assert load_database() == load_database(str(good))
 
 
 def test_each_database_is_loaded_once(tmp_path):

@@ -548,6 +548,22 @@ def test_module_entry_point(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_a_fresh_process_reads_the_database_variable(capsys, tmp_path):
+    tiny, bad = tmp_path / "tiny.db", tmp_path / "bad.db"
+    tiny.write_text(_GOOD_RECORD)
+    bad.write_text("record = P^n\nnot a key line\n")
+    argv = ("classify", "--group", "SL", "--param", "4", "--dim", "4")
+    golden = (GOLDEN / "classify_SL4_n4.txt").read_text()
+    own = _run(capsys, ["--db", str(tiny), *argv])
+    assert own[0] == 0 and "name=OnlyOne" in own[1] and own[1] != golden
+    done = _lieflag(*argv, LIEFLAG_DB=str(tiny))
+    assert (done.returncode, done.stdout, done.stderr) == own
+    done = _lieflag(*argv, LIEFLAG_DB="")  # empty means the shipped file
+    assert (done.returncode, done.stdout, done.stderr) == (0, golden, "")
+    done = _lieflag("--db", str(tiny), *argv, LIEFLAG_DB=str(bad))  # --db wins
+    assert (done.returncode, done.stdout, done.stderr) == own
+
+
 # Unbuffered, print() in run meets the closed pipe; buffered, the flush in main does.
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 def test_a_closed_stdout_pipe_exits_1_without_a_traceback(unbuffered):
