@@ -95,7 +95,9 @@ def group_spec(family: str, parameter: int = 0) -> GroupSpec:
 
 
 def _db_key(path: str | None) -> tuple | None:
-    """None for the shipped file, else the (path, mtime_ns, size) its load is memoised under.
+    """None for the shipped file, else the (path, mtime_ns, ctime_ns, size) its load is
+    memoised under.  ctime moves on every write, also one whose mtime is put back
+    (``cp -p``, ``touch -r``); mtime stays, as Windows gives the creation time as ctime.
 
     A path of None reads LIEFLAG_DB on every call, from the ``os.environ``
     object bound at import (so ``os.putenv`` alone is not seen); unset or
@@ -111,7 +113,7 @@ def _db_key(path: str | None) -> tuple | None:
         raise DatabaseFormatError(f"cannot read database {shown(path)}: not a path") from None
     try:
         st = os.stat(path)
-        return path, st.st_mtime_ns, st.st_size
+        return path, st.st_mtime_ns, st.st_ctime_ns, st.st_size
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte or an unencodable name
         raise DatabaseFormatError(f"cannot read database {path!r}: {exc}") from None
 

@@ -128,6 +128,12 @@ def _cmd_cone_cover(args) -> dict:
 
 def _cmd_hilbert(args) -> dict:
     mk, w = _bundle(args, "kmax")
+    if args.kmax <= lieflag.cone.MAX_K_MAX:  # the values grow with k: check the last first
+        largest = lieflag.bwb_section_dim(mk, w, args.kmax)
+        try:
+            str(largest)
+        except ValueError:
+            raise _too_long(largest) from None
     return {"nodes": list(mk.nodes), "weight": list(w.coords),
             "kmax": args.kmax, "values": lieflag.cone_hilbert_function(mk, w, args.kmax)}
 
@@ -247,6 +253,10 @@ def _format(key: str, value) -> str:
         inner = ",".join(str(v) for v in value)
         return f"({inner})" if key in _TUPLE_KEYS else f"[{inner}]"
     return f'"{value}"' if key in _QUOTED_KEYS else str(value)
+
+
+def _too_long(largest: int) -> AnswerTooLong:
+    return AnswerTooLong(f"the answer holds {shown(largest)}, more digits than str writes")
 
 
 def _largest(value) -> int:
@@ -395,8 +405,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             else:
                 out = "\n".join(_render_text(args.command, payload))
         except ValueError:  # an integer with more digits than str converts
-            big = shown(_largest(payload))
-            raise AnswerTooLong(f"the answer holds {big}, more digits than str writes") from None
+            raise _too_long(_largest(payload)) from None
     except UsageError as exc:
         print("usage error: {}: {}".format(*exc.args), file=sys.stderr)
         return 2

@@ -25,8 +25,10 @@ from .parabolic import ParabolicMarking
 from .representations import _check_line_bundle, _weyl_dims
 from .roots import Weight
 
+# The largest k_max answered: every value is built before any is written.
+MAX_K_MAX = 10_000
 # Only a k_max up to this enters the memo, so each of its entries holds at
-# most 16 values; a k_max of 10,000 on E8 alone is about 1 MB of integers.
+# most 16 values; a k_max of MAX_K_MAX on E8 alone is about 1 MB of integers.
 _MEMO_K_MAX = 16
 
 
@@ -44,11 +46,11 @@ def cone_cover_order(c1: Iterable[int]) -> int:
 def cone_hilbert_function(
     mk: ParabolicMarking, w: Weight, k_max: int
 ) -> list[int]:
-    """Hilbert function of the cone ring, entries k = 0..k_max for k_max <= 10000."""
+    """Hilbert function of the cone ring, entries k = 0..k_max for k_max <= MAX_K_MAX."""
     if not isinstance(k_max, int) or k_max < 1:
         raise InvalidDimension(f"k_max must be an integer >= 1, got {shown(k_max)}")
-    if k_max > 10_000:  # every value is built before any is written
-        raise InvalidDimension(f"k_max must be at most 10000, got {shown(k_max)}")
+    if k_max > MAX_K_MAX:
+        raise InvalidDimension(f"k_max must be at most {MAX_K_MAX}, got {shown(k_max)}")
     _check_line_bundle(mk, w)
     values = _hilbert_values(w, k_max) if k_max <= _MEMO_K_MAX else _weyl_dims(w, k_max)
     return [1, *values]

@@ -8,15 +8,18 @@ multiplicities over the full weight system.  Simple roots and fundamental
 weights are numbered the Bourbaki way so coordinate vectors can be
 compared with the package directly.  The valid arguments of the public
 callables, for the wrong-type walk, are the one part built from the
-package's own constructors.
+package's own constructors.  ``load_script`` runs a script of
+scripts/ as a module, for the tests of the scripts and of the goldens.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 from lieflag import DynkinType, GroupSpec, marking, weight
 
@@ -244,6 +247,15 @@ UNCHECKED = (
     "ClassificationResult", "DomainError", "HomogeneousVariety", "MinimalIrrep", "Orbit",
     "RMin", "RootSystem", "VarietyClass", "VarietyDescriptor", "Violation",
 )
+
+
+def load_script(name: str):
+    """scripts/<name>.py executed afresh, as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,6 @@ criterion; any assertion failure marks the criterion FAILED.
 """
 
 import random
-import shlex
 import time
 import warnings
 from itertools import product
@@ -24,7 +23,7 @@ from lieflag.records import parse_records, serialize_records
 from lieflag.representations import min_nontrivial_irrep, weyl_dim
 from lieflag.roots import DynkinType, Weight, dynkin_type
 
-from oracles import freudenthal_dim, naive_gcd
+from oracles import freudenthal_dim, load_script, naive_gcd
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -181,12 +180,9 @@ EXPECTED_NAMES = {
 def test_criterion_8_classification_golden_files(capsys):
     from lieflag.cli import run
 
-    manifest = dict(
-        line.split("\t")
-        for line in (GOLDEN / "manifest.tsv").read_text().splitlines()
-    )
+    cases = load_script("regen_golden").cases()
     for name in CLASSIFY_GOLDENS:
-        code = run(shlex.split(manifest[name]))
+        code = run(cases[name])
         out = capsys.readouterr().out
         assert code == 0
         assert out == (GOLDEN / f"{name}.txt").read_text(), name

@@ -1,13 +1,10 @@
 """The paired benchmark runner's order, summary and refusal, with the runs faked."""
 
-import importlib.util
 import json
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+from oracles import load_script
+
+bench_pairs = load_script("bench_pairs")
 
 
 def _fake_runs(monkeypatch, result):

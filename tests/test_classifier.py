@@ -1,5 +1,5 @@
 import functools
-import importlib.util
+import importlib
 import itertools
 import os
 import pkgutil
@@ -36,7 +36,7 @@ from lieflag.parabolic import codim_parabolic
 from lieflag.records import parse_records, serialize_records
 from lieflag.roots import DynkinType
 
-from oracles import OnlyIndex
+from oracles import OnlyIndex, load_script
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -814,10 +814,7 @@ def test_the_readme_lists_exactly_the_rules():
 def test_the_memo_traffic_script_reports_every_memo(monkeypatch, capsys):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts bench/ in front
     monkeypatch.delitem(sys.modules, "oracles", raising=False)  # bench/ has its own
-    script = ROOT / "scripts" / "memo_traffic.py"
-    spec = importlib.util.spec_from_file_location("memo_traffic", script)
-    memo_traffic = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(memo_traffic)
+    memo_traffic = load_script("memo_traffic")
     (found,) = memo_traffic.traffic("query_mix", ops=100)
     assert set(found) == {*CACHES, "records._TEXTS", "records._CHECKED"}
     hits, misses, size = found["classifier._ladder"]  # four in five query_mix ops classify

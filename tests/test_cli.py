@@ -16,12 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieflag import cli, load_database
+from lieflag import bwb_section_dim, cli, dynkin_type, load_database, marking, weight
 from lieflag.classifier import GroupSpec
 from lieflag.cli import run
+from lieflag.errors import shown
 from lieflag.records import _CASES
 
+from oracles import load_script
+
 GOLDEN = Path(__file__).parent / "golden"
+regen_golden = load_script("regen_golden")
 
 
 def _run(capsys, argv):
@@ -31,11 +35,7 @@ def _run(capsys, argv):
 
 
 def _cases():
-    cases = []
-    for line in (GOLDEN / "manifest.tsv").read_text().splitlines():
-        name, argv = line.split("\t")
-        cases.append(pytest.param(name, shlex.split(argv), id=name))
-    return cases
+    return [pytest.param(name, argv, id=name) for name, argv in regen_golden.cases().items()]
 
 
 def _int_tokens(text: str) -> set:
@@ -44,18 +44,14 @@ def _int_tokens(text: str) -> set:
 
 @pytest.mark.parametrize("name,argv", _cases())
 def test_golden_text_and_json(capsys, name, argv):
-    code, out, err = _run(capsys, argv)
-    assert code == 0 and err == ""
-    assert out == (GOLDEN / f"{name}.txt").read_text()
-
-    code, out, err = _run(capsys, argv + ["--json"])
-    assert code == 0
+    text, out = regen_golden.outputs(argv)  # what the script writes, both runs exit 0
+    assert capsys.readouterr().err == ""
+    assert text == (GOLDEN / f"{name}.txt").read_text()
     assert out == (GOLDEN / f"{name}.json").read_text()
     payload = json.loads(out)
     assert json.loads(json.dumps(payload)) == payload
 
     # every number shown in text mode must appear in the JSON document
-    text = (GOLDEN / f"{name}.txt").read_text()
     missing = _int_tokens(text) - _int_tokens(out)
     assert not missing, f"numbers {missing} missing from JSON of {name}"
 
@@ -523,7 +519,7 @@ def test_text_forms_without_golden(capsys, tmp_path, db, argv, text, payload, ex
     assert _run(capsys, argv + ["--json"]) == (exit_code, json.dumps(payload, indent=2) + "\n", "")
 
 
-def _lieflag(*argv, flags=(), stdout=subprocess.PIPE, **environ):
+def _lieflag(*argv, flags=(), stdout=subprocess.PIPE, timeout=60, **environ):
     """``python [flags] -m lieflag argv`` in a fresh interpreter on this
     checkout's src, with LIEFLAG_DB unset and the given environment variables set."""
     env = {k: v for k, v in os.environ.items() if k != "LIEFLAG_DB"} | environ
@@ -531,7 +527,7 @@ def _lieflag(*argv, flags=(), stdout=subprocess.PIPE, **environ):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *flags, "-m", "lieflag", *argv],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=timeout,
     )
 
 
@@ -562,6 +558,20 @@ def test_a_fresh_process_reads_the_database_variable(capsys, tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (0, golden, "")
     done = _lieflag("--db", str(tiny), *argv, LIEFLAG_DB=str(bad))  # --db wins
     assert (done.returncode, done.stdout, done.stderr) == own
+
+
+def test_hilbert_refuses_an_answer_too_long_to_write_before_building_it():
+    # built in full, these 10,001 values of up to ~312,000 digits would take minutes
+    e8, big = dynkin_type("E8"), 10**4000 - 1
+    largest = bwb_section_dim(marking(e8, (1,)), weight(e8, (big,) + (0,) * 7), 10_000)
+    err = f"error: AnswerTooLong: the answer holds {shown(largest)}, more digits than str writes\n"
+    argv = ("hilbert", "E8", "--nodes", "1", "--weight", f"{big}" + ",0" * 7, "--kmax")
+    for mode in ((), ("--json",)):
+        done = _lieflag(*mode, *argv, "10000", timeout=10)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", err)
+    done = _lieflag(*argv, "10001", timeout=10)  # above the bound, the bound's error
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "error: InvalidDimension: k_max must be at most 10000, got 10001\n")
 
 
 # Unbuffered, print() in run meets the closed pipe; buffered, the flush in main does.

@@ -1,6 +1,7 @@
 import os
 import re
 import signal
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
@@ -579,6 +580,19 @@ def test_edited_database_file_is_reread(tmp_path):
     db.write_text(MINIMAL.replace("record = W^n", "record = V^n"))
     stamp = db.stat().st_mtime_ns + 10**9
     os.utime(db, ns=(stamp, stamp))
+    assert [r.name for r in load_database(str(db))] == ["V^n"]
+
+
+def test_an_edit_that_restores_mtime_and_size_is_reread(tmp_path):
+    db = tmp_path / "edit.db"
+    db.write_text(MINIMAL)
+    assert [r.name for r in load_database(str(db))] == ["W^n"]
+    before = db.stat()
+    time.sleep(0.05)  # past a coarse file system clock's tick, which ctime has too
+    db.write_text(MINIMAL.replace("record = W^n", "record = V^n"))
+    os.utime(db, ns=(before.st_atime_ns, before.st_mtime_ns))  # as cp -p or touch -r do
+    after = db.stat()
+    assert (after.st_mtime_ns, after.st_size) == (before.st_mtime_ns, before.st_size)
     assert [r.name for r in load_database(str(db))] == ["V^n"]
 
 

@@ -1,12 +1,8 @@
 """The line counter on a small module: docstrings and comments are not code."""
 
-import importlib.util
-from pathlib import Path
+from oracles import load_script
 
-ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("loc", ROOT / "scripts" / "loc.py")
-loc = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(loc)
+loc = load_script("loc")
 
 MODULE = '''"""A module docstring
 over two lines."""

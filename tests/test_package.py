@@ -3,7 +3,6 @@
 import inspect
 import json
 import os
-import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +23,7 @@ from lieflag import (
 from lieflag.errors import DomainError, InvalidGroup, InvalidRank, NodeOutOfRange
 from lieflag.records import parse_records
 
-from oracles import UNCHECKED, VALID_CALLS, OnlyIndex
+from oracles import UNCHECKED, VALID_CALLS, OnlyIndex, load_script
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -91,10 +90,8 @@ def test_type_command_skips_database_modules():
      "orbits_bundle_over_P3.txt"],
 )
 def test_database_command_skips_dataclasses_and_inspect(case):
-    lines = (GOLDEN / "manifest.tsv").read_text().splitlines()
-    manifest = dict(line.split("\t") for line in lines)
     stem, suffix = case.rsplit(".", 1)
-    argv = (["--json"] if suffix == "json" else []) + shlex.split(manifest[stem])
+    argv = (["--json"] if suffix == "json" else []) + load_script("regen_golden").cases()[stem]
     for out, loaded in _footprints(f"from lieflag import cli\ncli.run({argv!r})"):
         assert out == (GOLDEN / case).read_text()
         assert {"lieflag.classifier", "lieflag.records"} <= loaded

@@ -1,7 +1,6 @@
 """The survey scripts against their committed output, and the printing
 scripts on a closed pipe."""
 
-import importlib.util
 import os
 import subprocess
 import sys
@@ -11,24 +10,19 @@ import pytest
 
 from lieflag import classifier
 
+from oracles import load_script
+
 ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = (Path(__file__).parent / "classification_survey.txt").read_text()
 
 
-def _script(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_rg_table_prints_its_committed_output(capsys):
-    _script("rg_table").main()
+    load_script("rg_table").main()
     assert capsys.readouterr().out == (Path(__file__).parent / "rg_table.txt").read_text()
 
 
 def test_survey_prints_its_committed_output_cold_and_warm(capsys):
-    survey = _script("classification_survey")
+    survey = load_script("classification_survey")
     memos = (classifier._instantiate, classifier._ladder, classifier._load)
     for memo in memos:
         memo.cache_clear()  # clearing _load drops the shipped database's case lists too
