@@ -9,12 +9,18 @@ weights are numbered the Bourbaki way so coordinate vectors can be
 compared with the package directly.  The valid arguments of the public
 callables, for the wrong-type walk, are the one part built from the
 package's own constructors.  ``load_script`` runs a script of
-scripts/ as a module, for the tests of the scripts and of the goldens.
+scripts/ as a module, for the tests of the scripts and of the goldens;
+``fresh_python`` runs a child interpreter in the session's environment
+(see conftest.py), and ``SHIPPED_DB`` is the database the package ships.
 """
 
 from __future__ import annotations
 
+import importlib.resources
 import importlib.util
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -247,6 +253,18 @@ UNCHECKED = (
     "ClassificationResult", "DomainError", "HomogeneousVariety", "MinimalIrrep", "Orbit",
     "RMin", "RootSystem", "VarietyClass", "VarietyDescriptor", "Violation",
 )
+
+
+SHIPPED_DB = importlib.resources.files("lieflag") / "data" / "classification.db"
+
+
+def fresh_python(*args, stdout=subprocess.PIPE, timeout=60, **environ):
+    """``python args`` in a fresh interpreter, in the session's environment
+    with the given variables set."""
+    return subprocess.run(
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True,
+        env=os.environ | environ, timeout=timeout,
+    )
 
 
 def load_script(name: str):

@@ -36,7 +36,7 @@ from lieflag.parabolic import codim_parabolic
 from lieflag.records import parse_records, serialize_records
 from lieflag.roots import DynkinType
 
-from oracles import OnlyIndex, load_script
+from oracles import SHIPPED_DB, OnlyIndex, load_script
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -619,7 +619,7 @@ def test_warm_answers_equal_cold_ones(where, tmp_path):
     db_path = None
     if where == "db_path":
         db_path = str(tmp_path / "copy.db")
-        shutil.copyfile(Path(classifier.__file__).parent / "data" / "classification.db", db_path)
+        shutil.copyfile(SHIPPED_DB, db_path)
     cap = roots.MAX_CLASSICAL_RANK
     groups = (
         [GroupSpec("SL", m) for m in range(2, cap + 2)]
@@ -730,7 +730,7 @@ def test_the_variable_is_read_as_os_environ_holds_it_after_every_write(tmp_path,
 
 def test_each_database_is_loaded_once(tmp_path):
     db_path = str(tmp_path / "copy.db")
-    shutil.copyfile(Path(classifier.__file__).parent / "data" / "classification.db", db_path)
+    shutil.copyfile(SHIPPED_DB, db_path)
     classifier._load.cache_clear()
     group = GroupSpec("SL", 4)
     for loaded, path in enumerate((None, db_path), 1):
@@ -745,7 +745,7 @@ def test_each_database_is_loaded_once(tmp_path):
 
 def test_the_name_index_equals_a_scan_and_is_built_on_first_use(tmp_path):
     db_path = str(tmp_path / "copy.db")
-    shutil.copyfile(Path(classifier.__file__).parent / "data" / "classification.db", db_path)
+    shutil.copyfile(SHIPPED_DB, db_path)
     classify(GroupSpec("SL", 4), 4, db_path=db_path)
     assert validate_database(db_path) == []
     db = classifier._load(classifier._db_key(db_path))

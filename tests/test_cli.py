@@ -2,14 +2,10 @@ import contextlib
 import functools
 import io
 import json
-import os
 import re
 import shlex
-import subprocess
-import sys
 import time
 import warnings
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -22,7 +18,7 @@ from lieflag.cli import run
 from lieflag.errors import shown
 from lieflag.records import _CASES
 
-from oracles import load_script
+from oracles import SHIPPED_DB, fresh_python, load_script
 
 GOLDEN = Path(__file__).parent / "golden"
 regen_golden = load_script("regen_golden")
@@ -383,9 +379,7 @@ def test_the_cli_walk_exits_0_1_or_2_without_a_traceback(unreadable_databases, c
         argv[at:at] = ["--db", str(db)] if given_as == "--db V" else [f"--db={db}"]
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        if db is None or given_as != "LIEFLAG_DB":
-            mp.delenv("LIEFLAG_DB", raising=False)
-        else:
+        if db is not None and given_as == "LIEFLAG_DB":
             mp.setenv("LIEFLAG_DB", str(db))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
@@ -519,26 +513,14 @@ def test_text_forms_without_golden(capsys, tmp_path, db, argv, text, payload, ex
     assert _run(capsys, argv + ["--json"]) == (exit_code, json.dumps(payload, indent=2) + "\n", "")
 
 
-def _lieflag(*argv, flags=(), stdout=subprocess.PIPE, timeout=60, **environ):
-    """``python [flags] -m lieflag argv`` in a fresh interpreter on this
-    checkout's src, with LIEFLAG_DB unset and the given environment variables set."""
-    env = {k: v for k, v in os.environ.items() if k != "LIEFLAG_DB"} | environ
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *flags, "-m", "lieflag", *argv],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=timeout,
-    )
-
-
 def test_module_entry_point(tmp_path):
-    done = _lieflag("rmin", "G2")
+    done = fresh_python("-m", "lieflag", "rmin", "G2")
     assert done.returncode == 0
     assert done.stdout == (GOLDEN / "rmin_G2.txt").read_text()
     bad = tmp_path / "bad.db"
     bad.write_text(_R2_RECORD)
-    assert _lieflag("--db", str(bad), "validate-db").returncode == 1
-    done = _lieflag("--db", str(tmp_path), "validate-db")  # a directory
+    assert fresh_python("-m", "lieflag", "--db", str(bad), "validate-db").returncode == 1
+    done = fresh_python("-m", "lieflag", "--db", str(tmp_path), "validate-db")  # a directory
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("error: DatabaseFormatError: cannot read database ")
     assert "Traceback" not in done.stderr
@@ -552,12 +534,26 @@ def test_a_fresh_process_reads_the_database_variable(capsys, tmp_path):
     golden = (GOLDEN / "classify_SL4_n4.txt").read_text()
     own = _run(capsys, ["--db", str(tiny), *argv])
     assert own[0] == 0 and "name=OnlyOne" in own[1] and own[1] != golden
-    done = _lieflag(*argv, LIEFLAG_DB=str(tiny))
+    done = fresh_python("-m", "lieflag", *argv, LIEFLAG_DB=str(tiny))
     assert (done.returncode, done.stdout, done.stderr) == own
-    done = _lieflag(*argv, LIEFLAG_DB="")  # empty means the shipped file
+    done = fresh_python("-m", "lieflag", *argv, LIEFLAG_DB="")  # empty means the shipped file
     assert (done.returncode, done.stdout, done.stderr) == (0, golden, "")
-    done = _lieflag("--db", str(tiny), *argv, LIEFLAG_DB=str(bad))  # --db wins
+    done = fresh_python("-m", "lieflag", "--db", str(tiny), *argv, LIEFLAG_DB=str(bad))  # --db wins
     assert (done.returncode, done.stdout, done.stderr) == own
+
+
+def test_the_tests_read_the_shipped_database_whatever_the_variable_names(tmp_path):
+    # a golden answer, and a module that loads the database as it is collected
+    bad = tmp_path / "bad.db"
+    bad.write_text("record = X\n")
+    tests = Path(__file__).resolve().parent
+    done = fresh_python(
+        "-m", "pytest", "-q", "-p", "no:cacheprovider",
+        f"{tests / 'test_cli.py'}::test_golden_text_and_json[classify_SL4_n4]",
+        f"{tests / 'test_db_format.py'}::test_round_trip_is_identity_on_shipped_db",
+        LIEFLAG_DB=str(bad),
+    )
+    assert done.returncode == 0 and "2 passed" in done.stdout, done.stdout
 
 
 def test_hilbert_refuses_an_answer_too_long_to_write_before_building_it():
@@ -567,24 +563,11 @@ def test_hilbert_refuses_an_answer_too_long_to_write_before_building_it():
     err = f"error: AnswerTooLong: the answer holds {shown(largest)}, more digits than str writes\n"
     argv = ("hilbert", "E8", "--nodes", "1", "--weight", f"{big}" + ",0" * 7, "--kmax")
     for mode in ((), ("--json",)):
-        done = _lieflag(*mode, *argv, "10000", timeout=10)
+        done = fresh_python("-m", "lieflag", *mode, *argv, "10000", timeout=10)
         assert (done.returncode, done.stdout, done.stderr) == (1, "", err)
-    done = _lieflag(*argv, "10001", timeout=10)  # above the bound, the bound's error
+    done = fresh_python("-m", "lieflag", *argv, "10001", timeout=10)  # above the bound, the bound's error
     assert (done.returncode, done.stdout, done.stderr) == (
         1, "", "error: InvalidDimension: k_max must be at most 10000, got 10001\n")
-
-
-# Unbuffered, print() in run meets the closed pipe; buffered, the flush in main does.
-@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
-def test_a_closed_stdout_pipe_exits_1_without_a_traceback(unbuffered):
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = _lieflag("hilbert", "A3", "--nodes", "1", "--weight", "1,0,0", "--kmax", "3",
-                        stdout=write_end, PYTHONUNBUFFERED=unbuffered)
-    finally:
-        os.close(write_end)
-    assert (done.returncode, done.stderr) == (1, "")
 
 
 @pytest.mark.parametrize("returned, status", [(None, 0), (0, 0), (3, 3)])
@@ -630,7 +613,7 @@ def _requoted(text: str) -> str:
 ], ids=["reordered", "requoted"])
 def test_the_shipped_records_written_another_way_give_the_golden_answers(
         capsys, tmp_path, variant, step, marks):
-    text = variant(resources.files("lieflag").joinpath("data/classification.db").read_text())
+    text = variant(SHIPPED_DB.read_text())
     assert all(mark in text for mark in marks)
     db = tmp_path / "variant.db"
     db.write_bytes(text.encode())
@@ -660,7 +643,7 @@ def test_d3_gives_one_warning_line_even_when_warnings_are_errors(capsys, argv):
 
 
 def test_d3_under_w_error_in_a_fresh_interpreter(capsys):
-    done = _lieflag("roots", "D3", flags=("-W", "error"))
+    done = fresh_python("-W", "error", "-m", "lieflag", "roots", "D3")
     assert (done.returncode, done.stderr) == (0, _D3_NOTICE)
     assert done.stdout.startswith("type=D3 count=6\n")
     assert done.stdout == _run(capsys, ["roots", "D3"])[1]
@@ -699,7 +682,7 @@ def test_db_env_var_and_flag_precedence(capsys, tmp_path, monkeypatch):
     # explicit flag wins over the environment
     code, out, err = _run(
         capsys,
-        ["--db", str(GOLDEN.parent.parent / "src/lieflag/data/classification.db"),
+        ["--db", str(SHIPPED_DB),
          "classify", "--group", "SL", "--param", "4", "--dim", "4"],
     )
     assert code == 0 and "OnlyOne" not in out and "Gr(2,4)" in out

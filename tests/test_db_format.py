@@ -4,7 +4,6 @@ import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -49,7 +48,9 @@ from lieflag.records import (
 )
 from lieflag.roots import DynkinType, dynkin_type
 
-SHIPPED = resources.files("lieflag").joinpath("data/classification.db").read_text()
+from oracles import SHIPPED_DB
+
+SHIPPED = SHIPPED_DB.read_text()
 
 MINIMAL = """
 # a comment

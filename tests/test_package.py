@@ -2,9 +2,6 @@
 
 import inspect
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -23,10 +20,9 @@ from lieflag import (
 from lieflag.errors import DomainError, InvalidGroup, InvalidRank, NodeOutOfRange
 from lieflag.records import parse_records
 
-from oracles import UNCHECKED, VALID_CALLS, OnlyIndex, load_script
+from oracles import UNCHECKED, VALID_CALLS, OnlyIndex, fresh_python, load_script
 
-ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "tests" / "golden"
+GOLDEN = Path(__file__).parent / "golden"
 
 PUBLIC_NAMES = [
     "ClassificationResult", "DomainError", "DynkinType", "GroupSpec", "HomogeneousVariety",
@@ -39,16 +35,6 @@ PUBLIC_NAMES = [
     "orbit_structure", "positive_roots", "r_min", "relations", "root_system",
     "validate_database", "weight", "weyl_dim",
 ]
-
-
-def _fresh_python(code: str, *flags: str) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items() if k != "LIEFLAG_DB"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    return done
 
 
 # Prints, as JSON on the last stdout line, the modules a step loaded that the
@@ -65,7 +51,8 @@ def _footprints(step: str):
     """(stdout, modules loaded) of a step in a fresh interpreter, with site and under -S,
     which leaves out whatever site imports first."""
     for flags in ((), ("-S",)):
-        done = _fresh_python(_FOOTPRINT.format(step=step), *flags)
+        done = fresh_python(*flags, "-c", _FOOTPRINT.format(step=step))
+        assert done.returncode == 0, done.stderr
         *out, modules = done.stdout.splitlines()
         yield "\n".join(out) + "\n", set(json.loads(modules))
 
@@ -107,8 +94,9 @@ def test_usage_error_loads_argparse():
 
 def test_database_command_after_lazy_start_matches_golden():
     argv = ["classify", "--group", "SL", "--param", "4", "--dim", "4"]
-    done = _fresh_python(f"from lieflag import cli\nraise SystemExit(cli.run({argv!r}))")
-    assert done.stdout == (GOLDEN / "classify_SL4_n4.txt").read_text()
+    done = fresh_python("-c", f"from lieflag import cli\nraise SystemExit(cli.run({argv!r}))")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, (GOLDEN / "classify_SL4_n4.txt").read_text(), "")
 
 
 def test_public_names():

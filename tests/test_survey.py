@@ -1,18 +1,16 @@
-"""The survey scripts against their committed output, and the printing
-scripts on a closed pipe."""
+"""The survey scripts against their committed output, and the CLI and the
+printing scripts on a closed pipe."""
 
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from lieflag import classifier
 
-from oracles import load_script
+from oracles import fresh_python, load_script
 
-ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 EXPECTED = (Path(__file__).parent / "classification_survey.txt").read_text()
 
 
@@ -40,24 +38,20 @@ def test_survey_prints_its_committed_output_cold_and_warm(capsys):
     assert all(classifier._load(None)[key] is value for key, value in cases.items())
 
 
-@pytest.mark.parametrize("argv", [
-    ["loc.py"],
-    ["rg_table.py"],
-    ["classification_survey.py"],
-    ["memo_traffic.py", "query_mix", "--ops", "10"],
-], ids=lambda argv: argv[0])
-# Unbuffered, a script's print() meets the closed pipe; buffered, the flush in cli.main does.
+@pytest.mark.parametrize("args", [
+    ["-m", "lieflag", "hilbert", "A3", "--nodes", "1", "--weight", "1,0,0", "--kmax", "3"],
+    [SCRIPTS / "loc.py"],
+    [SCRIPTS / "rg_table.py"],
+    [SCRIPTS / "classification_survey.py"],
+    [SCRIPTS / "memo_traffic.py", "query_mix", "--ops", "10"],
+], ids=["lieflag", "loc.py", "rg_table.py", "classification_survey.py", "memo_traffic.py"])
+# Unbuffered, a print() meets the closed pipe; buffered, the flush in cli.main does.
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
-def test_a_closed_stdout_pipe_ends_a_script_with_exit_1_and_no_traceback(argv, unbuffered):
+def test_a_closed_stdout_pipe_exits_1_without_a_traceback(args, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = {k: v for k, v in os.environ.items() if k != "LIEFLAG_DB"}
-    env["PYTHONUNBUFFERED"] = unbuffered
     try:
-        done = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
-        )
+        done = fresh_python(*args, stdout=write_end, timeout=120, PYTHONUNBUFFERED=unbuffered)
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, "")
