@@ -43,16 +43,21 @@ DICTS = ("_TEXTS", "_CHECKED")  # memos of records that are plain dicts
 
 
 def memos() -> dict:
-    """Every lru_cache of lieflag by its name, ``module.function``, from
-    every module of the package (``__main__`` would run the CLI)."""
+    """Every lru_cache of lieflag by its name, ``module.qualname``: the
+    functions of each module of the package and the methods of its classes
+    (importing ``__main__`` would run the CLI)."""
     found = {}
     for info in pkgutil.iter_modules(lieflag.__path__):
         if info.name == "__main__":
             continue
         module = importlib.import_module(f"lieflag.{info.name}")
-        for value in vars(module).values():
-            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
-                found[f"{info.name}.{value.__qualname__}"] = value
+        defined = [
+            v for v in vars(module).values() if getattr(v, "__module__", "") == module.__name__
+        ]
+        for cls in [v for v in defined if isinstance(v, type)]:
+            defined += vars(cls).values()
+        found |= {f"{info.name}.{fn.__qualname__}": fn for fn in defined
+                  if hasattr(fn, "cache_info")}
     return found
 
 

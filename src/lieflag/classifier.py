@@ -423,7 +423,7 @@ _INSTANCE_RULES = (
 @lru_cache(maxsize=256)
 def _record_violations(rec: RecordSchema) -> tuple[tuple[str, str], ...]:
     """The (rule, message) findings of one record, in order, each once."""
-    probes = _PROBES.get(rec.case, [])
+    probes = _PROBES[rec.case]
     reached = [(inst, acting) for n, acting in probes if (inst := _instantiate(rec, n)) is not None]
     if not reached:
         ns = [n for n, _ in probes]

@@ -11,14 +11,21 @@ callables, for the wrong-type walk, are the one part built from the
 package's own constructors.  ``load_script`` runs a script of
 scripts/ as a module, for the tests of the scripts and of the goldens;
 ``fresh_python`` runs a child interpreter in the session's environment
-(see conftest.py), and ``SHIPPED_DB`` is the database the package ships.
+(see conftest.py), ``time_bound`` turns a call that runs too long into a
+failure, and ``SHIPPED_DB`` is the database the package ships.
+``INJECTED_FAULTS`` holds one fault per rule of ``validate_records`` with
+its exact findings, and ``clear_memos`` is the one cold reset of the
+package's memos.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.resources
 import importlib.util
 import os
+import pkgutil
+import signal
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -27,7 +34,8 @@ from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
-from lieflag import DynkinType, GroupSpec, marking, weight
+import lieflag
+from lieflag import DynkinType, GroupSpec, Violation, load_database, marking, records, weight
 
 Vec = tuple[int, ...]
 
@@ -267,13 +275,109 @@ def fresh_python(*args, stdout=subprocess.PIPE, timeout=60, **environ):
     )
 
 
+HAS_ALARM = hasattr(signal, "setitimer")  # time_bound needs SIGALRM
+
+
+@contextlib.contextmanager
+def time_bound(seconds: float):
+    """Raise TimeoutError in the body once it has run ``seconds``."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"ran over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def load_script(name: str):
-    """scripts/<name>.py executed afresh, as a module."""
+    """scripts/<name>.py executed afresh, as a module, with ``sys.path`` left
+    as it was: the script's own insert of src/ is for running it directly."""
     path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    saved = sys.path[:]
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
     return module
+
+
+def memos() -> dict:
+    """Every lru_cache of lieflag by its name, ``module.qualname``: the
+    functions of each module of the package and the methods of its classes
+    (importing ``__main__`` would run the CLI)."""
+    found = {}
+    for info in pkgutil.iter_modules(lieflag.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"lieflag.{info.name}")
+        defined = [
+            v for v in vars(module).values() if getattr(v, "__module__", "") == module.__name__
+        ]
+        for cls in [v for v in defined if isinstance(v, type)]:
+            defined += vars(cls).values()
+        found |= {f"{info.name}.{fn.__qualname__}": fn for fn in defined
+                  if hasattr(fn, "cache_clear")}
+    return found
+
+
+def clear_memos() -> None:
+    """Empty every memo of lieflag: each lru_cache and the two dict memos of records."""
+    for memo in memos().values():
+        memo.cache_clear()
+    records._TEXTS.clear()
+    records._CHECKED.clear()
+
+
+_SPIN_BLOCK = (
+    "record = Q^{n-1} x R\ncase = Spin\nsource = Thm4.1\nitem = 3\n"
+    "requires = n >= 6\ndim = n\npicard = 2"
+)
+# One fault per rule of validate_records, by rule: (old text, new text, the
+# exact findings), the first old text of the serialized shipped database
+# replaced by the new one.  A new rule adds its row.
+INJECTED_FAULTS = {
+    "R1": (
+        'orbit = closed dim=2 ident=P^2 note="diagonal"',
+        'orbit = closed dim=1 note="diagonal"',
+        [Violation("R1", "P2xP2", "SL3Q", "orbit of dim 1 below r=2 of A2 at n=4")],
+    ),
+    "R2": (
+        'orbit = closed dim=2 ident=P^2 note="first plane component"',
+        "orbit = fixed dim=0",
+        [Violation("R2", "Q^4", "SL3Q", "fixed point in an unflagged record")],
+    ),
+    "R3": (
+        "orbit = closed dim=3 ident=Q^3\norbit = open dim=4",
+        "orbit = closed dim=4 ident=Q^3\norbit = open dim=4",
+        [
+            Violation("shape", "Q^4", "Sp", "closed orbit of dim 4 not below 4"),
+            Violation("R3", "Q^4", "Sp", "identification Q^3 has dim 3 but orbit recorded at 4"),
+        ],
+    ),
+    "R4": (
+        'orbit = closed dim=3 ident=FlagSL3 note="locus of square tensors"\norbit = open dim=4',
+        'orbit = closed dim=3 ident=FlagSL3 note="locus of square tensors"',
+        [Violation("R4", "P(S2T P2)", "SL3Q", "0 open orbits in a quasihomogeneous record")],
+    ),
+    "R5": (
+        _SPIN_BLOCK,
+        _SPIN_BLOCK.replace("picard = 2", "picard = 1"),
+        [Violation("R5", "Q^{n-1} x R", "Spin", "Picard-rank-one Spin entry 'Q^{n-1} x R'")],
+    ),
+}
+
+
+def inject(old: str, new: str) -> str:
+    """The serialized shipped database with its first ``old`` replaced by ``new``."""
+    text = records.serialize_records(load_database())
+    assert old in text, f"fault target {old!r} not found"
+    return text.replace(old, new, 1)
 
 
 @lru_cache(maxsize=None)

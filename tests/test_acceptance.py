@@ -19,11 +19,11 @@ from lieflag.parabolic import (
     minimal_homogeneous_varieties,
     r_min,
 )
-from lieflag.records import parse_records, serialize_records
+from lieflag.records import parse_records
 from lieflag.representations import min_nontrivial_irrep, weyl_dim
 from lieflag.roots import DynkinType, Weight, dynkin_type
 
-from oracles import freudenthal_dim, load_script, naive_gcd
+from oracles import INJECTED_FAULTS, freudenthal_dim, inject, load_script, naive_gcd
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -198,43 +198,10 @@ def test_criterion_8_classification_golden_files(capsys):
         _report(8, "classification lists reproduce the golden records exactly")
 
 
-def _fired(text: str) -> set:
-    return {v.rule for v in validate_records(parse_records(text))}
-
-
 def test_criterion_9_database_self_validation():
-    records = load_database()
-    assert validate_records(records) == []
-    base = serialize_records(records)
-
-    r1 = base.replace(
-        'orbit = closed dim=2 ident=P^2 note="diagonal"', "orbit = closed dim=1", 1
-    )
-    assert "R1" in _fired(r1)
-    r2 = base.replace(
-        'orbit = closed dim=2 ident=P^2 note="first plane component"',
-        "orbit = fixed dim=0",
-        1,
-    )
-    assert "R2" in _fired(r2)
-    r3 = base.replace(
-        "orbit = closed dim=3 ident=Q^3\norbit = open dim=4",
-        "orbit = closed dim=4 ident=Q^3\norbit = open dim=4",
-        1,
-    )
-    assert "R3" in _fired(r3)
-    r4 = base.replace(
-        'orbit = closed dim=3 ident=FlagSL3 note="locus of square tensors"\norbit = open dim=4',
-        'orbit = closed dim=3 ident=FlagSL3 note="locus of square tensors"',
-        1,
-    )
-    assert "R4" in _fired(r4)
-    spin_block = (
-        "record = Q^{n-1} x R\ncase = Spin\nsource = Thm4.1\nitem = 3\n"
-        "requires = n >= 6\ndim = n\npicard = 2"
-    )
-    r5 = base.replace(spin_block, spin_block.replace("picard = 2", "picard = 1"), 1)
-    assert "R5" in _fired(r5)
+    assert validate_records(load_database()) == []
+    for old, new, found in INJECTED_FAULTS.values():
+        assert validate_records(parse_records(inject(old, new))) == found
     _report(9, "shipped database clean, every rule fires on injected faults")
 
 

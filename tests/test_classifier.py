@@ -1,5 +1,4 @@
 import functools
-import importlib
 import itertools
 import os
 import pkgutil
@@ -36,7 +35,7 @@ from lieflag.parabolic import codim_parabolic
 from lieflag.records import parse_records, serialize_records
 from lieflag.roots import DynkinType
 
-from oracles import SHIPPED_DB, OnlyIndex, load_script
+from oracles import INJECTED_FAULTS, SHIPPED_DB, OnlyIndex, clear_memos, inject, load_script, memos
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -312,38 +311,20 @@ def test_closed_orbits_match_flag_dimensions():
     assert codim_parabolic(marking(DynkinType("C", 2), (2,))) == 3
 
 
-def _mutated_db(old: str, new: str) -> str:
-    text = serialize_records(load_database())
-    assert old in text, f"mutation target {old!r} not found"
-    return text.replace(old, new, 1)
+@pytest.mark.parametrize("rule", INJECTED_FAULTS)
+def test_each_rule_reports_exactly_its_injected_fault(rule):
+    old, new, found = INJECTED_FAULTS[rule]
+    assert validate_records(parse_records(inject(old, new))) == found
 
 
-def _rules_fired(text: str) -> set[str]:
-    return {v.rule for v in validate_records(parse_records(text))}
+def test_every_rule_has_an_injected_fault():
+    fired = {v.rule for _, _, found in INJECTED_FAULTS.values() for v in found}
+    table = classifier._ORBIT_RULES + classifier._INSTANCE_RULES
+    assert {rule for rule, _ in table} <= fired
 
 
-def test_rule_r1_fires_on_low_dimensional_orbit():
-    text = _mutated_db(
-        'orbit = closed dim=2 ident=P^2 note="diagonal"',
-        'orbit = closed dim=1 note="diagonal"',
-    )
-    assert "R1" in _rules_fired(text)
-
-
-def test_rule_r2_fires_on_unflagged_fixed_point():
-    text = _mutated_db(
-        'orbit = closed dim=2 ident=P^2 note="first plane component"',
-        "orbit = fixed dim=0",
-    )
-    assert "R2" in _rules_fired(text)
-
-
-def test_rule_r3_fires_on_wrong_identified_dimension():
-    text = _mutated_db(
-        "orbit = closed dim=3 ident=Q^3\norbit = open dim=4",
-        "orbit = closed dim=4 ident=Q^3\norbit = open dim=4",
-    )
-    assert "R3" in _rules_fired(text)
+def test_every_case_of_the_parser_has_its_probes():
+    assert set(classifier._PROBES) == set(records._CASES)
 
 
 _SL4_RECORD = """
@@ -381,7 +362,7 @@ def test_rule_r3_messages():
 
 
 def test_rule_r3_checks_identified_open_orbits():
-    text = _mutated_db("orbit = open dim=4 ident=Gr(2,4)", "orbit = open dim=4 ident=Q^9")
+    text = inject("orbit = open dim=4 ident=Gr(2,4)", "orbit = open dim=4 ident=Q^9")
     assert validate_records(parse_records(text)) == [
         Violation("R3", "Gr(2,4)", "SL", "identification Q^9 has no flag variety under A3 at n=4")
     ]
@@ -442,30 +423,6 @@ def test_raising_a_shipped_lower_bound_by_one_keeps_every_record_reached():
     raised = re.sub(r"requires = n >= (\d+)", lambda m: f"requires = n >= {int(m[1]) + 1}", text)
     assert raised != text
     assert validate_records(parse_records(raised)) == []
-
-
-def test_rule_r4_fires_on_missing_open_orbit():
-    text = _mutated_db(
-        'orbit = closed dim=3 ident=FlagSL3 note="locus of square tensors"\norbit = open dim=4',
-        'orbit = closed dim=3 ident=FlagSL3 note="locus of square tensors"',
-    )
-    assert validate_records(parse_records(text)) == [
-        Violation("R4", "P(S2T P2)", "SL3Q", "0 open orbits in a quasihomogeneous record")
-    ]
-
-
-def test_rule_r5_fires_on_rank_one_spin_extra():
-    records = load_database()
-    text = serialize_records(records)
-    spin_block = (
-        "record = Q^{n-1} x R\ncase = Spin\nsource = Thm4.1\nitem = 3\n"
-        "requires = n >= 6\ndim = n\npicard = 2"
-    )
-    assert spin_block in text
-    text = text.replace(spin_block, spin_block.replace("picard = 2", "picard = 1"), 1)
-    assert validate_records(parse_records(text)) == [
-        Violation("R5", "Q^{n-1} x R", "Spin", "Picard-rank-one Spin entry 'Q^{n-1} x R'")
-    ]
 
 
 def test_database_override_by_path(tmp_path):
@@ -589,12 +546,6 @@ def test_the_rank_cap_holds_before_and_after_a_warm_call(monkeypatch):
         classify(group, 13)
 
 
-def _clear_classifier_memos():
-    for fn in vars(classifier).values():
-        if hasattr(fn, "cache_clear"):
-            fn.cache_clear()
-
-
 def _answer(fn, *args):
     try:
         return fn(*args)
@@ -643,7 +594,7 @@ def test_warm_answers_equal_cold_ones(where, tmp_path):
     warm = [_answer(*query) for query in queries]
     cold = []
     for query in queries:
-        _clear_classifier_memos()
+        clear_memos()
         cold.append(_answer(*query))
     assert warm == cold
     verdicts = [a.verdict for a in warm if isinstance(a, classifier.ClassificationResult)]
@@ -779,21 +730,9 @@ CACHES = {
 
 
 def test_the_library_memoises_exactly_the_listed_caches():
-    found = {}
-    # every module of the package; importing __main__ would run the CLI
-    names = [m.name for m in pkgutil.iter_modules(lieflag.__path__) if m.name != "__main__"]
-    assert {"cone", "cli", "errors"} <= set(names)
-    for module in map(importlib.import_module, (f"lieflag.{name}" for name in names)):
-        defined = [
-            v for v in vars(module).values() if getattr(v, "__module__", "") == module.__name__
-        ]
-        for cls in [v for v in defined if isinstance(v, type)]:
-            defined += vars(cls).values()
-        for fn in defined:
-            if hasattr(fn, "cache_info"):
-                short = module.__name__.removeprefix("lieflag.")
-                found[f"{short}.{fn.__qualname__}"] = fn.cache_info().maxsize
-    assert found == CACHES
+    # the walk of memos() and clear_memos() reaches modules that hold no cache too
+    assert {"cone", "cli", "errors"} <= {m.name for m in pkgutil.iter_modules(lieflag.__path__)}
+    assert {name: fn.cache_info().maxsize for name, fn in memos().items()} == CACHES
 
 
 def test_the_readme_lists_exactly_the_memos():
@@ -812,9 +751,9 @@ def test_the_readme_lists_exactly_the_rules():
 
 
 def test_the_memo_traffic_script_reports_every_memo(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts bench/ in front
     monkeypatch.delitem(sys.modules, "oracles", raising=False)  # bench/ has its own
     memo_traffic = load_script("memo_traffic")
+    assert memo_traffic.memos().keys() == memos().keys()  # the script scans as the tests do
     (found,) = memo_traffic.traffic("query_mix", ops=100)
     assert set(found) == {*CACHES, "records._TEXTS", "records._CHECKED"}
     hits, misses, size = found["classifier._ladder"]  # four in five query_mix ops classify

@@ -9,7 +9,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lieflag import bwb_section_dim, cli, dynkin_type, load_database, marking, weight
@@ -18,7 +18,7 @@ from lieflag.cli import run
 from lieflag.errors import shown
 from lieflag.records import _CASES
 
-from oracles import SHIPPED_DB, fresh_python, load_script
+from oracles import HAS_ALARM, SHIPPED_DB, fresh_python, load_script, time_bound
 
 GOLDEN = Path(__file__).parent / "golden"
 regen_golden = load_script("regen_golden")
@@ -319,17 +319,18 @@ def test_plain_args_agree_with_the_full_parser(argv):
 
 
 # The CLI walk: each argument of a command takes a value that fits it or one
-# from a hostile pool; --power and --kmax stay at 20 or less, so that no
-# example computes for long.
+# from a hostile pool, and each call must end within _WALK_SECONDS.
 _LONG = "9" * 4301  # more digits than int() converts
+_HUGE = "9" * 4000  # int() still reads 4,000 digits
+_WALK_SECONDS = 5
 _HOSTILE = ["x", "1.5", "-3", "1_0", _LONG, "", "A0", "Z2", "E9", "A13", "D" + _LONG]
 _FITTING = {
     "type": ["A1", "A2", "B2", "G2", "a2", "D3"],
     "--nodes": ["1", "2", "1,2"],
-    "--weight": ["1", "1,0", "0,2", "1,1,1"],
+    "--weight": ["1", "1,0", "0,2", "1,1,1", _HUGE],
     "--node": ["1", "2"],
-    "--power": ["1", "3", "20"],
-    "--kmax": ["1", "5", "20"],
+    "--power": ["1", "3", "20", "10000"],
+    "--kmax": ["1", "5", "20", "10000"],
     "--dim": ["2", "3", "4"],
     "--param": ["3", "4"],
     "--c1": ["1", "1,2", "0,0"],
@@ -367,11 +368,16 @@ def unreadable_databases(tmp_path_factory):
     return [None, root, root / "empty.db", root / "binary.db"]
 
 
+@pytest.mark.skipif(not HAS_ALARM, reason="needs SIGALRM")
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_the_cli_walk_exits_0_1_or_2_without_a_traceback(unreadable_databases, command, data):
     argv = _hostile_argv(data.draw, command)
+    # hilbert of a 4,000-digit weight to k = 10000 is 10,001 values of 4,000
+    # digits, 40 MB that no bound on an answer's total size stops yet
+    values = {word.rpartition("=")[2] for word in argv}
+    assume(command != "hilbert" or not {_HUGE, "10000"} <= values)
     db = data.draw(st.sampled_from(unreadable_databases))
     given_as = data.draw(st.sampled_from(["LIEFLAG_DB", "--db V", "--db=V"]))
     if db is not None and given_as != "LIEFLAG_DB":
@@ -381,7 +387,11 @@ def test_the_cli_walk_exits_0_1_or_2_without_a_traceback(unreadable_databases, c
     with pytest.MonkeyPatch.context() as mp:
         if db is not None and given_as == "LIEFLAG_DB":
             mp.setenv("LIEFLAG_DB", str(db))
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with (
+            time_bound(_WALK_SECONDS),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+        ):
             code = run(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in out.getvalue() + err.getvalue(), argv

@@ -1,6 +1,5 @@
 import os
 import re
-import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieflag.classifier import (
-    _record_violations,
     classify,
     group_spec,
     load_database,
@@ -38,8 +36,6 @@ from lieflag.records import (
     RecordSchema,
     RelationEdge,
     _compile,
-    _parse_block,
-    _parse_orbit,
     _parse_text,
     _record_text,
     eval_expr,
@@ -48,7 +44,7 @@ from lieflag.records import (
 )
 from lieflag.roots import DynkinType, dynkin_type
 
-from oracles import SHIPPED_DB
+from oracles import HAS_ALARM, SHIPPED_DB, clear_memos, time_bound
 
 SHIPPED = SHIPPED_DB.read_text()
 
@@ -401,16 +397,8 @@ def test_cold_caches_give_the_warm_results(index, value):
     text = "\n".join(lines)
     _parse_and_validate(text)
     warm = _parse_and_validate(text)
-    _TEXTS.clear()
-    for memo in (_parse_block, _parse_orbit, _record_violations):
-        memo.cache_clear()
+    clear_memos()
     assert _parse_and_validate(text) == warm
-
-
-def _clear_parse_memos():
-    _TEXTS.clear()
-    for memo in (_parse_block, _parse_orbit, _compile):
-        memo.cache_clear()
 
 
 @pytest.fixture
@@ -517,7 +505,7 @@ def test_record_blocks_are_reused_across_comments_indentation_and_line_endings(
     text = ending.join(lines) + (ending if final else "")
     got = parse_records(text)  # the memo holds blocks of earlier examples
     plain = "\n".join(s for s in map(str.strip, lines) if s and s[0] != "#")
-    _clear_parse_memos()
+    clear_memos()
     expected = parse_records(plain)
     assert got == expected
     assert parse_records(text) == expected  # every block a hit now
@@ -530,7 +518,7 @@ def test_a_written_text_is_stored_with_the_records_a_cold_parse_gives(lines, end
     text = serialize_records(parse_records(ending.join(lines)))
     stored = _TEXTS[text]
     assert parse_records(text) is stored
-    _clear_parse_memos()
+    clear_memos()
     assert parse_records(text) == stored
 
 
@@ -566,7 +554,7 @@ def test_a_malformed_line_is_named_by_its_number_with_the_memo_cold_or_warm(
     at = data.draw(st.sampled_from(candidates), label="line index")
     bad, error = data.draw(st.sampled_from(_LINE_FAULTS), label="fault")
     text = ending.join(lines[:at] + [bad] + lines[at + 1:])
-    _clear_parse_memos()
+    clear_memos()
     for memo in ("cold", "warm"):
         with pytest.raises(DatabaseFormatError) as exc:
             parse_records(text)
@@ -700,11 +688,7 @@ def test_wrong_typed_arguments_are_domain_errors(call, args, error, message):
 _HEAD = "record = X\ncase = SL\nsource = Thm4.1\nitem = 1\ndim = n\npicard = 1\n"
 
 
-def _too_slow(signum, frame):
-    raise TimeoutError("splitting did not finish in linear time")
-
-
-@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@pytest.mark.skipif(not HAS_ALARM, reason="needs SIGALRM")
 @pytest.mark.parametrize(
     "line, error",
     [
@@ -726,15 +710,9 @@ def _too_slow(signum, frame):
 )
 def test_split_rejects_long_adversarial_lines_in_linear_time(line, error):
     # a backtracking splitter would run for hours; the alarm turns it into a failure
-    previous = signal.signal(signal.SIGALRM, _too_slow)
-    signal.setitimer(signal.ITIMER_REAL, 5)
-    try:
-        with pytest.raises(DatabaseFormatError) as exc:
-            parse_records(_HEAD + "orbit = " + line)
-        assert str(exc.value) == f"line 7: bad orbit line: {error}"
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    with time_bound(5), pytest.raises(DatabaseFormatError) as exc:
+        parse_records(_HEAD + "orbit = " + line)
+    assert str(exc.value) == f"line 7: bad orbit line: {error}"
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from lieflag import (
     Violation,
     Weight,
 )
-from lieflag.errors import DomainError, InvalidGroup, InvalidRank, NodeOutOfRange
+from lieflag.errors import DomainError
 from lieflag.records import parse_records
 
 from oracles import UNCHECKED, VALID_CALLS, OnlyIndex, fresh_python, load_script
@@ -223,28 +223,6 @@ def test_database_types_keep_repr_hash_and_immutability():
     assert GroupSpec("G2") == GroupSpec("G2", 0) == ("G2", 0)  # the default parameter
 
 
-def test_replace_and_make_validate_like_the_constructor():
-    a2 = DynkinType("A", 2)
-    with pytest.raises(InvalidRank, match="rank 99 above the configured cap"):
-        a2._replace(rank=99)
-    with pytest.raises(InvalidRank, match="rank 99 above the configured cap"):
-        DynkinType._make(("A", 99))
-    with pytest.raises(NodeOutOfRange, match="node 7 out of range 1..2 for A2"):
-        lieflag.marking(a2, (1,))._replace(marked=frozenset({7}))
-    w = Weight(a2, (1, 0))
-    with pytest.raises(InvalidRank, match="must be integers"):
-        w._replace(coords=(1.5, 0))
-    with pytest.raises(InvalidRank, match="needs 2 coordinates, got 1"):
-        w._replace(coords=(1,))
-    with pytest.raises(InvalidGroup, match="SL needs parameter >= 2, got 1"):
-        GroupSpec("SL", 4)._replace(parameter=1)
-    with pytest.raises(InvalidGroup, match="unknown family 'SU'"):
-        GroupSpec._make(("SU", 3))
-    # a valid replacement still normalises as the constructor does
-    assert w._replace(coords=[True, 0]).coords == (1, 0)
-    assert lieflag.marking(a2, (1,))._replace(marked=[2, 2]).marked == frozenset({2})
-
-
 # Values of the wrong type, by test id; each replaces one valid argument.
 _WRONG = {"None": None, "str": "x", "float": 1.5, "list": [1], "tuple": (), "index": OnlyIndex()}
 
@@ -271,17 +249,3 @@ def test_a_wrong_type_returns_or_raises_a_domain_error(name, position, label):
         repr(getattr(lieflag, name)(*args))
     except DomainError:
         pass
-
-
-@pytest.mark.parametrize(
-    "name", ["root_system", "positive_roots", "r_min", "minimal_homogeneous_varieties"]
-)
-def test_a_tuple_equal_to_a_type_is_refused_cold_and_warm(name):
-    lieflag.root_system.cache_clear()
-    lieflag.r_min.cache_clear()
-    for state in ("cold", "warm"):
-        with pytest.raises(InvalidRank) as exc:
-            getattr(lieflag, name)(("A", 2))
-        assert str(exc.value) == "type must be a DynkinType, got ('A', 2)", state
-        # ("A", 2) now equals a key of the per-type memos and hashes alike
-        getattr(lieflag, name)(DynkinType("A", 2))

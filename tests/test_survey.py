@@ -1,17 +1,25 @@
-"""The survey scripts against their committed output, and the CLI and the
-printing scripts on a closed pipe."""
+"""The survey scripts against their committed output, the script loader of
+the tests, and the CLI and the printing scripts on a closed pipe."""
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 from lieflag import classifier
 
-from oracles import fresh_python, load_script
+from oracles import clear_memos, fresh_python, load_script
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 EXPECTED = (Path(__file__).parent / "classification_survey.txt").read_text()
+
+
+def test_loading_a_script_leaves_sys_path_as_it_was():
+    before = list(sys.path)
+    for _ in range(3):
+        load_script("regen_golden")  # which puts src/ in front when run directly
+    assert sys.path == before
 
 
 def test_rg_table_prints_its_committed_output(capsys):
@@ -22,8 +30,7 @@ def test_rg_table_prints_its_committed_output(capsys):
 def test_survey_prints_its_committed_output_cold_and_warm(capsys):
     survey = load_script("classification_survey")
     memos = (classifier._instantiate, classifier._ladder, classifier._load)
-    for memo in memos:
-        memo.cache_clear()  # clearing _load drops the shipped database's case lists too
+    clear_memos()  # clearing _load drops the shipped database's case lists too
     for run in ("cold", "warm"):
         survey.main()
         assert capsys.readouterr().out == EXPECTED, run

@@ -18,9 +18,11 @@ from lieflag.errors import (
     NonDominantWeight,
     UnsupportedWeight,
 )
-from lieflag.parabolic import ParabolicMarking, codim_parabolic, marking
+from lieflag.parabolic import codim_parabolic, marking, minimal_homogeneous_varieties, r_min
 from lieflag.representations import bwb_section_dim, weyl_dim
-from lieflag.roots import DynkinType, Weight, root_system
+from lieflag.roots import DynkinType, Weight, positive_roots, root_system
+
+from oracles import clear_memos
 
 A2 = DynkinType("A", 2)
 TYPES = [DynkinType(s, n) for s, n in (("A", 1), ("A", 3), ("B", 4), ("E", 8), ("G", 2))]
@@ -81,18 +83,27 @@ GOOD = {
     [
         ("DynkinType", lambda v: v._replace(rank=0), InvalidRank, "series A needs rank >= 1"),
         ("DynkinType", lambda v: type(v)._make(("Q", 4)), InvalidRank, "unknown series 'Q'"),
+        ("DynkinType", lambda v: v._replace(rank=99), InvalidRank,
+         "rank 99 above the configured cap 12 for series A"),
+        ("DynkinType", lambda v: type(v)._make(("A", 99)), InvalidRank,
+         "rank 99 above the configured cap 12 for series A"),
         ("Weight", lambda v: v._replace(coords=(1,)), InvalidRank,
          "weight needs 2 coordinates, got 1"),
         ("Weight", lambda v: type(v)._make((A2, (1.5, 0))), InvalidRank,
          "weight coordinates must be integers, got (1.5, 0)"),
+        ("Weight", lambda v: v._replace(coords=(1.5, 0)), InvalidRank,
+         "weight coordinates must be integers, got (1.5, 0)"),
         ("ParabolicMarking", lambda v: v._replace(marked=(3,)), NodeOutOfRange,
          "node 3 out of range 1..2 for A2"),
+        ("ParabolicMarking", lambda v: v._replace(marked=frozenset({7})), NodeOutOfRange,
+         "node 7 out of range 1..2 for A2"),
         ("ParabolicMarking", lambda v: type(v)._make((A2, ())), EmptyMarking,
          "a parabolic marking needs at least one node"),
         ("GroupSpec", lambda v: v._replace(parameter=1), InvalidGroup,
          "SL needs parameter >= 2, got 1"),
         ("GroupSpec", lambda v: type(v)._make(("Spin", 4)), InvalidGroup,
          "Spin needs parameter >= 5, got 4"),
+        ("GroupSpec", lambda v: type(v)._make(("SU", 3)), InvalidGroup, "unknown family 'SU'"),
     ],
 )
 def test_replace_and_make_still_validate(name, call, error, message):
@@ -106,12 +117,19 @@ def test_a_valid_replace_or_make_keeps_the_type():
         for copy in (value._replace(), type(value)._make(value)):
             assert copy == value and type(copy) is type(value)
     assert A2._replace(rank=3) == DynkinType("A", 3)
+    # a valid replacement normalises as the constructor does
+    assert GOOD["Weight"]._replace(coords=[True, 0]).coords == (1, 0)
+    assert GOOD["ParabolicMarking"]._replace(marked=[2, 2]).marked == frozenset({2})
 
 
 @pytest.mark.parametrize(
     "name, call, error, message",
     [
         ("DynkinType", root_system, InvalidRank, "type must be a DynkinType, got ('A', 2)"),
+        ("DynkinType", positive_roots, InvalidRank, "type must be a DynkinType, got ('A', 2)"),
+        ("DynkinType", r_min, InvalidRank, "type must be a DynkinType, got ('A', 2)"),
+        ("DynkinType", minimal_homogeneous_varieties, InvalidRank,
+         "type must be a DynkinType, got ('A', 2)"),
         ("Weight", weyl_dim, UnsupportedWeight,
          "weight must be a Weight, got (DynkinType(series='A', rank=2), (1, 0))"),
         ("ParabolicMarking", codim_parabolic, NodeOutOfRange,
@@ -121,9 +139,12 @@ def test_a_valid_replace_or_make_keeps_the_type():
          "group must be a GroupSpec, got ('SL', 3)"),
     ],
 )
-def test_a_plain_tuple_equal_to_a_value_is_refused(name, call, error, message):
+def test_a_plain_tuple_equal_to_a_value_is_refused_cold_and_warm(name, call, error, message):
     plain = tuple(GOOD[name])
     assert plain == GOOD[name] and hash(plain) == hash(GOOD[name])
-    with pytest.raises(error) as exc:
-        call(plain)
-    assert str(exc.value) == message
+    clear_memos()
+    for state in ("cold", "warm"):
+        with pytest.raises(error) as exc:
+            call(plain)
+        assert str(exc.value) == message, state
+        call(GOOD[name])  # the plain tuple now equals a key of the memos and hashes alike
