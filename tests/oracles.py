@@ -6,9 +6,11 @@ products are plain integer dot products (all vectors pre-scaled to clear
 denominators), and irreducible dimensions come from summing Freudenthal
 multiplicities over the full weight system.  Simple roots and fundamental
 weights are numbered the Bourbaki way so coordinate vectors can be
-compared with the package directly.  The valid arguments of the public
-callables, for the wrong-type walk, are the one part built from the
-package's own constructors.  ``load_script`` runs a script of
+compared with the package directly.  ``simple_types`` is the one walk of
+the Dynkin types, written from the classification; it and the valid
+arguments of the public callables, for the wrong-type walk, are turned
+into values by the package's own constructors (``dynkin_types`` builds
+the walk's types).  ``load_script`` runs a script of
 scripts/ as a module, for the tests of the scripts and of the goldens;
 ``fresh_python`` runs a child interpreter in the session's environment
 (see conftest.py), ``time_bound`` turns a call that runs too long into a
@@ -28,6 +30,7 @@ import pkgutil
 import signal
 import subprocess
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -202,14 +205,34 @@ def _model_positive_roots(name: str) -> frozenset[tuple[int, ...]]:
     return frozenset(out)
 
 
+def simple_types(max_rank: int) -> list[tuple[str, int]]:
+    """Every simple type of rank at most ``max_rank`` as (series, rank), in
+    the order A, B, C, D, E, F, G and then rank, written from the
+    classification: A_n for n >= 1, B_n and C_n for n >= 2, D_n for n >= 3,
+    and E6, E7, E8, F4, G2."""
+    classical = [
+        (series, n)
+        for series, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+        for n in range(lo, max_rank + 1)
+    ]
+    exceptional = (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
+    return classical + [(series, n) for series, n in exceptional if n <= max_rank]
+
+
+def dynkin_types(max_rank: int) -> list[DynkinType]:
+    """``simple_types(max_rank)`` as DynkinType values, D3's notice silenced;
+    ``max_rank`` is at most the classical rank cap."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "D3 has the same diagram")
+        return [DynkinType(series, n) for series, n in simple_types(max_rank)]
+
+
 # Types the Euclidean oracles cover, up to rank 16 (above the default
 # classical rank cap, which the tests using them raise).
 ORACLE_MAX_RANK = 16
 ORACLE_TYPES = tuple(
-    f"{series}{n}"
-    for series, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
-    for n in range(lo, ORACLE_MAX_RANK + 1)
-) + ("E6", "E7", "E8", "F4", "G2")
+    f"{series}{n}" for series, n in simple_types(ORACLE_MAX_RANK) if (series, n) != ("D", 3)
+)
 
 # Valid arguments, in order, of every callable of ``lieflag.__all__`` that
 # checks its input; the wrong-type walk swaps one of them at a time.

@@ -23,7 +23,7 @@ from lieflag.records import parse_records
 from lieflag.representations import min_nontrivial_irrep, weyl_dim
 from lieflag.roots import DynkinType, Weight, dynkin_type
 
-from oracles import INJECTED_FAULTS, freudenthal_dim, inject, load_script, naive_gcd
+from oracles import INJECTED_FAULTS, dynkin_types, freudenthal_dim, inject, load_script, naive_gcd
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -67,22 +67,8 @@ def test_criterion_3_spin8_triality():
     _report(3, "Spin(8) minimal varieties are three six-dimensional quadrics")
 
 
-def _covered_types(max_rank):
-    out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for series, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-            out += [DynkinType(series, n) for n in range(lo, max_rank + 1)]
-        if max_rank >= 4:
-            out.append(DynkinType("F", 4))
-        if max_rank >= 6:
-            out.append(DynkinType("E", 6))
-        out.append(DynkinType("G", 2))
-    return out
-
-
 def test_criterion_4_minimal_representation_bound():
-    for dtype in _covered_types(6):
+    for dtype in dynkin_types(6):
         r = r_min(dtype).value
         best = min_nontrivial_irrep(dtype)
         assert best.dim > r, dtype

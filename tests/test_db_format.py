@@ -18,14 +18,7 @@ from lieflag.classifier import (
     validate_database,
     validate_records,
 )
-from lieflag.errors import (
-    DatabaseFormatError,
-    InvalidDimension,
-    InvalidGroup,
-    InvalidRank,
-    ParameterViolation,
-    UnknownVariety,
-)
+from lieflag.errors import DatabaseFormatError, InvalidDimension, ParameterViolation
 from lieflag.records import (
     _CHECKED,
     _MAX_DEPTH,
@@ -33,7 +26,6 @@ from lieflag.records import (
     _TEXTS_MAX,
     IDENT_RE,
     OrbitSchema,
-    RecordSchema,
     RelationEdge,
     _compile,
     _parse_text,
@@ -42,7 +34,6 @@ from lieflag.records import (
     parse_records,
     serialize_records,
 )
-from lieflag.roots import DynkinType, dynkin_type
 
 from oracles import HAS_ALARM, SHIPPED_DB, clear_memos, time_bound
 
@@ -638,51 +629,6 @@ def test_a_path_the_os_cannot_encode_is_a_format_error(path):
         with pytest.raises(DatabaseFormatError) as exc:
             fn(*args)
         assert str(exc.value).startswith(f"cannot read database {path!r}: "), fn.__name__
-
-
-@pytest.mark.parametrize(
-    "call, args, error, message",
-    [
-        (classify, (None, 4), InvalidGroup, "group must be a GroupSpec, got None"),
-        (classify, (("SL", 4), 4), InvalidGroup, "group must be a GroupSpec, got ('SL', 4)"),
-        (parse_records, (5,), DatabaseFormatError, "database text must be a str, got int"),
-        (parse_records, (MINIMAL.encode(),), DatabaseFormatError,
-         "database text must be a str, got bytes"),
-        (serialize_records, (5,), DatabaseFormatError, "records must be an iterable, got int"),
-        (validate_records, (5,), DatabaseFormatError, "records must be an iterable, got int"),
-        (validate_records, (None,), DatabaseFormatError,
-         "records must be an iterable, got NoneType"),
-        (orbit_structure, ("P^n", None, "SL"), ParameterViolation,
-         "params must be a mapping, got NoneType"),
-        (orbit_structure, ("P^n", [("n", 4)], "SL"), ParameterViolation,
-         "params must be a mapping, got list"),
-        (parse_records(MINIMAL)[0].check_params, (None,), ParameterViolation,
-         "params must be a mapping, got NoneType"),
-        (eval_expr, (5, {}), DatabaseFormatError, "expression must be a string, got int"),
-        (eval_expr, ("n", None), DatabaseFormatError, "env must be a mapping, got NoneType"),
-        (parse_records(MINIMAL)[0].applies, ("3",), InvalidDimension,
-         "dimension must be an integer, got '3'"),
-        (parse_records(MINIMAL)[0].applies, (None,), InvalidDimension,
-         "dimension must be an integer, got None"),
-        # a string argument that is not a string, checked before a memo key or
-        # a set lookup, which could not hash a list
-        (eval_expr, (["n"], {"n": 1}), DatabaseFormatError,
-         "expression must be a string, got list"),
-        (relations, (["x"],), UnknownVariety, "no record or instance named ['x']"),
-        (relations, (10**5000,), UnknownVariety,
-         "no record or instance named <integer of ~5000 digits>"),
-        (orbit_structure, (10**5000, {"n": 3}), UnknownVariety,
-         "no record named <integer of ~5000 digits>"),
-        (dynkin_type, (5,), InvalidRank, "cannot parse Dynkin type 5: not a string"),
-        (dynkin_type, (None,), InvalidRank, "cannot parse Dynkin type None: not a string"),
-        (DynkinType, (["A"], 2), InvalidRank, "unknown series ['A']"),
-        (DynkinType, (10**5000, 2), InvalidRank, "unknown series <integer of ~5000 digits>"),
-    ],
-)
-def test_wrong_typed_arguments_are_domain_errors(call, args, error, message):
-    with pytest.raises(error) as exc:
-        call(*args)
-    assert str(exc.value) == message
 
 
 _HEAD = "record = X\ncase = SL\nsource = Thm4.1\nitem = 1\ndim = n\npicard = 1\n"

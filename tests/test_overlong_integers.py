@@ -2,34 +2,22 @@
 
 Such a value reaches a message only through ``errors.shown``, so each call
 answers or raises its named error instead of the ``ValueError`` of the
-conversion.
+conversion.  Those named errors are rows of the refusal table of
+test_value_checks.py; the tests here cover answers, reprs and the CLI.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from lieflag.classifier import GroupSpec, classify, orbit_structure
+from lieflag.classifier import GroupSpec, classify
 from lieflag.cli import run
-from lieflag.cone import cone_cover_order, cone_hilbert_function
-from lieflag.errors import (
-    InvalidDimension,
-    InvalidGroup,
-    InvalidRank,
-    NodeOutOfRange,
-    NonDominantWeight,
-    ParameterViolation,
-    UnknownVariety,
-    UnsupportedWeight,
-    shown,
-)
-from lieflag.parabolic import marking
-from lieflag.representations import bwb_section_dim, weyl_dim
-from lieflag.roots import DynkinType, dynkin_type, fundamental_weight, weight
+from lieflag.errors import shown
+from lieflag.representations import weyl_dim
+from lieflag.roots import DynkinType, weight
 
 H = 10**5000
 A2 = DynkinType("A", 2)
-B2 = DynkinType("B", 2)
 
 
 def test_shown_is_repr_until_str_would_refuse():
@@ -39,61 +27,6 @@ def test_shown_is_repr_until_str_would_refuse():
     assert shown(-H) == "<negative integer of ~5000 digits>"
     assert shown((H, 1.5)) == "<tuple holding an over-long integer>"
     assert shown(Fraction(H, 3)) == "<Fraction holding an over-long integer>"
-
-
-@pytest.mark.parametrize(
-    "call, error, message",
-    [
-        (lambda: DynkinType("A", H), InvalidRank,
-         "rank <integer of ~5000 digits> above the configured cap 12 for series A"),
-        (lambda: DynkinType("E", H), InvalidRank, "E<integer of ~5000 digits> is not a simple type"),
-        (lambda: GroupSpec("SL", -H), InvalidGroup,
-         "SL needs parameter >= 2, got <negative integer of ~5000 digits>"),
-        (lambda: GroupSpec("Sp", H + 1), InvalidGroup,
-         "Sp needs an even parameter >= 4, got <integer of ~5000 digits>"),
-        (lambda: GroupSpec("Spin", -H), InvalidGroup,
-         "Spin needs parameter >= 5, got <negative integer of ~5000 digits>"),
-        (lambda: GroupSpec(H), InvalidGroup, "unknown family <integer of ~5000 digits>"),
-        (lambda: GroupSpec("SL", (H,)), InvalidGroup,
-         "group parameter must be an integer, got <tuple holding an over-long integer>"),
-        (lambda: fundamental_weight(A2, H), InvalidRank,
-         "node <integer of ~5000 digits> out of range for A2"),
-        (lambda: marking(A2, (H,)), NodeOutOfRange,
-         "node <integer of ~5000 digits> out of range 1..2 for A2"),
-        (lambda: marking(A2, (H, 1.5)), NodeOutOfRange,
-         "marked nodes must be integers, got <tuple holding an over-long integer>"),
-        (lambda: weight(A2, (H, 1.5)), InvalidRank,
-         "weight coordinates must be integers, got <tuple holding an over-long integer>"),
-        (lambda: weyl_dim(weight(A2, (-H, 0))), NonDominantWeight,
-         "weight (<negative integer of ~5000 digits>,0) has a negative coordinate"),
-        (lambda: bwb_section_dim(marking(B2, (1,)), fundamental_weight(B2, 1), -H),
-         InvalidDimension, "power must be an integer >= 1, got <negative integer of ~5000 digits>"),
-        (lambda: bwb_section_dim(marking(B2, (1,)), weight(B2, (0, H)), 1), UnsupportedWeight,
-         "weight (0,<integer of ~5000 digits>) has mass at unmarked node 2"),
-        (lambda: cone_hilbert_function(marking(B2, (1,)), fundamental_weight(B2, 1), -H),
-         InvalidDimension, "k_max must be an integer >= 1, got <negative integer of ~5000 digits>"),
-        (lambda: cone_cover_order((H, 1.5)), UnsupportedWeight,
-         "c1 entries must be integers, got <tuple holding an over-long integer>"),
-        (lambda: classify(GroupSpec("SL", 4), -H), InvalidDimension,
-         "dimension must be positive, got <negative integer of ~5000 digits>"),
-        (lambda: classify(GroupSpec("SL", 4), Fraction(H, 3)), InvalidDimension,
-         "dimension must be an integer, got <Fraction holding an over-long integer>"),
-        (lambda: orbit_structure("P^n", {"n": H}, case="SL"), ParameterViolation,
-         "P^{n-1} at n=<integer of ~5000 digits> has an exponent too long to write"),
-        (lambda: orbit_structure("Gr(2,4)", {"n": H}, case="SL"), ParameterViolation,
-         "'Gr(2,4)' requires 'n == 4', violated at n=<integer of ~5000 digits>"),
-        (lambda: orbit_structure("P^n", {"n": Fraction(H, 3)}, case="SL"), ParameterViolation,
-         "parameter 'n' must be an integer, got <Fraction holding an over-long integer>"),
-        (lambda: orbit_structure("P^n", {"n": 3}, case=H), UnknownVariety,
-         "no record named 'P^n' in case <integer of ~5000 digits>"),
-        (lambda: dynkin_type("A" + "9" * 5000), InvalidRank, "cannot parse Dynkin type 'A999"),
-        (lambda: dynkin_type("A²"), InvalidRank, "cannot parse Dynkin type 'A²'"),
-    ],
-)
-def test_an_over_long_integer_gives_the_named_error(call, error, message):
-    with pytest.raises(error) as exc:
-        call()
-    assert str(exc.value).startswith(message)
 
 
 def test_classify_at_an_over_long_dimension_is_out_of_range():

@@ -1,4 +1,3 @@
-import warnings
 from itertools import combinations
 
 import pytest
@@ -30,6 +29,7 @@ from lieflag.roots import DynkinType, dynkin_type, positive_roots
 
 from oracles import (
     ORACLE_TYPES,
+    dynkin_types,
     fano_index_oracle,
     levi_codim,
     named_flag_varieties,
@@ -147,27 +147,7 @@ def test_r_min_values_and_argmins():
     assert r_min(dynkin_type("G2")) == (5, (1, 2))
 
 
-def test_spin_series_r_is_m_minus_2():
-    for m in range(7, 13):
-        dtype = DynkinType("B", m // 2) if m % 2 else DynkinType("D", m // 2)
-        assert r_min(dtype).value == m - 2
-
-
-def _small_types(max_rank):
-    out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for series, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-            out += [DynkinType(series, n) for n in range(lo, max_rank + 1)]
-        if max_rank >= 4:
-            out.append(DynkinType("F", 4))
-        if max_rank >= 6:
-            out.append(DynkinType("E", 6))
-        out.append(DynkinType("G", 2))
-    return out
-
-
-@pytest.mark.parametrize("dtype", _small_types(6), ids=str)
+@pytest.mark.parametrize("dtype", dynkin_types(6), ids=str)
 def test_single_node_minimum_beats_all_markings(dtype):
     best = r_min(dtype).value
     nodes = range(1, dtype.rank + 1)
@@ -181,7 +161,7 @@ def test_single_node_minimum_beats_all_markings(dtype):
     assert r_min(dtype).nodes == tuple(singles)
 
 
-@pytest.mark.parametrize("dtype", _small_types(5), ids=str)
+@pytest.mark.parametrize("dtype", dynkin_types(5), ids=str)
 def test_codim_monotone_in_marking(dtype):
     nodes = range(1, dtype.rank + 1)
     singles = {i: codim_parabolic(marking(dtype, (i,))) for i in nodes}
@@ -228,7 +208,7 @@ def _all_markings(dtype):
     return [sub for size in nodes for sub in combinations(nodes, size)]
 
 
-@pytest.mark.parametrize("dtype", _small_types(4), ids=str)
+@pytest.mark.parametrize("dtype", dynkin_types(4), ids=str)
 def test_named_markings_resolve_back_to_their_dimension(dtype):
     # name -> marking -> dimension gives back the original marking's
     # codim_parabolic, for every marking the table names

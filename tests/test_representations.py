@@ -1,4 +1,3 @@
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, product
 from math import comb
@@ -31,7 +30,7 @@ from lieflag.roots import (
     weight,
 )
 
-from oracles import ORACLE_TYPES, euclidean_type, freudenthal_dim, weyl_product_dim
+from oracles import ORACLE_TYPES, dynkin_types, euclidean_type, freudenthal_dim, weyl_product_dim
 
 
 def test_weyl_dim_examples():
@@ -51,14 +50,7 @@ def test_weyl_dim_trivial_and_rho():
     for name in ("A2", "B3", "G2"):
         t = dynkin_type(name)
         assert weyl_dim(Weight(t, (0,) * t.rank)) == 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        small = [
-            DynkinType(s, n)
-            for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
-            for n in range(lo, 5)
-        ] + [DynkinType("F", 4), DynkinType("G", 2)]
-    for t in small:
+    for t in dynkin_types(4):
         rs = root_system(t)
         assert weyl_dim(rs.rho) == 2 ** len(rs.positive_roots)
 
@@ -132,21 +124,7 @@ def test_weyl_dim_strictly_monotone(name):
             assert weyl_dim(Weight(t, bumped)) > base
 
 
-def _types_up_to_rank(max_rank):
-    out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for series, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-            out += [DynkinType(series, n) for n in range(lo, max_rank + 1)]
-        if max_rank >= 4:
-            out.append(DynkinType("F", 4))
-        if max_rank >= 6:
-            out.append(DynkinType("E", 6))
-        out.append(DynkinType("G", 2))
-    return out
-
-
-@pytest.mark.parametrize("dtype", _types_up_to_rank(6), ids=str)
+@pytest.mark.parametrize("dtype", dynkin_types(6), ids=str)
 def test_every_nontrivial_irrep_exceeds_r(dtype):
     r = r_min(dtype).value
     for coords in product(range(4), repeat=dtype.rank):
@@ -170,7 +148,7 @@ def test_min_irrep_examples():
     assert (g2.dim, g2.nodes) == (7, (1,))
 
 
-@pytest.mark.parametrize("dtype", _types_up_to_rank(6), ids=str)
+@pytest.mark.parametrize("dtype", dynkin_types(6), ids=str)
 def test_min_dim_equals_r_plus_one_only_for_standard_series(dtype):
     # true for SL and Sp standard representations; B2 and D3 are the
     # C2 / A3 relabelings, so they satisfy it as well
