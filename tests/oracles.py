@@ -7,10 +7,10 @@ denominators), and irreducible dimensions come from summing Freudenthal
 multiplicities over the full weight system.  Simple roots and fundamental
 weights are numbered the Bourbaki way so coordinate vectors can be
 compared with the package directly.  ``simple_types`` is the one walk of
-the Dynkin types, written from the classification; it and the valid
-arguments of the public callables, for the wrong-type walk, are turned
-into values by the package's own constructors (``dynkin_types`` builds
-the walk's types).  ``load_script`` runs a script of
+the Dynkin types, written from the classification.  Only
+``dynkin_types``, which builds the walk's types, and the valid arguments
+of the public callables, for the wrong-type walk, are built from the
+package's own constructors.  ``load_script`` runs a script of
 scripts/ as a module, for the tests of the scripts and of the goldens;
 ``fresh_python`` runs a child interpreter in the session's environment
 (see conftest.py), ``time_bound`` turns a call that runs too long into a
