@@ -31,6 +31,7 @@ from lieflag.errors import (
     ParameterViolation,
     UnknownVariety,
 )
+from lieflag.parabolic import codim_parabolic
 from lieflag.records import parse_records, serialize_records
 from lieflag.roots import DynkinType
 
@@ -293,6 +294,21 @@ def test_blow_up_graph_is_acyclic():
 
     for node in nodes:
         visit(node)
+
+
+def test_shipped_database_validates_clean():
+    assert validate_records(load_database()) == []
+
+
+def test_closed_orbits_match_flag_dimensions():
+    # every identified closed orbit equals the flag-variety dimension the
+    # identification resolves to; validate_records rule R3 checks exactly
+    # this, so an empty report plus a spot check pins the wiring
+    violations = [v for v in validate_records(load_database()) if v.rule == "R3"]
+    assert violations == []
+    from lieflag.parabolic import marking
+
+    assert codim_parabolic(marking(DynkinType("C", 2), (2,))) == 3
 
 
 @pytest.mark.parametrize("rule", INJECTED_FAULTS)

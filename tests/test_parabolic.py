@@ -147,6 +147,12 @@ def test_r_min_values_and_argmins():
     assert r_min(dynkin_type("G2")) == (5, (1, 2))
 
 
+def test_spin_series_r_is_m_minus_2():
+    for m in range(7, 13):
+        dtype = DynkinType("B", m // 2) if m % 2 else DynkinType("D", m // 2)
+        assert r_min(dtype).value == m - 2
+
+
 @pytest.mark.parametrize("dtype", dynkin_types(6), ids=str)
 def test_single_node_minimum_beats_all_markings(dtype):
     best = r_min(dtype).value
