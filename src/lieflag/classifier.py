@@ -10,8 +10,9 @@ database covers exactly the quasihomogeneous fourfolds of SL(3).
 from __future__ import annotations
 
 import os
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from functools import cached_property, lru_cache
-from typing import Mapping, NamedTuple, Sequence
 
 from . import roots
 from .errors import (
@@ -41,7 +42,7 @@ _ENVIRON = os.environ
 _ENV_KEY = os.environ.encodekey(DB_ENV_VAR)
 
 
-class GroupSpec(NamedTuple("GroupSpec", [("family", str), ("parameter", int)])):
+class GroupSpec(namedtuple("GroupSpec", "family parameter")):
     """A classical simple group named the way the record lists name it."""
 
     __slots__ = ()
@@ -184,29 +185,15 @@ def _ident_label(ident: str, n: int) -> str:
         ) from None
 
 
-class Orbit(NamedTuple):
-    kind: str
-    dim: int
-    identification: str = ""
-    note: str = ""
-
-
-class VarietyDescriptor(NamedTuple):
-    """One record of the classification, instantiated at a dimension n."""
-
-    name: str
-    case: str
-    source: str
-    item: int
-    n: int
-    dim: int
-    picard: int
-    orbits: tuple[Orbit, ...]
-    param_names: tuple[str, ...] = ()
-    param_constraint: str = ""
-    actions: int = 1
-    note: str = ""
-    allows_fixed_point: bool = False
+# An orbit of a record at n: its dim an integer, its P^/Q^ exponent evaluated.
+Orbit = namedtuple("Orbit", "kind dim identification note", defaults=("", ""))
+VarietyDescriptor = namedtuple(
+    "VarietyDescriptor",
+    "name case source item n dim picard orbits param_names param_constraint actions note "
+    "allows_fixed_point",
+    defaults=((), "", 1, "", False),
+)
+VarietyDescriptor.__doc__ = "One record of the classification, instantiated at a dimension n."
 
 
 # A record at n is a pure function of frozen values, so classify,
@@ -228,12 +215,14 @@ def _instantiate(rec: RecordSchema, n: int) -> VarietyDescriptor | None:
     return VarietyDescriptor._make(fields[key] for key in VarietyDescriptor._fields)
 
 
-class ClassificationResult(NamedTuple):
-    verdict: str  # only_trivial_action | homogeneous | full_list | out_of_covered_range
-    group: GroupSpec
-    n: int
-    entries: tuple[VarietyDescriptor, ...] = ()
-    reason: str = ""
+class ClassificationResult(namedtuple(
+    "ClassificationResult", "verdict group n entries reason", defaults=((), "")
+)):
+    """The answer of ``classify``: a verdict, one of only_trivial_action,
+    homogeneous, full_list and out_of_covered_range, its VarietyDescriptor
+    entries, and the reason for one out of the covered range."""
+
+    __slots__ = ()
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{key}={shown(value)}" for key, value in zip(self._fields, self))
@@ -347,11 +336,7 @@ def relations(
     return by_name[name][1]
 
 
-class Violation(NamedTuple):
-    rule: str
-    record: str
-    case: str
-    message: str
+Violation = namedtuple("Violation", "rule record case message")
 
 
 # Probe dimensions n of each case, each with the type of the group acting there.

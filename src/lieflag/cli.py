@@ -18,16 +18,14 @@ from __future__ import annotations
 import os
 import sys
 import warnings
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import lieflag
 
 from .errors import AnswerTooLong, DomainError, shown
 from .roots import Weight, dynkin_type  # on every command's path
-
-if TYPE_CHECKING:
-    import argparse
 
 
 class UsageError(Exception):
@@ -184,14 +182,11 @@ def _cmd_validate_db(args) -> dict:
     return {"count": len(violations), "violations": [v._asdict() for v in violations]}
 
 
-# One entry per command, in usage-line order.  ``arguments`` are keys of _ARGUMENTS.  ``layout``
-# has one item per text line: the payload fields of one line, or a (list key, prefix, fields)
-# triple for one line per item of that list; "key=payload_key" renames a field for the text.
-class Command(NamedTuple):
-    help: str
-    arguments: str
-    handler: Callable[[SimpleNamespace], dict]
-    layout: list
+# One entry per command, in usage-line order.  ``arguments`` are keys of _ARGUMENTS, and
+# ``handler`` maps the parsed namespace to the payload dict.  ``layout`` has one item per
+# text line: the payload fields of one line, or a (list key, prefix, fields) triple for one
+# line per item of that list; "key=payload_key" renames a field for the text.
+Command = namedtuple("Command", "help arguments handler layout")
 
 
 COMMANDS = {

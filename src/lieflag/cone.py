@@ -15,10 +15,10 @@ on, is checked on every call instead.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 from math import gcd
 from operator import index
-from typing import Iterable
 
 from .errors import InvalidDimension, UnsupportedWeight, ZeroClass, shown
 from .parabolic import ParabolicMarking

@@ -8,9 +8,10 @@ definition used throughout.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from operator import index, mul
-from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ArityMismatch, EmptyMarking, NodeOutOfRange, NotMaximalParabolic, shown
 from .roots import (
@@ -24,9 +25,7 @@ from .roots import (
 )
 
 
-class ParabolicMarking(
-    NamedTuple("ParabolicMarking", [("dynkin", DynkinType), ("marked", frozenset[int])])
-):
+class ParabolicMarking(namedtuple("ParabolicMarking", "dynkin marked")):
     """Marked-node subset defining a proper parabolic subgroup."""
 
     __slots__ = ()
@@ -88,9 +87,7 @@ def codim_parabolic(mk: ParabolicMarking) -> int:
     return count
 
 
-class RMin(NamedTuple):
-    value: int
-    nodes: tuple[int, ...]
+RMin = namedtuple("RMin", "value nodes")
 
 
 @_type_memo
@@ -133,11 +130,10 @@ _NAMED = (
 )
 
 
-class VarietyClass(NamedTuple):
+class VarietyClass(namedtuple("VarietyClass", "kind dim")):
     """Named isomorphism class of a flag variety, with its dimension."""
 
-    kind: str
-    dim: int
+    __slots__ = ()
 
     def label(self) -> str:
         return _LABELS[self.kind].format(self.dim)
@@ -167,11 +163,12 @@ def named_marking(dtype: DynkinType, label: str) -> ParabolicMarking | None:
     return _named(dtype)[1].get(label)
 
 
-class HomogeneousVariety(NamedTuple):
-    marking: ParabolicMarking
-    dim: int
-    picard_rank: int
-    identification: VarietyClass | None
+class HomogeneousVariety(
+    namedtuple("HomogeneousVariety", "marking dim picard_rank identification")
+):
+    """G/P of a marking, with its VarietyClass as ``identification``, or None if unnamed."""
+
+    __slots__ = ()
 
     def label(self) -> str:
         if self.identification is not None:

@@ -23,10 +23,11 @@ from __future__ import annotations
 import ast
 import re
 import shlex
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 from operator import attrgetter
 from types import CodeType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DatabaseFormatError,
@@ -133,36 +134,26 @@ def _check_expr(text: str, kind: str, names: Sequence[str]) -> None:
         raise DatabaseFormatError(f"{kind} expected, got {got} in {text!r}")
 
 
-class OrbitSchema(NamedTuple):
-    kind: str
-    dim: str
-    ident: str = ""
-    note: str = ""
+# An orbit line, its dim an expression in n; every field is a string.
+OrbitSchema = namedtuple("OrbitSchema", "kind dim ident note", defaults=("", ""))
+# A relation line; every field is a string.
+RelationEdge = namedtuple("RelationEdge", "op to label", defaults=("",))
 
 
-class RelationEdge(NamedTuple):
-    op: str
-    to: str
-    label: str = ""
+class RecordSchema(namedtuple(
+    "RecordSchema",
+    "name case source item dim picard requires param_names param_constraint "
+    "allows_fixed_point actions note orbits relations",
+    defaults=("", (), "", False, 1, "", (), ()),
+)):
+    """One classification entry, dimensions still symbolic in n.
 
+    ``_KEYS`` gives the type of each record-level field; ``param_names``
+    is a tuple of strings, ``orbits`` of OrbitSchema and ``relations`` of
+    RelationEdge values.
+    """
 
-class RecordSchema(NamedTuple):
-    """One classification entry, dimensions still symbolic in n."""
-
-    name: str
-    case: str
-    source: str
-    item: int
-    dim: str
-    picard: int
-    requires: str = ""
-    param_names: tuple[str, ...] = ()
-    param_constraint: str = ""
-    allows_fixed_point: bool = False
-    actions: int = 1
-    note: str = ""
-    orbits: tuple[OrbitSchema, ...] = ()
-    relations: tuple[RelationEdge, ...] = ()
+    __slots__ = ()
 
     def applies(self, n: int) -> bool:
         n = integer(n, "dimension", InvalidDimension)

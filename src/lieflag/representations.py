@@ -15,9 +15,10 @@ their simple factors are <k w + rho, a_j^v> = k w_j + 1.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache
 from math import prod
-from typing import Callable, NamedTuple
 
 from .errors import InvalidDimension, NonDominantWeight, UnsupportedWeight, shown
 from .parabolic import ParabolicMarking, r_min
@@ -78,10 +79,7 @@ def weyl_dim(w: Weight) -> int:
     return _weyl_dims(w, 1)[0]
 
 
-class MinimalIrrep(NamedTuple):
-    weight: Weight
-    dim: int
-    nodes: tuple[int, ...]
+MinimalIrrep = namedtuple("MinimalIrrep", "weight dim nodes")
 
 
 def min_nontrivial_irrep(dtype: DynkinType) -> MinimalIrrep:

@@ -15,9 +15,10 @@ the simple roots under the simple reflections that raise a root.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import lru_cache, wraps
 from operator import index, mul
-from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidRank, integer, shown
 
@@ -36,7 +37,7 @@ def _make_validated(cls, iterable: Iterable):
     return cls(*iterable)
 
 
-class DynkinType(NamedTuple("DynkinType", [("series", str), ("rank", int)])):
+class DynkinType(namedtuple("DynkinType", "series rank")):
     """A simple Lie type: series letter A-G plus rank."""
 
     __slots__ = ()
@@ -103,7 +104,7 @@ def _type_memo(fn):
     return checked
 
 
-class Weight(NamedTuple("Weight", [("dynkin", DynkinType), ("coords", tuple[int, ...])])):
+class Weight(namedtuple("Weight", "dynkin coords")):
     """Integer coordinates on the fundamental weights of a fixed type."""
 
     __slots__ = ()
@@ -211,18 +212,13 @@ def positive_roots(dtype: DynkinType) -> tuple[RootVector, ...]:
     return root_system(dtype).positive_roots
 
 
-class RootSystem(NamedTuple):
-    """Positive roots, Cartan matrix and coroots of one simple type.
+RootSystem = namedtuple("RootSystem", "dynkin cartan positive_roots coroots rho")
+RootSystem.__doc__ = """Positive roots, Cartan matrix and coroots of one simple type.
 
-    ``coroots[k]`` holds the simple-coroot coefficients of the coroot of
-    ``positive_roots[k]``; ``rho`` is the all-ones weight.
-    """
-
-    dynkin: DynkinType
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[RootVector, ...]
-    coroots: tuple[RootVector, ...]
-    rho: Weight
+``positive_roots`` are coefficient vectors sorted by height,
+``coroots[k]`` holds the simple-coroot coefficients of the coroot of
+``positive_roots[k]``, and ``rho`` is the all-ones ``Weight``.
+"""
 
 
 @_type_memo

@@ -1,7 +1,8 @@
 """The package surface: lazy re-exports, import footprint and value types."""
 
+import copy
 import inspect
-import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from lieflag import (
     VarietyClass,
     Violation,
     Weight,
+    cli,
 )
 from lieflag.errors import DomainError
 from lieflag.records import parse_records
@@ -37,13 +39,13 @@ PUBLIC_NAMES = [
 ]
 
 
-# Prints, as JSON on the last stdout line, the modules a step loaded that the
-# interpreter had not loaded before lieflag was first imported.
+# Prints, on the last stdout line, the modules a step loaded that the interpreter
+# had not loaded before lieflag was first imported; it imports nothing itself.
 _FOOTPRINT = """
-import json, sys
+import sys
 before = set(sys.modules)
 {step}
-print(json.dumps(sorted(set(sys.modules) - before)))
+print(*sorted(set(sys.modules) - before))
 """
 
 
@@ -54,7 +56,7 @@ def _footprints(step: str):
         done = fresh_python(*flags, "-c", _FOOTPRINT.format(step=step))
         assert done.returncode == 0, done.stderr
         *out, modules = done.stdout.splitlines()
-        yield "\n".join(out) + "\n", set(json.loads(modules))
+        yield "\n".join(out) + "\n", set(modules.split())
 
 
 def test_bare_import_loads_no_submodule():
@@ -68,7 +70,7 @@ def test_type_command_skips_database_modules():
         assert out == (GOLDEN / "rmin_G2.txt").read_text()
         assert {"lieflag.cli", "lieflag.roots", "lieflag.parabolic"} <= loaded
         assert not loaded & {"lieflag.classifier", "lieflag.records", "dataclasses", "ast", "json",
-                             "argparse", "gettext"}
+                             "argparse", "gettext", "typing", "re", "enum"}
 
 
 @pytest.mark.parametrize(
@@ -83,7 +85,7 @@ def test_database_command_skips_dataclasses_and_inspect(case):
         assert out == (GOLDEN / case).read_text()
         assert {"lieflag.classifier", "lieflag.records"} <= loaded
         # a plain argv is parsed from the command table, without argparse
-        assert not loaded & {"dataclasses", "inspect", "argparse", "gettext"}
+        assert not loaded & {"dataclasses", "inspect", "argparse", "gettext", "typing"}
 
 
 def test_usage_error_loads_argparse():
@@ -174,9 +176,14 @@ relation = op=up to=P^n label=W1
 """
 
 
+def _record():
+    (rec,) = parse_records(_RECORD)
+    return rec
+
+
 def _database_values():
     """One value of each database type, with the repr the frozen dataclasses printed."""
-    (rec,) = parse_records(_RECORD)
+    rec = _record()
     result = lieflag.classify(GroupSpec("SL", 2), 1)
     (entry,) = result.entries
     orbit_repr = "Orbit(kind='open', dim=1, identification='P^1', note='')"
@@ -217,10 +224,78 @@ def test_database_types_keep_repr_hash_and_immutability():
         other = value._replace(**{field: getattr(value, field)})
         assert other == value and type(other) is type(value)
         assert value._asdict()[field] == getattr(value, field)
-    (rec,) = parse_records(_RECORD)
+    rec = _record()
     assert rec._replace(item=2).item == 2 and rec._replace(item=2).applies(1)
     assert GroupSpec("SL", 4)._replace(parameter=5) == GroupSpec("SL", 5)
     assert GroupSpec("G2") == GroupSpec("G2", 0) == ("G2", 0)  # the default parameter
+
+
+def _sl2_entry():
+    (entry,) = lieflag.classify(GroupSpec("SL", 2), 1).entries
+    return entry
+
+
+_C2 = DynkinType("C", 2)
+_RECORD_FIELDS = ("name", "case", "source", "item", "dim", "picard", "requires", "param_names",
+                  "param_constraint", "allows_fixed_point", "actions", "note", "orbits",
+                  "relations")
+_RECORD_DEFAULTS = {"requires": "", "param_names": (), "param_constraint": "",
+                    "allows_fixed_point": False, "actions": 1, "note": "", "orbits": (),
+                    "relations": ()}
+_DESCRIPTOR_FIELDS = ("name", "case", "source", "item", "n", "dim", "picard", "orbits",
+                      "param_names", "param_constraint", "actions", "note", "allows_fixed_point")
+_DESCRIPTOR_DEFAULTS = {"param_names": (), "param_constraint": "", "actions": 1, "note": "",
+                        "allows_fixed_point": False}
+
+# Every value type of the package: its fields, its defaults and a builder of
+# one value.  A defaults tuple bound to the wrong fields shifts a default here.
+VALUE_TYPES = {
+    "DynkinType": (("series", "rank"), {}, lambda: _C2),
+    "Weight": (("dynkin", "coords"), {}, lambda: Weight(_C2, (1, 0))),
+    "RootSystem": (("dynkin", "cartan", "positive_roots", "coroots", "rho"), {},
+                   lambda: lieflag.root_system(_C2)),
+    "ParabolicMarking": (("dynkin", "marked"), {}, lambda: lieflag.marking(_C2, (1, 2))),
+    "RMin": (("value", "nodes"), {}, lambda: lieflag.r_min(_C2)),
+    "VarietyClass": (("kind", "dim"), {}, lambda: VarietyClass("quadric", 3)),
+    "HomogeneousVariety": (("marking", "dim", "picard_rank", "identification"), {},
+                           lambda: lieflag.minimal_homogeneous_varieties(_C2)[0]),
+    "MinimalIrrep": (("weight", "dim", "nodes"), {}, lambda: lieflag.min_nontrivial_irrep(_C2)),
+    "OrbitSchema": (("kind", "dim", "ident", "note"), {"ident": "", "note": ""},
+                    lambda: _record().orbits[0]),
+    "RelationEdge": (("op", "to", "label"), {"label": ""}, lambda: _record().relations[0]),
+    "RecordSchema": (_RECORD_FIELDS, _RECORD_DEFAULTS, _record),
+    "GroupSpec": (("family", "parameter"), {}, lambda: GroupSpec("Sp", 6)),
+    "Orbit": (("kind", "dim", "identification", "note"), {"identification": "", "note": ""},
+              lambda: _sl2_entry().orbits[0]),
+    "VarietyDescriptor": (_DESCRIPTOR_FIELDS, _DESCRIPTOR_DEFAULTS, _sl2_entry),
+    "ClassificationResult": (("verdict", "group", "n", "entries", "reason"),
+                             {"entries": (), "reason": ""},
+                             lambda: lieflag.classify(GroupSpec("SL", 4), 4)),
+    "Violation": (("rule", "record", "case", "message"), {},
+                  lambda: Violation("R1", "W", "SL", "m")),
+    "Command": (("help", "arguments", "handler", "layout"), {}, lambda: cli.COMMANDS["rmin"]),
+}
+
+
+def test_the_value_type_table_names_every_value_type():
+    modules = [getattr(lieflag, name) for name in sorted(lieflag._SUBMODULES)]
+    found = {name for module in modules for name, value in vars(module).items()
+             if isinstance(value, type) and value.__module__ == module.__name__
+             and hasattr(value, "_fields")}
+    assert found == set(VALUE_TYPES)
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_a_value_type_keeps_its_fields_and_defaults_and_survives_pickle_and_deepcopy(name):
+    fields, defaults, build = VALUE_TYPES[name]
+    value = build()
+    cls = type(value)
+    assert cls.__name__ == name
+    assert (cls._fields, cls._field_defaults) == (fields, defaults)
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in (*copies, copy.deepcopy(value)):
+        assert back == value and type(back) is cls
 
 
 # Values of the wrong type, by test id; each replaces one valid argument.
